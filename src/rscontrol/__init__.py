@@ -52,8 +52,6 @@ from .adjoint import (
     AdjointSolution,
     FundamentalPair,
     fit_conditional,
-    load_adjoints,
-    save_adjoints,
     solve_adjoint_phi,
     solve_adjoint_regression,
     solve_fundamental,

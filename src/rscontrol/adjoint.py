@@ -9,8 +9,11 @@ Two independent methods are provided and cross-validated in the test suite:
   the production method.
 
 Both estimate conditional expectations by cross-scenario polynomial
-regression in the state pair (x, y).  That projection is exact when the true
-costate is a polynomial of the states (the toy problems used for validation);
+regression in the state pair (x, y).  One ``Projector`` per time step sets up
+that regression on the step's sample (basis, standardization, normal matrix,
+degree fallback) and fits every target of the step against it: both costate
+components and their diffusion loadings.  That projection is exact when the
+true costate is a polynomial of the states (the toy problems used for validation);
 with state-dependent diffusion slopes the fundamental-solution method
 acquires a projection bias because the flow itself is an extra state, so the
 regression scheme is preferred for production runs.
@@ -43,6 +46,50 @@ def polynomial_basis(x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
+class Projector:
+    """Least-squares projection on the (x, y) monomial basis of one sample.
+
+    The design is set up once: RMS-standardized monomial columns (non-
+    intercept columns centered, so the ridge never biases the mean) and the
+    ridge-regularized normal matrix.  If that matrix is numerically singular
+    the degree is lowered (ultimately to the plain mean) with one warning per
+    lowered degree.  ``fit`` then projects any number of targets on the same
+    design with one solve.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, degree: int = 2, ridge: float = 1e-8):
+        for deg in range(degree, -1, -1):
+            basis = polynomial_basis(x, y, deg)
+            shift = basis.mean(axis=0)
+            shift[0] = 0.0
+            centered = basis - shift
+            scale = np.sqrt(np.mean(centered * centered, axis=0))
+            scale[scale == 0.0] = 1.0
+            design = centered / scale
+            gram = design.T @ design / design.shape[0]
+            gram[np.diag_indices_from(gram)] += ridge
+            gram[0, 0] -= ridge
+            if not np.isfinite(gram).all():
+                continue
+            if deg > 0 and np.linalg.cond(gram) > CONDITION_LIMIT:
+                warnings.warn(
+                    f"singular regression design; falling back to degree {deg - 1}",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                continue
+            break
+        # degree 0 always ends the loop: its design is the intercept alone
+        self.design, self.gram, self.degree = design, gram, deg
+
+    def fit(self, target: np.ndarray) -> np.ndarray:
+        """E[target | x, y] on the sample; ``target`` is (scenarios,) or
+        (scenarios, r), and the result has the same shape."""
+        t = np.asarray(target, dtype=float)
+        rhs = self.design.T @ t / self.design.shape[0]
+        return self.design @ np.linalg.solve(self.gram, rhs)
+
+
 def fit_conditional(
     target: np.ndarray,
     x: np.ndarray,
@@ -50,47 +97,13 @@ def fit_conditional(
     degree: int = 2,
     ridge: float = 1e-8,
 ):
-    """Least-squares estimate of E[target | x, y] evaluated on the sample.
-
-    Solves the ridge-regularized normal equations on RMS-standardized
-    monomial columns.  If the normal matrix is numerically singular the
-    degree is lowered (ultimately to the plain mean) with a warning.
+    """One-shot ``Projector(x, y, degree, ridge).fit(target)``.
 
     Returns (fitted, degree_used); ``target`` may be (scenarios,) or
     (scenarios, r) for a shared design matrix.
     """
-    t = np.asarray(target, dtype=float)
-    squeeze = t.ndim == 1
-    if squeeze:
-        t = t[:, None]
-    for deg in range(degree, -1, -1):
-        basis = polynomial_basis(x, y, deg)
-        # center non-intercept columns so the ridge never biases the mean
-        shift = basis.mean(axis=0)
-        shift[0] = 0.0
-        centered = basis - shift
-        scale = np.sqrt(np.mean(centered * centered, axis=0))
-        scale[scale == 0.0] = 1.0
-        design = centered / scale
-        gram = design.T @ design / design.shape[0]
-        gram[np.diag_indices_from(gram)] += ridge
-        gram[0, 0] -= ridge
-        rhs = design.T @ t / design.shape[0]
-        if not np.isfinite(gram).all():
-            continue
-        if deg > 0 and np.linalg.cond(gram) > CONDITION_LIMIT:
-            warnings.warn(
-                f"singular regression design; falling back to degree {deg - 1}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            continue
-        coef = np.linalg.solve(gram, rhs)
-        fitted = design @ coef
-        if np.isfinite(fitted).all():
-            return (fitted[:, 0] if squeeze else fitted), deg
-    fitted = np.broadcast_to(t.mean(axis=0), t.shape).copy()
-    return (fitted[:, 0] if squeeze else fitted), 0
+    proj = Projector(x, y, degree, ridge)
+    return proj.fit(target), proj.degree
 
 
 @dataclass(frozen=True)
@@ -198,33 +211,6 @@ def _gradient_paths(field, mu, bundle, running):
     return hx, hy
 
 
-def _assemble_phi_component(flow_pair, terminal_grad, h_grad, slope_at, bundle, dt, degree, ridge):
-    """Costate from one fundamental pair: weight the terminal/running
-    gradients by the flow, project on the state basis, strip the accumulated
-    running part, and deflate by the inverse flow."""
-    n = bundle.tg.steps
-    scen = bundle.scenarios
-    d = bundle.dim
-    flow = flow_pair.flow
-    weighted = flow[:, :n] * h_grad * dt
-    total = flow[:, n] * terminal_grad + weighted.sum(axis=1)
-    prefix = np.zeros((scen, n + 1))
-    np.cumsum(weighted, axis=1, out=prefix[:, 1:])
-    mart = np.empty((scen, n + 1))
-    mart[:, 0] = total.mean()
-    mart[:, n] = total
-    for k in range(1, n):
-        mart[:, k], _ = fit_conditional(total, bundle.x[:, k], bundle.y[:, k], degree, ridge)
-    p = (mart - prefix) * flow_pair.flow_inv
-    load = np.empty((scen, n, d))
-    for k in range(n):
-        incr = (mart[:, k + 1] - mart[:, k])[:, None] * bundle.noise[:, k] / dt
-        integrand, _ = fit_conditional(incr, bundle.x[:, k], bundle.y[:, k], degree, ridge)
-        load[:, k] = flow_pair.flow_inv[:, k, None] * integrand - slope_at(k) * p[:, k, None]
-    p[:, n] = terminal_grad
-    return p, load
-
-
 def solve_adjoint_phi(
     field: CoefficientField,
     mu: RelaxedControl,
@@ -237,29 +223,49 @@ def solve_adjoint_phi(
 ) -> AdjointSolution:
     """Costates via the fundamental-solution construction.
 
-    The conditional expectation of the flow-weighted terminal variable is
-    estimated per step by cross-scenario regression on the (x, y) basis; the
-    diffusion loading comes from projecting the martingale increments on the
-    Brownian increments.  Terminal slices are set to the exact gradients.
+    For each component the flow-weighted terminal and running gradients form
+    one terminal variable; its conditional expectation (the martingale) is
+    projected per step on the (x, y) basis, the accumulated running part is
+    stripped and the flow deflated.  The diffusion loading comes from
+    projecting the martingale increments on the Brownian increments.  Both
+    components share one projector per step.  Terminal slices are set to the
+    exact gradients.
     """
     pair_x, pair_y = solve_fundamental(field, mu, bundle, stock)
     hx, hy = _gradient_paths(field, mu, bundle, running)
-    times = bundle.tg.times()
-    xn, yn = bundle.x[:, -1], bundle.y[:, -1]
+    tg = bundle.tg
+    n, dt = tg.steps, tg.dt
+    times = tg.times()
+    scen, d = bundle.scenarios, bundle.dim
+    xn, yn = bundle.x[:, n], bundle.y[:, n]
 
-    def x_slope(k):
-        return integrate_against(field.vol_slope_at(k), mu.weights[k], axis=-2)
-
-    def y_slope(k):
-        return stock.diffusion_dy(times[k], bundle.y[:, k])
-
-    px, Px = _assemble_phi_component(
-        pair_x, terminal.dx(xn, yn), hx, x_slope, bundle, bundle.tg.dt, degree, ridge
-    )
-    py, Py = _assemble_phi_component(
-        pair_y, terminal.dy(xn, yn), hy, y_slope, bundle, bundle.tg.dt, degree, ridge
-    )
-    return AdjointSolution(px=px, Px=Px, py=py, Py=Py, method="phi-construction")
+    # axis 1 indexes the component: 0 for x, 1 for y
+    flow = np.stack([pair_x.flow, pair_y.flow], axis=1)
+    flow_inv = np.stack([pair_x.flow_inv, pair_y.flow_inv], axis=1)
+    del pair_x, pair_y  # release the unstacked copies before the backward pass
+    grad = np.column_stack([terminal.dx(xn, yn), terminal.dy(xn, yn)])
+    weighted = flow[:, :, :n] * np.stack([hx, hy], axis=1) * dt
+    total = flow[:, :, n] * grad + weighted.sum(axis=2)
+    prefix = np.zeros((scen, 2, n + 1))
+    np.cumsum(weighted, axis=2, out=prefix[:, :, 1:])
+    p = np.empty((scen, 2, n + 1))
+    p[:, :, n] = grad
+    load = np.empty((scen, 2, n, d))
+    mart_next = total
+    for k in range(n - 1, -1, -1):
+        proj = Projector(bundle.x[:, k], bundle.y[:, k], degree, ridge)
+        mart = proj.fit(total)
+        p[:, :, k] = (mart - prefix[:, :, k]) * flow_inv[:, :, k]
+        incr = (mart_next - mart)[:, :, None] * bundle.noise[:, k, None] / dt
+        mart_next = mart
+        integrand = proj.fit(incr.reshape(scen, 2 * d)).reshape(scen, 2, d)
+        slope = np.stack(np.broadcast_arrays(
+            integrate_against(field.vol_slope_at(k), mu.weights[k], axis=-2),
+            stock.diffusion_dy(times[k], bundle.y[:, k]),
+        ), axis=1)
+        load[:, :, k] = flow_inv[:, :, k, None] * integrand - slope * p[:, :, k, None]
+    return AdjointSolution(px=p[:, 0], Px=load[:, 0], py=p[:, 1], Py=load[:, 1],
+                           method="phi-construction")
 
 
 def solve_adjoint_regression(
@@ -281,6 +287,8 @@ def solve_adjoint_regression(
     one-step target
 
         p[k] = E[ p[k+1] + (slope * p[k+1] + vol_slope . P[k] + h') dt | x, y ].
+
+    Both components share one projector per step, with three stacked fits.
     """
     tg = bundle.tg
     n, dt = tg.steps, tg.dt
@@ -298,44 +306,21 @@ def solve_adjoint_regression(
     for k in range(n - 1, -1, -1):
         w = mu.weights[k]
         xk, yk = x[:, k], y[:, k]
-        pbar_x, _ = fit_conditional(px[:, k + 1], xk, yk, degree, ridge)
-        pbar_y, _ = fit_conditional(py[:, k + 1], xk, yk, degree, ridge)
-        Px[:, k], _ = fit_conditional(
-            (px[:, k + 1] - pbar_x)[:, None] * dw[:, k] / dt, xk, yk, degree, ridge
-        )
-        Py[:, k], _ = fit_conditional(
-            (py[:, k + 1] - pbar_y)[:, None] * dw[:, k] / dt, xk, yk, degree, ridge
-        )
+        proj = Projector(xk, yk, degree, ridge)
+        nxt = np.column_stack([px[:, k + 1], py[:, k + 1]])
+        resid = nxt - proj.fit(nxt)
+        loads = proj.fit((resid[:, :, None] * dw[:, k, None]).reshape(scen, 2 * d) / dt)
+        Px[:, k], Py[:, k] = loads[:, :d], loads[:, d:]
         slo = integrate_against(field.drift_slope_at(k), w, axis=-1)
         vslo = integrate_against(field.vol_slope_at(k), w, axis=-2)
         hxk = integrate_against(running.dx(times[k], xk, yk, pts), w, axis=-1)
         hyk = integrate_against(running.dy(times[k], xk, yk, pts), w, axis=-1)
         target_x = px[:, k + 1] + (slo * px[:, k + 1] + (vslo * Px[:, k]).sum(-1) + hxk) * dt
-        px[:, k], _ = fit_conditional(target_x, xk, yk, degree, ridge)
         bdy = stock.drift_dy(times[k], yk)
         sdy = stock.diffusion_dy(times[k], yk)
         target_y = py[:, k + 1] + (bdy * py[:, k + 1] + (sdy * Py[:, k]).sum(-1) + hyk) * dt
-        py[:, k], _ = fit_conditional(target_y, xk, yk, degree, ridge)
+        px[:, k], py[:, k] = proj.fit(np.column_stack([target_x, target_y])).T
     return AdjointSolution(px=px, Px=Px, py=py, Py=Py, method="regression")
-
-
-def save_adjoints(adj: AdjointSolution, directory, key: str):
-    """Binary cache companion to the trajectory cache, keyed the same way."""
-    from pathlib import Path
-
-    path = Path(directory) / f"adjoints_{key}.npz"
-    np.savez_compressed(path, px=adj.px, Px=adj.Px, py=adj.py, Py=adj.Py,
-                        method=np.array(adj.method))
-    return path
-
-
-def load_adjoints(directory, key: str) -> AdjointSolution:
-    from pathlib import Path
-
-    path = Path(directory) / f"adjoints_{key}.npz"
-    with np.load(path) as data:
-        return AdjointSolution(px=data["px"], Px=data["Px"], py=data["py"],
-                               Py=data["Py"], method=str(data["method"]))
 
 
 def adjoints_to_csv(adj: AdjointSolution, tg, path) -> None:

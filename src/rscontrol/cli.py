@@ -14,6 +14,7 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -80,6 +81,43 @@ _OPTIMIZER_KEYS = {"max_iter", "singular_rate", "armijo_c1", "max_halvings", "ga
                    "gap_floor", "adjoint_degree", "ridge", "phi_check_every"}
 _TOLERANCE_KEYS = {"gap_se_multiplier", "gap_floor", "slack_scale", "comp_scale"}
 _CONTROLS_KEYS = {"relaxed", "singular"}
+
+# (path, integer, lowest, highest) of every plain scalar in a config, bounds
+# inclusive.  The horizon's positivity is left to TimeGrid.
+_SCALARS = (
+    ("scenarios", True, 1, math.inf),
+    ("seed", True, 0, math.inf),
+    ("moment_order", False, 1.0, math.inf),
+    ("time.horizon", False, 0.0, math.inf),
+    ("time.steps", True, 1, math.inf),
+    ("optimizer.max_iter", True, 0, math.inf),
+    ("optimizer.max_halvings", True, 0, math.inf),
+    ("optimizer.adjoint_degree", True, 0, 2),
+    ("optimizer.phi_check_every", True, 0, math.inf),
+    ("optimizer.singular_rate", False, 0.0, math.inf),
+    ("optimizer.armijo_c1", False, 0.0, math.inf),
+    ("optimizer.gap_tol", False, 0.0, math.inf),
+    ("optimizer.gap_floor", False, 0.0, math.inf),
+    ("optimizer.ridge", False, 0.0, math.inf),
+    ("tolerances.gap_se_multiplier", False, 0.0, math.inf),
+    ("tolerances.gap_floor", False, 0.0, math.inf),
+    ("tolerances.slack_scale", False, 0.0, math.inf),
+    ("tolerances.comp_scale", False, 0.0, math.inf),
+)
+
+
+def _check_scalars(cfg: dict) -> None:
+    for path, integer, low, high in _SCALARS:
+        section, _, key = path.rpartition(".")
+        value = (cfg.get(section, {}) if section else cfg).get(key, low)  # absent passes
+        if value is None and path == "optimizer.gap_tol":
+            continue
+        number = not isinstance(value, bool) and (isinstance(value, int) or (
+            isinstance(value, float) and math.isfinite(value)
+            and (value.is_integer() or not integer)))
+        if not (number and low <= value <= high):
+            kind = "an integer" if integer else "a number"
+            raise ConfigError(f"{path} must be {kind} in [{low}, {high}], got {value!r}")
 
 
 def _build_running(spec: dict):
@@ -232,8 +270,7 @@ def _resolve_config(path: str, args) -> dict:
         cfg["seed"] = args.seed
     if getattr(args, "out", None) is not None:
         cfg["output_dir"] = args.out
-    if int(cfg["scenarios"]) < 1:
-        raise ConfigError("scenarios must be a positive integer")
+    _check_scalars(cfg)
     return cfg
 
 
@@ -281,8 +318,8 @@ def _write_manifest(outdir: Path, command: str, cfg: dict, args) -> None:
 
 def _prepare(args, command: str):
     cfg = _resolve_config(args.config, args)
-    tg = TimeGrid(float(cfg["time"]["horizon"]), int(cfg["time"]["steps"]))
     try:
+        tg = TimeGrid(float(cfg["time"]["horizon"]), int(cfg["time"]["steps"]))
         problem = _build_problem(cfg, tg)
         mu, xi = _build_controls(cfg, problem)
     except (ValueError, KeyError, TypeError) as exc:
@@ -353,8 +390,7 @@ def cmd_optimize(args) -> int:
     doc["final_cost_stderr"] = state.cost_stderr
     doc["final_gap"] = state.gap if np.isfinite(state.gap) else None
     _write_json(outdir / "report.json", doc)
-    flag = "converged" if state.converged else "not-converged"
-    print(f"optimize: {flag} after {state.iteration} iterations, "
+    print(f"optimize: {state.reason} after {state.iteration} iterations, "
           f"cost {state.cost:.6g} (gap {state.gap:.3g})")
     return 0
 

@@ -19,12 +19,9 @@ parallel execution reproduces the single-pass arrays exactly.
 from __future__ import annotations
 
 import csv
-import hashlib
-import json
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -601,49 +598,3 @@ def bundle_to_csv(bundle: TrajectoryBundle, path) -> None:
                 else:
                     row += [""] * d
                 writer.writerow(row)
-
-
-def bundle_cache_key(**inputs) -> str:
-    """Stable hash of simulation inputs (arrays hashed by bytes + shape)."""
-    digest = hashlib.sha256()
-    for name in sorted(inputs):
-        value = inputs[name]
-        digest.update(name.encode())
-        if isinstance(value, np.ndarray):
-            digest.update(str(value.shape).encode())
-            digest.update(np.ascontiguousarray(value).tobytes())
-        else:
-            digest.update(json.dumps(value, sort_keys=True, default=str).encode())
-    return digest.hexdigest()
-
-
-def save_bundle(bundle: TrajectoryBundle, directory, key: str) -> Path:
-    path = Path(directory) / f"bundle_{key}.npz"
-    np.savez_compressed(
-        path,
-        x=bundle.x,
-        y=bundle.y,
-        noise=bundle.noise,
-        weights=bundle.mu.weights,
-        increments=bundle.xi.increments,
-        meta=np.array(
-            [bundle.tg.horizon, bundle.tg.steps, bundle.x0, bundle.y0, bundle.xi.tv_cap]
-        ),
-    )
-    return path
-
-
-def load_bundle(directory, key: str) -> TrajectoryBundle:
-    path = Path(directory) / f"bundle_{key}.npz"
-    with np.load(path) as data:
-        horizon, steps, x0, y0, tv_cap = data["meta"]
-        return TrajectoryBundle(
-            tg=TimeGrid(float(horizon), int(steps)),
-            x=data["x"],
-            y=data["y"],
-            noise=data["noise"],
-            mu=RelaxedControl(data["weights"]),
-            xi=SingularControl(data["increments"], tv_cap=float(tv_cap)),
-            x0=float(x0),
-            y0=float(y0),
-        )

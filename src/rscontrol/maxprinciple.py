@@ -253,25 +253,6 @@ class OptimalityReport:
             "tolerances": self.tolerances.to_json(),
         }
 
-    @staticmethod
-    def from_json(doc: dict) -> "OptimalityReport":
-        tol = MaxPrincipleTolerances(**doc["tolerances"])
-        return OptimalityReport(
-            hamiltonian_gap=doc["hamiltonian_gap"],
-            gap_stderr=doc["gap_stderr"],
-            gap_tolerance=doc["gap_tolerance"],
-            slack_min=doc["slack_min"],
-            slack_tolerance=doc["slack_tolerance"],
-            complementarity_violation=doc["complementarity_violation"],
-            comp_tolerance=doc["comp_tolerance"],
-            costate_scale=doc["costate_scale"],
-            xi_total_variation=doc["xi_total_variation"],
-            pass_hamiltonian=doc["pass_hamiltonian"],
-            pass_slack=doc["pass_slack"],
-            pass_complementarity=doc["pass_complementarity"],
-            tolerances=tol,
-        )
-
     def render_table(self) -> str:
         rows = [
             ("hamiltonian gap", self.hamiltonian_gap, f"<= {self.gap_tolerance:.3e}",

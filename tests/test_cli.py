@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 from rscontrol.cli import example_bond_config, main
 
 
@@ -73,6 +74,21 @@ class TestValidation:
     def test_missing_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("time", "steps", 0),
+        ("time", "horizon", -1.0),
+        (None, "scenarios", "many"),
+        ("optimizer", "max_iter", "x"),
+        (None, "seed", -3),
+        ("tolerances", "gap_se_multiplier", -1),
+    ])
+    def test_malformed_scalar(self, tmp_path, capsys, section, key, value):
+        cfg = _toy_config(tmp_path / "out")
+        (cfg.setdefault(section, {}) if section else cfg)[key] = value
+        rc = main(["optimize", "--config", _write(tmp_path / "c.json", cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_invalid_grid(self, tmp_path):
         cfg = _toy_config(tmp_path / "out")
         cfg["problem"]["action_grid"]["points"] = [1.0, 1.0]
@@ -130,6 +146,17 @@ class TestOptimize:
         assert np.argmax(weights[0]) == 1  # grid point -0.5
         assert (out / "iterations.csv").exists()
         assert (out / "adjoints.csv").exists()
+
+    def test_stdout_names_stop_reason(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = _toy_config(out)
+        rc = main(["optimize", "--config", _write(tmp_path / "c.json", cfg),
+                   "--no-timestamp"])
+        assert rc == 0
+        report = json.loads((out / "report.json").read_text())
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert line.startswith(f"optimize: {report['convergence_reason']} after "
+                               f"{report['iterations']} iterations")
 
     def test_max_iter_zero_reports_initial_state(self, tmp_path):
         out = tmp_path / "out"

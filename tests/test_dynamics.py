@@ -7,11 +7,8 @@ import pytest
 import rscontrol as rc
 from rscontrol.dynamics import (
     NonFiniteStateError,
-    bundle_cache_key,
     bundle_to_csv,
     coefficient_integrals,
-    load_bundle,
-    save_bundle,
 )
 from rscontrol.measures import RelaxedControl, SingularControl
 
@@ -261,23 +258,3 @@ class TestExports:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "scenario,step,t,x,y,dW0"
         assert len(lines) == 1 + 2 * 4
-
-    def test_cache_round_trip(self, tmp_path):
-        tg = rc.TimeGrid(1.0, 5)
-        grid = _grid()
-        field = rc.dense_field(tg, grid, scenarios=3, dim=2, vol_level=[0.2, 0.0])
-        mu, xi = _zero_controls(5, 4, 2)
-        b = rc.simulate_forward(field, mu, xi, 1.0, 1.0, rc.linear_stock(0.1, 0.2, 2), tg, seed=12)
-        key = bundle_cache_key(seed=12, weights=mu.weights, increments=xi.increments,
-                               horizon=tg.horizon, steps=tg.steps)
-        save_bundle(b, tmp_path, key)
-        b2 = load_bundle(tmp_path, key)
-        assert np.array_equal(b.x, b2.x)
-        assert np.array_equal(b.noise, b2.noise)
-        assert b2.tg == tg
-
-    def test_cache_key_sensitivity(self):
-        k1 = bundle_cache_key(seed=1, steps=10)
-        k2 = bundle_cache_key(seed=2, steps=10)
-        assert k1 != k2
-        assert k1 == bundle_cache_key(seed=1, steps=10)

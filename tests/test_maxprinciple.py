@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 import rscontrol as rc
 from rscontrol.maxprinciple import (
     MaxPrincipleTolerances,
-    OptimalityReport,
     check_max_principle,
     hamiltonian_slice,
     pointwise_maximizer,
@@ -239,10 +237,6 @@ class TestCheckMaxPrinciple:
         problem = drift_control_toy()
         mu, xi = problem.default_controls()
         report, *_ = self._run(problem, mu, xi, scenarios=200)
-        doc = json.loads(json.dumps(report.to_json()))
-        back = OptimalityReport.from_json(doc)
-        assert back.hamiltonian_gap == report.hamiltonian_gap
-        assert back.passed == report.passed
         table = report.render_table()
         assert "hamiltonian gap" in table
         assert ("PASS" in table) or ("FAIL" in table)
