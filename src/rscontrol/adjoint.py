@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CoefficientField, StockModel, TrajectoryBundle
+from .dynamics import CoefficientField, StockModel, TrajectoryBundle, coefficient_integrals
 from .measures import RelaxedControl, integrate_against
 from .problems import RunningCost, TerminalCost
 
@@ -174,11 +174,10 @@ def solve_fundamental(
     flow_y = np.empty((scen, n + 1))
     inv_y = np.empty((scen, n + 1))
     flow_x[:, 0] = inv_x[:, 0] = flow_y[:, 0] = inv_y[:, 0] = 1.0
+    _, slope, _, vol_slope = coefficient_integrals(field, mu)
     for k in range(n):
-        w = mu.weights[k]
         dw = bundle.noise[:, k]
-        slo = integrate_against(field.drift_slope_at(k), w, axis=-1)
-        vslo = integrate_against(field.vol_slope_at(k), w, axis=-2)
+        slo, vslo = slope[:, k], vol_slope[:, k]
         shock = (vslo * dw).sum(axis=-1)
         quad = (vslo * vslo).sum(axis=-1)
         flow_x[:, k + 1] = flow_x[:, k] * (1.0 + slo * dt + shock)
@@ -232,6 +231,7 @@ def solve_adjoint_phi(
     exact gradients.
     """
     pair_x, pair_y = solve_fundamental(field, mu, bundle, stock)
+    vol_slope = coefficient_integrals(field, mu)[3]
     hx, hy = _gradient_paths(field, mu, bundle, running)
     tg = bundle.tg
     n, dt = tg.steps, tg.dt
@@ -260,7 +260,7 @@ def solve_adjoint_phi(
         mart_next = mart
         integrand = proj.fit(incr.reshape(scen, 2 * d)).reshape(scen, 2, d)
         slope = np.stack(np.broadcast_arrays(
-            integrate_against(field.vol_slope_at(k), mu.weights[k], axis=-2),
+            vol_slope[:, k],
             stock.diffusion_dy(times[k], bundle.y[:, k]),
         ), axis=1)
         load[:, :, k] = flow_inv[:, :, k, None] * integrand - slope * p[:, :, k, None]
@@ -295,7 +295,8 @@ def solve_adjoint_regression(
     times = tg.times()
     scen, d = bundle.scenarios, bundle.dim
     x, y, dw = bundle.x, bundle.y, bundle.noise
-    pts = field.grid.points
+    _, slope, _, vol_slope = coefficient_integrals(field, mu)
+    hx, hy = _gradient_paths(field, mu, bundle, running)
 
     px = np.empty((scen, n + 1))
     py = np.empty((scen, n + 1))
@@ -304,21 +305,17 @@ def solve_adjoint_regression(
     px[:, n] = terminal.dx(x[:, n], y[:, n])
     py[:, n] = terminal.dy(x[:, n], y[:, n])
     for k in range(n - 1, -1, -1):
-        w = mu.weights[k]
         xk, yk = x[:, k], y[:, k]
         proj = Projector(xk, yk, degree, ridge)
         nxt = np.column_stack([px[:, k + 1], py[:, k + 1]])
         resid = nxt - proj.fit(nxt)
         loads = proj.fit((resid[:, :, None] * dw[:, k, None]).reshape(scen, 2 * d) / dt)
         Px[:, k], Py[:, k] = loads[:, :d], loads[:, d:]
-        slo = integrate_against(field.drift_slope_at(k), w, axis=-1)
-        vslo = integrate_against(field.vol_slope_at(k), w, axis=-2)
-        hxk = integrate_against(running.dx(times[k], xk, yk, pts), w, axis=-1)
-        hyk = integrate_against(running.dy(times[k], xk, yk, pts), w, axis=-1)
-        target_x = px[:, k + 1] + (slo * px[:, k + 1] + (vslo * Px[:, k]).sum(-1) + hxk) * dt
+        slo, vslo = slope[:, k], vol_slope[:, k]
+        target_x = px[:, k + 1] + (slo * px[:, k + 1] + (vslo * Px[:, k]).sum(-1) + hx[:, k]) * dt
         bdy = stock.drift_dy(times[k], yk)
         sdy = stock.diffusion_dy(times[k], yk)
-        target_y = py[:, k + 1] + (bdy * py[:, k + 1] + (sdy * Py[:, k]).sum(-1) + hyk) * dt
+        target_y = py[:, k + 1] + (bdy * py[:, k + 1] + (sdy * Py[:, k]).sum(-1) + hy[:, k]) * dt
         px[:, k], py[:, k] = proj.fit(np.column_stack([target_x, target_y])).T
     return AdjointSolution(px=px, Px=Px, py=py, Py=Py, method="regression")
 

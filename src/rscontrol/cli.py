@@ -417,8 +417,10 @@ def cmd_verify(args) -> int:
     noise = problem.noise(scenarios, seed)
     field = problem.sample_field(scenarios, seed, noise)
     bundle = problem.simulate(field, mu, xi, noise, threads=args.threads)
+    options = _optimizer_options(cfg)
     adj = solve_adjoint_regression(
         field, mu, bundle, problem.running, problem.terminal, problem.stock,
+        options.adjoint_degree, options.ridge,
     )
     adjoints_to_csv(adj, problem.tg, outdir / "adjoints.csv")
     report = check_max_principle(field, bundle, adj, problem.running, problem.k_path,

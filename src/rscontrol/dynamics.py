@@ -95,19 +95,19 @@ class CoefficientField(ABC):
     vol_slope_bound: float
 
     @abstractmethod
-    def drift_level_at(self, k: int, rows: slice | None = None) -> np.ndarray:
+    def drift_level_at(self, k: int) -> np.ndarray:
         """Drift intercept slice, shape (scenarios | 1, count)."""
 
     @abstractmethod
-    def drift_slope_at(self, k: int, rows: slice | None = None) -> np.ndarray:
+    def drift_slope_at(self, k: int) -> np.ndarray:
         """Drift slope slice, shape (scenarios | 1, count)."""
 
     @abstractmethod
-    def vol_level_at(self, k: int, rows: slice | None = None) -> np.ndarray:
+    def vol_level_at(self, k: int) -> np.ndarray:
         """Diffusion intercept slice, shape (scenarios | 1, count, dim)."""
 
     @abstractmethod
-    def vol_slope_at(self, k: int, rows: slice | None = None) -> np.ndarray:
+    def vol_slope_at(self, k: int) -> np.ndarray:
         """Diffusion slope slice, shape (scenarios | 1, count, dim)."""
 
     def validate(self) -> None:
@@ -180,21 +180,17 @@ class DenseCoefficientField(CoefficientField):
     def dim(self) -> int:  # type: ignore[override]
         return self.vol_level.shape[3]
 
-    def drift_level_at(self, k, rows=None):
-        sl = self.drift_level[:, k]
-        return sl if (rows is None or sl.shape[0] == 1) else sl[rows]
+    def drift_level_at(self, k):
+        return self.drift_level[:, k]
 
-    def drift_slope_at(self, k, rows=None):
-        sl = self.drift_slope[:, k]
-        return sl if (rows is None or sl.shape[0] == 1) else sl[rows]
+    def drift_slope_at(self, k):
+        return self.drift_slope[:, k]
 
-    def vol_level_at(self, k, rows=None):
-        sl = self.vol_level[:, k]
-        return sl if (rows is None or sl.shape[0] == 1) else sl[rows]
+    def vol_level_at(self, k):
+        return self.vol_level[:, k]
 
-    def vol_slope_at(self, k, rows=None):
-        sl = self.vol_slope[:, k]
-        return sl if (rows is None or sl.shape[0] == 1) else sl[rows]
+    def vol_slope_at(self, k):
+        return self.vol_slope[:, k]
 
 
 def dense_field(
@@ -233,18 +229,19 @@ def dense_field(
     )
 
 
-def coefficient_integrals(field: CoefficientField, k: int, weights: np.ndarray):
-    """Integrate the four coefficient slices at step k against a measure row.
-
-    Returns (drift_level, drift_slope, vol_level, vol_slope) with shapes
-    (scenarios | 1,) and (scenarios | 1, dim).
+def coefficient_integrals(field: CoefficientField, mu: RelaxedControl):
+    """Integrate each step's coefficient slices, over all scenarios, against
+    that step's measure row.  Returns (drift_level, drift_slope, vol_level,
+    vol_slope) with shapes (scenarios | 1, steps) and (scenarios | 1, steps, dim).
     """
-    return (
-        integrate_against(field.drift_level_at(k), weights, axis=-1),
-        integrate_against(field.drift_slope_at(k), weights, axis=-1),
-        integrate_against(field.vol_level_at(k), weights, axis=-2),
-        integrate_against(field.vol_slope_at(k), weights, axis=-2),
-    )
+    parts = ([], [], [], [])
+    for k in range(field.steps):
+        w = mu.weights[k]
+        parts[0].append(integrate_against(field.drift_level_at(k), w, axis=-1))
+        parts[1].append(integrate_against(field.drift_slope_at(k), w, axis=-1))
+        parts[2].append(integrate_against(field.vol_level_at(k), w, axis=-2))
+        parts[3].append(integrate_against(field.vol_slope_at(k), w, axis=-2))
+    return tuple(np.stack(part, axis=1) for part in parts)
 
 
 def _gain_table(values, steps: int, dim: int) -> np.ndarray:
@@ -358,13 +355,15 @@ class TrajectoryBundle:
         return self.noise.shape[2]
 
 
-def _check_finite(arr: np.ndarray, component: str, step: int) -> None:
+def _check_finite(arr: np.ndarray, component: str, step: int, first: int = 0) -> None:
     if not np.isfinite(arr).all():
-        scenario = int(np.flatnonzero(~np.isfinite(arr))[0])
+        scenario = first + int(np.flatnonzero(~np.isfinite(arr))[0])
         raise NonFiniteStateError(component, step, scenario)
 
 
-def _simulate_block(field, mu_w, xi_inc, stock, tg, noise, x0, y0, rows, jump_x, jump_y):
+def _simulate_block(integrals, stock, tg, noise, x0, y0, first, jump_x, jump_y):
+    """Euler steps for the scenario block at rows ``first``.. of ``integrals``."""
+    lev, slo, vlev, vslo = integrals
     scenarios = noise.shape[0]
     n = tg.steps
     dt = tg.dt
@@ -375,20 +374,16 @@ def _simulate_block(field, mu_w, xi_inc, stock, tg, noise, x0, y0, rows, jump_x,
     y[:, 0] = y0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
-            w = mu_w[k]
             dw = noise[:, k]
             xk = x[:, k]
             yk = y[:, k]
-            lev = integrate_against(field.drift_level_at(k, rows), w, axis=-1)
-            slo = integrate_against(field.drift_slope_at(k, rows), w, axis=-1)
-            vlev = integrate_against(field.vol_level_at(k, rows), w, axis=-2)
-            vslo = integrate_against(field.vol_slope_at(k, rows), w, axis=-2)
-            diff = vlev + vslo * xk[:, None]
-            x[:, k + 1] = xk + (lev + slo * xk) * dt + (diff * dw).sum(axis=-1) + jump_x[k]
+            diff = vlev[:, k] + vslo[:, k] * xk[:, None]
+            x[:, k + 1] = (xk + (lev[:, k] + slo[:, k] * xk) * dt
+                           + (diff * dw).sum(axis=-1) + jump_x[k])
             sy = stock.diffusion(times[k], yk)
             y[:, k + 1] = yk + stock.drift(times[k], yk) * dt + (sy * dw).sum(axis=-1) + jump_y[k]
-            _check_finite(x[:, k + 1], "x", k + 1)
-            _check_finite(y[:, k + 1], "y", k + 1)
+            _check_finite(x[:, k + 1], "x", k + 1, first)
+            _check_finite(y[:, k + 1], "y", k + 1, first)
     return x, y
 
 
@@ -419,7 +414,9 @@ def simulate_forward(
         increments of shape (scenarios, steps, dim).  Passing the same noise
         that sampled the field keeps coefficients and paths on one filtration.
     threads : int
-        Scenario-chunk parallelism; results are identical to the serial pass.
+        Scenario-chunk parallelism.  The coefficients are integrated against
+        ``mu`` once over all scenarios before chunking, so every thread count
+        gives bit-identical paths.
 
     Raises
     ------
@@ -441,22 +438,21 @@ def simulate_forward(
 
     jump_x = (field.jump_gain_x * xi.increments).sum(axis=1)
     jump_y = (field.jump_gain_y * xi.increments).sum(axis=1)
+    integrals = coefficient_integrals(field, mu)
     scenarios = field.scenarios
 
     if threads <= 1 or scenarios < 2 * threads:
-        x, y = _simulate_block(
-            field, mu.weights, xi.increments, stock, tg, noise, x0, y0, None, jump_x, jump_y
-        )
+        x, y = _simulate_block(integrals, stock, tg, noise, x0, y0, 0, jump_x, jump_y)
     else:
-        bounds = np.linspace(0, scenarios, threads + 1).astype(int)
+        bounds = np.linspace(0, scenarios, threads + 1).astype(int).tolist()
         x = np.empty((scenarios, tg.steps + 1))
         y = np.empty((scenarios, tg.steps + 1))
 
         def run(i):
             rows = slice(bounds[i], bounds[i + 1])
+            block = tuple(a if a.shape[0] == 1 else a[rows] for a in integrals)
             return rows, _simulate_block(
-                field, mu.weights, xi.increments, stock, tg,
-                noise[rows], x0, y0, rows, jump_x, jump_y,
+                block, stock, tg, noise[rows], x0, y0, rows.start, jump_x, jump_y
             )
 
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -209,21 +209,18 @@ class FinanceCoefficientField(CoefficientField):
         ).copy()
         self.validate()
 
-    def drift_level_at(self, k, rows=None):
+    def drift_level_at(self, k):
         return self._zeros_scalar
 
-    def drift_slope_at(self, k, rows=None):
-        r = self.short_rate[:, k] if rows is None or self.short_rate.shape[0] == 1 \
-            else self.short_rate[rows, k]
-        th = self.price_of_risk[:, k] if rows is None or self.price_of_risk.shape[0] == 1 \
-            else self.price_of_risk[rows, k]
+    def drift_slope_at(self, k):
         vu = self._vol_rows[k, self._iu]
-        return r[:, None] - th[:, None] * vu[None, :] - self._cons[self._ic][None, :]
+        return (self.short_rate[:, k, None] - self.price_of_risk[:, k, None] * vu[None, :]
+                - self._cons[self._ic][None, :])
 
-    def vol_level_at(self, k, rows=None):
+    def vol_level_at(self, k):
         return self._zeros_vector
 
-    def vol_slope_at(self, k, rows=None):
+    def vol_slope_at(self, k):
         return self._vol_slope[None, k]
 
 

@@ -16,9 +16,7 @@ the report then quantifies the pathwise violation rather than hiding it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -317,7 +315,3 @@ def check_max_principle(
         pass_complementarity=violation <= comp_tol,
         tolerances=tol,
     )
-
-
-def save_report(report: OptimalityReport, path) -> None:
-    Path(path).write_text(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")

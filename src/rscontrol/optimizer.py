@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adjoint import solve_adjoint_phi, solve_adjoint_regression
+from .adjoint import _gradient_paths, solve_adjoint_phi, solve_adjoint_regression
 from .dynamics import CoefficientField, TrajectoryBundle, coefficient_integrals
 from .maxprinciple import (
     VariationalDerivative,
@@ -70,7 +70,7 @@ def evaluate_cost(
     run = np.zeros(bundle.scenarios)
     for k in range(tg.steps):
         h_pt = running.value(times[k], bundle.x[:, k], bundle.y[:, k], points)
-        run += (h_pt @ bundle.mu.weights[k]) * tg.dt
+        run += integrate_against(h_pt, bundle.mu.weights[k], axis=-1) * tg.dt
     samples = run + stieltjes_integral(k_path, xi) + terminal.value(
         bundle.x[:, -1], bundle.y[:, -1]
     )
@@ -123,13 +123,13 @@ def solve_first_variation(
     alpha_x = np.zeros((scen, n + 1))
     alpha_y = np.zeros((scen, n + 1))
     beta = np.zeros((scen, n + 1))
+    at_mu = coefficient_integrals(fieldref, mu)
+    at_q = coefficient_integrals(fieldref, q)
     for k in range(n):
-        w = mu.weights[k]
-        wq = q.weights[k]
         dw = bundle.noise[:, k]
         xk, yk = bundle.x[:, k], bundle.y[:, k]
-        lev, slo, vlev, vslo = coefficient_integrals(fieldref, k, w)
-        lev_q, slo_q, vlev_q, vslo_q = coefficient_integrals(fieldref, k, wq)
+        lev, slo, vlev, vslo = (a[:, k] for a in at_mu)
+        lev_q, slo_q, vlev_q, vslo_q = (a[:, k] for a in at_q)
         shock = (vslo * dw).sum(axis=-1)
         alpha_x[:, k + 1] = alpha_x[:, k] * (1.0 + slo * dt + shock) + jump_x[k]
         bdy = stock.drift_dy(times[k], yk)
@@ -171,17 +171,16 @@ def first_variation_derivative(
     xn, yn = bundle.x[:, -1], bundle.y[:, -1]
     gx = terminal.dx(xn, yn)
     gy = terminal.dy(xn, yn)
+    hx, hy = _gradient_paths(fieldref, bundle.mu, bundle, running)
 
     singular = gx * fv.alpha_x[:, -1] + gy * fv.alpha_y[:, -1]
     measure = gx * fv.beta[:, -1]
     for k in range(tg.steps):
-        w = bundle.mu.weights[k]
         xk, yk = bundle.x[:, k], bundle.y[:, k]
-        hx = integrate_against(running.dx(times[k], xk, yk, pts), w, axis=-1)
-        hy = integrate_against(running.dy(times[k], xk, yk, pts), w, axis=-1)
-        singular += (hx * fv.alpha_x[:, k] + hy * fv.alpha_y[:, k]) * tg.dt
+        singular += (hx[:, k] * fv.alpha_x[:, k] + hy[:, k] * fv.alpha_y[:, k]) * tg.dt
         h_pt = running.value(times[k], xk, yk, pts)
-        measure += (hx * fv.beta[:, k] + h_pt @ (q.weights[k] - w)) * tg.dt
+        dq = q.weights[k] - bundle.mu.weights[k]
+        measure += (hx[:, k] * fv.beta[:, k] + integrate_against(h_pt, dq, axis=-1)) * tg.dt
     delta = eta.increments - bundle.xi.increments
     singular = singular + float(np.sum(k_path * delta))
     return VariationalDerivative.from_samples(singular, measure)
@@ -228,8 +227,8 @@ class IterationState:
     gap: float = np.inf
     gap_stderr: float = 0.0
     iteration: int = 0
-    converged: bool = False
-    reason: str = ""
+    converged: bool = False   # set only when the duality gap is within tolerance
+    reason: str = ""          # why the loop stopped; empty while it runs
 
 
 def _singular_direction(mean_slack: np.ndarray, rate: float, dt: float, cap: float) -> SingularControl:
@@ -272,9 +271,9 @@ def frank_wolfe_iterate(
 
     Computes regression adjoints for the current pair, builds the extreme
     descent direction, and steps with the 2/(n+2) schedule backed off by
-    Armijo halving on the fixed-noise cost.  Returns (state, record); a state
-    with ``converged`` set is returned when the duality gap is within
-    tolerance or no halving produces descent.
+    Armijo halving on the fixed-noise cost.  Returns (state, record); the
+    state's ``reason`` is set when the loop should stop (gap within tolerance,
+    which also sets ``converged``, or no halving produces descent).
     """
     opts = options or OptimizerOptions()
     adj = solve_adjoint_regression(
@@ -332,7 +331,7 @@ def frank_wolfe_iterate(
             )
         theta *= 0.5
 
-    new = replace(state, gap=gap, gap_stderr=gap_se, converged=True,
+    new = replace(state, gap=gap, gap_stderr=gap_se,
                   reason="no descent step within halving budget")
     return new, IterationRecord(
         iteration=state.iteration, cost=state.cost, cost_stderr=state.cost_stderr,
@@ -372,9 +371,9 @@ def optimize_problem(
     cost = evaluate_cost(bundle, problem.running, problem.k_path, problem.terminal, fieldref=fieldref)
     state = IterationState(mu=mu, xi=xi, bundle=bundle, cost=cost.value, cost_stderr=cost.stderr)
     records: list[IterationRecord] = []
-    while not state.converged and state.iteration < opts.max_iter:
+    while not state.reason and state.iteration < opts.max_iter:
         state, record = frank_wolfe_iterate(state, problem, fieldref, noise, opts)
         records.append(record)
-    if not state.converged:
+    if not state.reason:
         state = replace(state, reason="max iterations reached")
     return OptimizeResult(state=state, records=records, fieldref=fieldref, noise=noise)

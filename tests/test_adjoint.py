@@ -198,12 +198,17 @@ class TestMethodAgreement:
         times = problem.tg.times()
         pts = problem.grid.points
         rhs = np.zeros(scenarios)
+        from rscontrol.dynamics import coefficient_integrals
+        at_mu = coefficient_integrals(field, mu)
+        at_q = coefficient_integrals(field, q)
+        n = problem.tg.steps
+        for ints in (at_mu, at_q):
+            assert [a.shape for a in ints] == [(1, n), (1, n), (1, n, 2), (1, n, 2)]
         for k in range(problem.tg.steps):
-            w, wq = mu.weights[k], q.weights[k]
+            w = mu.weights[k]
             xk, yk = bundle.x[:, k], bundle.y[:, k]
-            from rscontrol.dynamics import coefficient_integrals
-            lev, slo, vlev, vslo = coefficient_integrals(field, k, w)
-            lev_q, slo_q, vlev_q, vslo_q = coefficient_integrals(field, k, wq)
+            lev, slo, vlev, vslo = (a[:, k] for a in at_mu)
+            lev_q, slo_q, vlev_q, vslo_q = (a[:, k] for a in at_q)
             drift_diff = (lev_q - lev) + (slo_q - slo) * xk
             vol_diff = (vlev_q - vlev) + (vslo_q - vslo) * xk[:, None]
             hx = rc.integrate_against(problem.running.dx(times[k], xk, yk, pts), w, axis=-1)

@@ -225,6 +225,19 @@ class TestVerify:
                    "--out", str(vout), "--no-timestamp"])
         assert rc == 1
 
+    def test_uses_configured_regression(self, tmp_path):
+        # verify solves the adjoint with the optimizer's degree and ridge, so
+        # it writes the same costates as optimize for the same controls
+        out = tmp_path / "out"
+        cfg = _toy_config(out, scenarios=200, max_iter=3)
+        cfg["optimizer"]["adjoint_degree"] = 1
+        cfg_path = _write(tmp_path / "c.json", cfg)
+        assert main(["optimize", "--config", cfg_path, "--no-timestamp"]) == 0
+        vout = tmp_path / "verify_out"
+        main(["verify", "--config", cfg_path, "--controls", str(out / "controls.json"),
+              "--out", str(vout), "--no-timestamp"])
+        assert (vout / "adjoints.csv").read_bytes() == (out / "adjoints.csv").read_bytes()
+
     def test_malformed_controls(self, tmp_path):
         def corrupt(doc):
             doc["relaxed_weights"] = [[0.5, 0.6]]

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 import rscontrol as rc
+from rscontrol.cli import example_bond_config
 from rscontrol.dynamics import (
     NonFiniteStateError,
     bundle_to_csv,
     coefficient_integrals,
 )
+from rscontrol.finance import MarketModel, PortfolioParams, build_portfolio_problem
 from rscontrol.measures import RelaxedControl, SingularControl
 
 
@@ -150,6 +152,23 @@ class TestSimulateForward:
         assert np.array_equal(serial.x, threaded.x)
         assert np.array_equal(serial.y, threaded.y)
 
+    @pytest.mark.parametrize("scenarios,threads", [(6, 2), (22, 3)])
+    def test_threads_match_serial_on_bond_field(self, scenarios, threads):
+        # per-scenario drift slopes under a random measure: a thread chunk
+        # must see the same integrated coefficients as the whole sample
+        market = MarketModel.from_dict(example_bond_config()["problem"]["market"])
+        tg = rc.TimeGrid(1.0, 50)
+        problem = build_portfolio_problem(market, PortfolioParams(), tg).problem
+        noise = problem.noise(scenarios, 0)
+        field = problem.sample_field(scenarios, 0, noise)
+        rng = np.random.default_rng(0)
+        mu = RelaxedControl(rng.dirichlet(np.ones(problem.grid.count), size=tg.steps))
+        xi = SingularControl(rng.uniform(0.0, 0.004, size=(tg.steps, 2)))
+        serial = problem.simulate(field, mu, xi, noise)
+        threaded = problem.simulate(field, mu, xi, noise, threads=threads)
+        assert np.array_equal(serial.x, threaded.x)
+        assert np.array_equal(serial.y, threaded.y)
+
     def test_non_finite_diagnostic(self):
         tg = rc.TimeGrid(1.0, 40)
         grid = _grid()
@@ -159,6 +178,16 @@ class TestSimulateForward:
             rc.simulate_forward(field, mu, xi, 1e308, 0.0, rc.inert_stock(1), tg, seed=0)
         assert exc.value.step >= 1
         assert "scenario" in str(exc.value)
+        # only scenario 40 overflows; a thread chunk reports the global index
+        level = np.zeros((64, 40, 4))
+        level[40] = 1e308
+        field = rc.dense_field(tg, grid, scenarios=64, dim=1, drift_level=level)
+        for threads in (1, 4):
+            with pytest.raises(NonFiniteStateError) as exc:
+                rc.simulate_forward(field, mu, xi, 1e308, 0.0, rc.inert_stock(1), tg,
+                                    seed=0, threads=threads)
+            assert exc.value.scenario == 40
+            assert "scenario 40" in str(exc.value)
 
 
 class TestSampleCoefficients:
@@ -205,9 +234,13 @@ class TestSampleCoefficients:
         grid = _grid(3)
         field = rc.dense_field(tg, grid, scenarios=2, dim=1,
                                drift_level=np.array([1.0, 2.0, 4.0]))
-        lev, slo, vlev, vslo = coefficient_integrals(field, 0, np.array([0.5, 0.5, 0.0]))
+        mu = RelaxedControl(np.tile([0.5, 0.5, 0.0], (4, 1)))
+        lev, slo, vlev, vslo = coefficient_integrals(field, mu)
         assert np.allclose(lev, 1.5)
         assert np.all(slo == 0.0)
+        # deterministic coefficients keep the shared scenario axis
+        assert lev.shape == slo.shape == (1, 4)
+        assert vlev.shape == vslo.shape == (1, 4, 1)
 
 
 class TestMomentDiagnostics:

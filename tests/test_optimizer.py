@@ -159,6 +159,20 @@ class TestFrankWolfe:
         best = drift_control_optimum_index(problem)
         assert np.argmax(result.state.mu.weights[0]) == best
 
+    def test_stall_is_not_converged(self):
+        # an Armijo constant no step can satisfy exhausts the halving budget
+        problem = drift_control_toy()
+        pts = problem.grid.flat()
+        worst = int(np.argmax(0.5 * pts ** 2 + 0.5 * pts))
+        mu0 = RelaxedControl.from_indices(np.full(problem.tg.steps, worst),
+                                          problem.grid.count)
+        result = optimize_problem(problem, 500, 7, mu0=mu0,
+                                  options=OptimizerOptions(armijo_c1=1e6, max_halvings=1))
+        assert result.state.reason == "no descent step within halving budget"
+        assert result.state.converged is False
+        assert result.state.iteration == 0
+        assert len(result.records) == 1
+
     def test_large_singular_cost_keeps_xi_zero(self):
         problem = drift_control_toy(k_level=100.0)
         result = optimize_problem(problem, 500, 3)
