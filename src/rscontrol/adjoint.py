@@ -112,8 +112,8 @@ class FundamentalPair:
 
     ``flow_inv`` is the exact reciprocal used downstream; ``flow_inv_sde``
     integrates the inverse's own SDE with the same Euler steps and is kept as
-    a consistency diagnostic (the product flow * flow_inv_sde drifts from 1
-    at rate O(dt)).
+    a consistency diagnostic: the scenario mean of flow * flow_inv_sde drifts
+    from 1 at O(dt), while the pathwise defect is O(sqrt(dt)).
     """
 
     flow: np.ndarray          # (scenarios, steps + 1)
@@ -128,7 +128,7 @@ class FundamentalPair:
             raise ValueError("fundamental solution must start at 1")
 
     def inverse_defect(self) -> float:
-        """max_k |flow * flow_inv_sde - 1|, the Euler consistency error."""
+        """max_k |flow * flow_inv_sde - 1|, the pathwise Euler defect, O(sqrt(dt))."""
         return float(np.abs(self.flow * self.flow_inv_sde - 1.0).max())
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import json
 import math
@@ -77,9 +78,9 @@ _TERMINAL_KEYS = {"family", "gx1", "gx2", "gy1", "gy2", "gxy", "weight", "scale"
 _SINGULAR_COST_KEYS = {"constant", "values"}
 _MARKET_KEYS = {"volatility", "sigma", "mean_reversion", "maturities", "consumption",
                 "short_rate", "market_price_of_risk", "clamp_quantile"}
-_OPTIMIZER_KEYS = {"max_iter", "singular_rate", "armijo_c1", "max_halvings", "gap_tol",
-                   "gap_floor", "adjoint_degree", "ridge", "phi_check_every"}
-_TOLERANCE_KEYS = {"gap_se_multiplier", "gap_floor", "slack_scale", "comp_scale"}
+_OPTIMIZER_KEYS = {f.name for f in dataclasses.fields(OptimizerOptions)}
+_TOLERANCE_KEYS = {f.name for f in dataclasses.fields(MaxPrincipleTolerances)}
+_PORTFOLIO_KEYS = _FINANCE_KEYS & {f.name for f in dataclasses.fields(PortfolioParams)}
 _CONTROLS_KEYS = {"relaxed", "singular"}
 
 # (path, integer, lowest, highest) of every plain scalar in a config, bounds
@@ -104,6 +105,7 @@ _SCALARS = (
     ("tolerances.slack_scale", False, 0.0, math.inf),
     ("tolerances.comp_scale", False, 0.0, math.inf),
 )
+_INTEGER_SCALARS = {path for path, integer, _, _ in _SCALARS if integer}
 
 
 def _check_scalars(cfg: dict) -> None:
@@ -203,29 +205,16 @@ def _build_problem(cfg: dict, tg: TimeGrid) -> ControlProblem:
         _check_keys(spec["market"], _MARKET_KEYS,
                     {"volatility", "sigma", "maturities", "consumption"}, "problem.market")
         market = MarketModel.from_dict(spec["market"])
-        params = PortfolioParams(
-            x0=float(spec["x0"]), y0=float(spec["y0"]),
-            stock_drift=spec.get("stock_drift", 0.05),
-            stock_vol=spec.get("stock_vol", 0.2),
-            cost_buy=spec.get("cost_buy", 0.01),
-            cost_sell=spec.get("cost_sell", 0.01),
-            discount=spec.get("discount", 0.05),
-            utility=spec.get("utility", "sqrt"),
-            utility_sign=spec.get("utility_sign", -1.0),
-            terminal_weight=spec.get("terminal_cost", {}).get("weight", 1.0),
-            terminal_scale=spec.get("terminal_cost", {}).get("scale", 4.0),
-            tv_cap=float(spec.get("tv_cap", 10.0)),
-        )
         terminal = _build_terminal(spec["terminal_cost"]) if "terminal_cost" in spec else None
-        built = build_portfolio_problem(market, params, tg, terminal=terminal)
-        problem = built.problem
-        k_path = _build_singular_cost(spec.get("singular_cost"), tg.steps, 2)
-        return ControlProblem(
-            tg=problem.tg, grid=problem.grid, dim=problem.dim,
-            x0=problem.x0, y0=problem.y0, coefficients=problem.coefficients,
-            stock=problem.stock, running=problem.running, terminal=problem.terminal,
-            k_path=k_path, tv_cap=problem.tv_cap,
+        terminal_spec = spec.get("terminal_cost", {})
+        params = PortfolioParams(
+            **{key: float(spec[key]) if key in ("x0", "y0", "tv_cap") else spec[key]
+               for key in _PORTFOLIO_KEYS & spec.keys()},
+            **{f"terminal_{key}": terminal_spec[key]
+               for key in ("weight", "scale") if key in terminal_spec},
         )
+        k_path = _build_singular_cost(spec.get("singular_cost"), tg.steps, 2)
+        return build_portfolio_problem(market, params, tg, terminal=terminal, k_path=k_path).problem
     raise ConfigError(f"problem.kind must be 'canonical' or 'finance', got {kind!r}")
 
 
@@ -274,29 +263,13 @@ def _resolve_config(path: str, args) -> dict:
     return cfg
 
 
-def _optimizer_options(cfg: dict) -> OptimizerOptions:
-    spec = cfg.get("optimizer", {})
-    return OptimizerOptions(
-        max_iter=int(spec.get("max_iter", 50)),
-        singular_rate=spec.get("singular_rate", 1.0),
-        armijo_c1=spec.get("armijo_c1", 1e-4),
-        max_halvings=int(spec.get("max_halvings", 12)),
-        gap_tol=spec.get("gap_tol"),
-        gap_floor=spec.get("gap_floor", 1e-10),
-        adjoint_degree=int(spec.get("adjoint_degree", 2)),
-        ridge=spec.get("ridge", 1e-8),
-        phi_check_every=int(spec.get("phi_check_every", 0)),
-    )
+def _from_block(cfg: dict, section: str, cls):
+    """``cls`` built from a config block; absent keys keep the class defaults.
 
-
-def _tolerances(cfg: dict) -> MaxPrincipleTolerances:
-    spec = cfg.get("tolerances", {})
-    return MaxPrincipleTolerances(
-        gap_se_multiplier=spec.get("gap_se_multiplier", 3.0),
-        gap_floor=spec.get("gap_floor", 1e-10),
-        slack_scale=spec.get("slack_scale", 1e-6),
-        comp_scale=spec.get("comp_scale", 1e-6),
-    )
+    Integer keys may arrive as integral floats (``3.0``), so they are cast.
+    """
+    return cls(**{key: int(value) if f"{section}.{key}" in _INTEGER_SCALARS else value
+                  for key, value in cfg.get(section, {}).items()})
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -354,7 +327,7 @@ def cmd_optimize(args) -> int:
     cfg, problem, mu, xi, outdir = _prepare(args, "optimize")
     scenarios = int(cfg["scenarios"])
     seed = int(cfg["seed"])
-    options = _optimizer_options(cfg)
+    options = _from_block(cfg, "optimizer", OptimizerOptions)
     result = optimize_problem(
         problem, scenarios, seed, mu0=mu, xi0=xi, options=options, threads=args.threads
     )
@@ -380,7 +353,7 @@ def cmd_optimize(args) -> int:
     adjoints_to_csv(adj, problem.tg, outdir / "adjoints.csv")
     report = check_max_principle(
         result.fieldref, state.bundle, adj, problem.running, problem.k_path,
-        _tolerances(cfg),
+        _from_block(cfg, "tolerances", MaxPrincipleTolerances),
     )
     doc = report.to_json()
     doc["converged"] = state.converged
@@ -417,14 +390,14 @@ def cmd_verify(args) -> int:
     noise = problem.noise(scenarios, seed)
     field = problem.sample_field(scenarios, seed, noise)
     bundle = problem.simulate(field, mu, xi, noise, threads=args.threads)
-    options = _optimizer_options(cfg)
+    options = _from_block(cfg, "optimizer", OptimizerOptions)
     adj = solve_adjoint_regression(
         field, mu, bundle, problem.running, problem.terminal, problem.stock,
         options.adjoint_degree, options.ridge,
     )
     adjoints_to_csv(adj, problem.tg, outdir / "adjoints.csv")
     report = check_max_principle(field, bundle, adj, problem.running, problem.k_path,
-                                 _tolerances(cfg))
+                                 _from_block(cfg, "tolerances", MaxPrincipleTolerances))
     _write_json(outdir / "report.json", report.to_json())
     print(report.render_table())
     return 0 if report.passed else 1

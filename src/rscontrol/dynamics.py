@@ -12,8 +12,9 @@ each jump increment applied inside its step:
                   + (vol_level + vol_slope * x[k]) . dW[k]
                   + gain_x[k] . dxi[k]
 
-Scenario noise is derived per scenario from the master seed, so chunked or
-parallel execution reproduces the single-pass arrays exactly.
+Scenario noise comes from one generator per seed and is drawn once before
+thread chunking, so chunked or parallel execution reproduces the single-pass
+arrays exactly.
 """
 
 from __future__ import annotations
@@ -63,17 +64,14 @@ class TimeGrid:
 
 
 def brownian_increments(seed: int, scenarios: int, steps: int, dim: int, dt: float) -> np.ndarray:
-    """Per-scenario Brownian increments, shape (scenarios, steps, dim).
+    """Brownian increments, shape (scenarios, steps, dim), from one generator per seed.
 
-    Scenario ``s`` draws from the ``s``-th child stream of the master seed, so
-    any contiguous block of scenarios can be regenerated independently.
+    The block is drawn once, in C order, so it is deterministic in
+    ``(seed, shape)`` and its first ``s`` scenarios equal an ``s``-scenario
+    draw; threaded simulation slices this array, so chunking cannot change it.
     """
-    root = np.random.SeedSequence(seed)
-    out = np.empty((scenarios, steps, dim))
-    scale = np.sqrt(dt)
-    for s, child in enumerate(root.spawn(scenarios)):
-        out[s] = np.random.default_rng(child).standard_normal((steps, dim))
-    out *= scale
+    out = np.random.default_rng(seed).standard_normal((scenarios, steps, dim))
+    out *= np.sqrt(dt)
     return out
 
 

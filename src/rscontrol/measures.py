@@ -105,9 +105,6 @@ class RelaxedControl:
     def count(self) -> int:
         return self.weights.shape[1]
 
-    def row(self, k: int) -> np.ndarray:
-        return self.weights[k]
-
     @classmethod
     def uniform(cls, steps: int, count: int) -> "RelaxedControl":
         return cls(np.full((steps, count), 1.0 / count))

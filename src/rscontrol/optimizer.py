@@ -266,6 +266,7 @@ def frank_wolfe_iterate(
     fieldref: CoefficientField,
     noise: np.ndarray,
     options: OptimizerOptions | None = None,
+    threads: int = 1,
 ):
     """One conditional-gradient iteration.
 
@@ -273,7 +274,8 @@ def frank_wolfe_iterate(
     descent direction, and steps with the 2/(n+2) schedule backed off by
     Armijo halving on the fixed-noise cost.  Returns (state, record); the
     state's ``reason`` is set when the loop should stop (gap within tolerance,
-    which also sets ``converged``, or no halving produces descent).
+    which also sets ``converged``, or no halving produces descent).  Each
+    Armijo trial re-simulates over ``threads`` scenario chunks.
     """
     opts = options or OptimizerOptions()
     adj = solve_adjoint_regression(
@@ -313,7 +315,7 @@ def frank_wolfe_iterate(
     for _ in range(opts.max_halvings + 1):
         mu_new = convex_combine(state.mu, q_star, theta)
         xi_new = combine_singular(state.xi, eta_star, theta)
-        bundle_new = problem.simulate(fieldref, mu_new, xi_new, noise)
+        bundle_new = problem.simulate(fieldref, mu_new, xi_new, noise, threads=threads)
         cost_new = evaluate_cost(
             bundle_new, problem.running, problem.k_path, problem.terminal, fieldref=fieldref
         )
@@ -372,7 +374,7 @@ def optimize_problem(
     state = IterationState(mu=mu, xi=xi, bundle=bundle, cost=cost.value, cost_stderr=cost.stderr)
     records: list[IterationRecord] = []
     while not state.reason and state.iteration < opts.max_iter:
-        state, record = frank_wolfe_iterate(state, problem, fieldref, noise, opts)
+        state, record = frank_wolfe_iterate(state, problem, fieldref, noise, opts, threads)
         records.append(record)
     if not state.reason:
         state = replace(state, reason="max iterations reached")

@@ -36,6 +36,23 @@ class TestTimeGrid:
             rc.TimeGrid(0.0, 5)
 
 
+class TestBrownianIncrements:
+    def test_seed_determinism(self):
+        a = rc.brownian_increments(4, 30, 12, 2, 0.1)
+        assert a.shape == (30, 12, 2)
+        assert np.array_equal(a, rc.brownian_increments(4, 30, 12, 2, 0.1))
+        assert not np.array_equal(a, rc.brownian_increments(5, 30, 12, 2, 0.1))
+
+    def test_prefix_stable_in_scenarios(self):
+        full = rc.brownian_increments(7, 300, 10, 2, 0.05)
+        assert np.array_equal(full[:120], rc.brownian_increments(7, 120, 10, 2, 0.05))
+
+    def test_variance_is_dt(self):
+        dt = 0.02
+        dw = rc.brownian_increments(1, 2000, 50, 2, dt)
+        assert abs(dw.var() / dt - 1.0) <= 0.05
+
+
 class TestSimulateForward:
     def test_zero_coefficients_constant_path(self):
         tg = rc.TimeGrid(1.0, 20)

@@ -173,6 +173,19 @@ class TestFrankWolfe:
         assert result.state.iteration == 0
         assert len(result.records) == 1
 
+    def test_threads_reach_every_simulation(self, monkeypatch):
+        calls = []
+        simulate = rc.problems.simulate_forward
+
+        def record(*args, threads=1, **kwargs):
+            calls.append(threads)
+            return simulate(*args, threads=threads, **kwargs)
+
+        monkeypatch.setattr(rc.problems, "simulate_forward", record)
+        optimize_problem(drift_control_toy(steps=20), 200, 1, threads=2)
+        assert len(calls) > 1
+        assert set(calls) == {2}
+
     def test_large_singular_cost_keeps_xi_zero(self):
         problem = drift_control_toy(k_level=100.0)
         result = optimize_problem(problem, 500, 3)
