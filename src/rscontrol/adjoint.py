@@ -21,7 +21,6 @@ regression scheme is preferred for production runs.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -127,10 +126,6 @@ class FundamentalPair:
         if np.any(self.flow[:, 0] != 1.0):
             raise ValueError("fundamental solution must start at 1")
 
-    def inverse_defect(self) -> float:
-        """max_k |flow * flow_inv_sde - 1|, the pathwise Euler defect, O(sqrt(dt))."""
-        return float(np.abs(self.flow * self.flow_inv_sde - 1.0).max())
-
 
 @dataclass(frozen=True)
 class AdjointSolution:
@@ -165,6 +160,12 @@ def solve_fundamental(
     the x-pair uses the measure-integrated drift/diffusion slopes and the
     y-pair the stock model's derivatives along the simulated y path.
     """
+    _, slope, _, vol_slope = coefficient_integrals(field, mu)
+    return _fundamental_pairs(slope, vol_slope, bundle, stock)
+
+
+def _fundamental_pairs(slope, vol_slope, bundle, stock):
+    """``solve_fundamental`` on given slope integrals, (S|1, n) and (S|1, n, d)."""
     tg = bundle.tg
     n, dt = tg.steps, tg.dt
     times = tg.times()
@@ -174,7 +175,6 @@ def solve_fundamental(
     flow_y = np.empty((scen, n + 1))
     inv_y = np.empty((scen, n + 1))
     flow_x[:, 0] = inv_x[:, 0] = flow_y[:, 0] = inv_y[:, 0] = 1.0
-    _, slope, _, vol_slope = coefficient_integrals(field, mu)
     for k in range(n):
         dw = bundle.noise[:, k]
         slo, vslo = slope[:, k], vol_slope[:, k]
@@ -230,8 +230,8 @@ def solve_adjoint_phi(
     components share one projector per step.  Terminal slices are set to the
     exact gradients.
     """
-    pair_x, pair_y = solve_fundamental(field, mu, bundle, stock)
-    vol_slope = coefficient_integrals(field, mu)[3]
+    _, slope, _, vol_slope = coefficient_integrals(field, mu)
+    pair_x, pair_y = _fundamental_pairs(slope, vol_slope, bundle, stock)
     hx, hy = _gradient_paths(field, mu, bundle, running)
     tg = bundle.tg
     n, dt = tg.steps, tg.dt
@@ -319,23 +319,3 @@ def solve_adjoint_regression(
         px[:, k], py[:, k] = proj.fit(np.column_stack([target_x, target_y])).T
     return AdjointSolution(px=px, Px=Px, py=py, Py=Py, method="regression")
 
-
-def adjoints_to_csv(adj: AdjointSolution, tg, path) -> None:
-    """One row per (scenario, step); loading columns empty at the terminal step."""
-    times = tg.times()
-    d = adj.Px.shape[2]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["scenario", "step", "t", "px", "py"]
-        header += [f"Px{i}" for i in range(d)] + [f"Py{i}" for i in range(d)]
-        writer.writerow(header)
-        for s in range(adj.px.shape[0]):
-            for k in range(tg.steps + 1):
-                row = [s, k, repr(float(times[k])),
-                       repr(float(adj.px[s, k])), repr(float(adj.py[s, k]))]
-                if k < tg.steps:
-                    row += [repr(float(v)) for v in adj.Px[s, k]]
-                    row += [repr(float(v)) for v in adj.Py[s, k]]
-                else:
-                    row += [""] * (2 * d)
-                writer.writerow(row)

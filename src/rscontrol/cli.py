@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adjoint import adjoints_to_csv, solve_adjoint_regression
-from .dynamics import NonFiniteStateError, TimeGrid, bundle_to_csv, inert_stock, linear_stock, moment_diagnostics
+from .adjoint import solve_adjoint_regression
+from .dynamics import NonFiniteStateError, TimeGrid, inert_stock, linear_stock, moment_diagnostics
 from .finance import MarketModel, PortfolioParams, build_portfolio_problem
 from .maxprinciple import MaxPrincipleTolerances, check_max_principle
 from .measures import (
@@ -276,6 +276,38 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _write_paths(path, tg: TimeGrid, states, groups) -> None:
+    """CSV with one row per (scenario, step): ``scenario, step, t``, then the
+    ``(name, (S, n+1))`` state columns, then the ``(name, (S, n, d))`` per-step
+    groups as ``name0 .. name{d-1}``, blank on the terminal row.
+
+    Scenarios are converted one at a time, so the table is never held whole
+    as Python objects; floats are written as their ``repr``.
+    """
+    header = ["scenario", "step", "t"] + [name for name, _ in states]
+    header += [f"{name}{i}" for name, arr in groups for i in range(arr.shape[2])]
+    blank = [""] * (len(header) - 3 - len(states))
+    times = tg.times()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for s in range(states[0][1].shape[0]):
+            head = np.column_stack([times] + [arr[s] for _, arr in states]).tolist()
+            cells = np.concatenate([arr[s] for _, arr in groups], axis=1).tolist()
+            cells.append(blank)
+            writer.writerows([s, k, *h, *c] for k, (h, c) in enumerate(zip(head, cells)))
+
+
+def bundle_to_csv(bundle, path) -> None:
+    """``trajectories.csv``: x, y, then the Brownian increments dW."""
+    _write_paths(path, bundle.tg, (("x", bundle.x), ("y", bundle.y)), (("dW", bundle.noise),))
+
+
+def adjoints_to_csv(adj, tg: TimeGrid, path) -> None:
+    """``adjoints.csv``: px, py, then the diffusion loadings Px and Py."""
+    _write_paths(path, tg, (("px", adj.px), ("py", adj.py)), (("Px", adj.Px), ("Py", adj.Py)))
+
+
 def _write_manifest(outdir: Path, command: str, cfg: dict, args) -> None:
     manifest = {
         "schema": MANIFEST_SCHEMA,
@@ -303,13 +335,32 @@ def _prepare(args, command: str):
     return cfg, problem, mu, xi, outdir
 
 
-def cmd_simulate(args) -> int:
-    cfg, problem, mu, xi, outdir = _prepare(args, "simulate")
+def _simulate(cfg: dict, problem: ControlProblem, mu, xi, threads: int):
+    """The config's noise and coefficient field, and the paths of (mu, xi)."""
     scenarios = int(cfg["scenarios"])
     seed = int(cfg["seed"])
     noise = problem.noise(scenarios, seed)
     field = problem.sample_field(scenarios, seed, noise)
-    bundle = problem.simulate(field, mu, xi, noise, threads=args.threads)
+    return field, problem.simulate(field, mu, xi, noise, threads=threads)
+
+
+def _check(cfg: dict, problem: ControlProblem, field, bundle, outdir: Path):
+    """Regression adjoint on the configured degree and ridge, written to
+    ``adjoints.csv``, then the max-principle report on the configured
+    tolerances."""
+    options = _from_block(cfg, "optimizer", OptimizerOptions)
+    adj = solve_adjoint_regression(
+        field, bundle.mu, bundle, problem.running, problem.terminal, problem.stock,
+        options.adjoint_degree, options.ridge,
+    )
+    adjoints_to_csv(adj, problem.tg, outdir / "adjoints.csv")
+    return check_max_principle(field, bundle, adj, problem.running, problem.k_path,
+                               _from_block(cfg, "tolerances", MaxPrincipleTolerances))
+
+
+def cmd_simulate(args) -> int:
+    cfg, problem, mu, xi, outdir = _prepare(args, "simulate")
+    field, bundle = _simulate(cfg, problem, mu, xi, args.threads)
     bundle_to_csv(bundle, outdir / "trajectories.csv")
     report = moment_diagnostics(bundle, field, p=float(cfg.get("moment_order", 2.0)))
     doc = report.to_json()
@@ -319,7 +370,7 @@ def cmd_simulate(args) -> int:
     _write_json(outdir / "cost.json",
                 {"value": cost.value, "stderr": cost.stderr, "excluded": cost.excluded})
     print(f"simulate: wrote {outdir / 'trajectories.csv'} "
-          f"({scenarios} scenarios x {problem.tg.steps} steps)")
+          f"({bundle.scenarios} scenarios x {problem.tg.steps} steps)")
     return 0
 
 
@@ -346,15 +397,7 @@ def cmd_optimize(args) -> int:
 
     save_controls(outdir / "controls.json", problem.grid, state.mu, state.xi,
                   problem.tg.horizon)
-    adj = solve_adjoint_regression(
-        result.fieldref, state.mu, state.bundle, problem.running, problem.terminal,
-        problem.stock, options.adjoint_degree, options.ridge,
-    )
-    adjoints_to_csv(adj, problem.tg, outdir / "adjoints.csv")
-    report = check_max_principle(
-        result.fieldref, state.bundle, adj, problem.running, problem.k_path,
-        _from_block(cfg, "tolerances", MaxPrincipleTolerances),
-    )
+    report = _check(cfg, problem, result.fieldref, state.bundle, outdir)
     doc = report.to_json()
     doc["converged"] = state.converged
     doc["convergence_reason"] = state.reason
@@ -385,19 +428,8 @@ def cmd_verify(args) -> int:
     ):
         raise ConfigError("controls file grid does not match the scenario action grid")
 
-    scenarios = int(cfg["scenarios"])
-    seed = int(cfg["seed"])
-    noise = problem.noise(scenarios, seed)
-    field = problem.sample_field(scenarios, seed, noise)
-    bundle = problem.simulate(field, mu, xi, noise, threads=args.threads)
-    options = _from_block(cfg, "optimizer", OptimizerOptions)
-    adj = solve_adjoint_regression(
-        field, mu, bundle, problem.running, problem.terminal, problem.stock,
-        options.adjoint_degree, options.ridge,
-    )
-    adjoints_to_csv(adj, problem.tg, outdir / "adjoints.csv")
-    report = check_max_principle(field, bundle, adj, problem.running, problem.k_path,
-                                 _from_block(cfg, "tolerances", MaxPrincipleTolerances))
+    field, bundle = _simulate(cfg, problem, mu, xi, args.threads)
+    report = _check(cfg, problem, field, bundle, outdir)
     _write_json(outdir / "report.json", report.to_json())
     print(report.render_table())
     return 0 if report.passed else 1

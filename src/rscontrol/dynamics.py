@@ -19,7 +19,6 @@ arrays exactly.
 
 from __future__ import annotations
 
-import csv
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -90,7 +89,6 @@ class CoefficientField(ABC):
     scenarios: int
     jump_gain_x: np.ndarray
     jump_gain_y: np.ndarray
-    vol_slope_bound: float
 
     @abstractmethod
     def drift_level_at(self, k: int) -> np.ndarray:
@@ -165,7 +163,6 @@ class DenseCoefficientField(CoefficientField):
     jump_gain_x: np.ndarray   # (steps, dim)
     jump_gain_y: np.ndarray   # (steps, dim)
     scenarios: int
-    vol_slope_bound: float = 0.0
 
     def __post_init__(self):
         self.validate()
@@ -213,17 +210,15 @@ def dense_field(
         vol_slope = np.zeros(dim)
     gx = np.zeros((n, dim)) if jump_gain_x is None else _gain_table(jump_gain_x, n, dim)
     gy = np.zeros((n, dim)) if jump_gain_y is None else _gain_table(jump_gain_y, n, dim)
-    vs = _span(vol_slope, scenarios, n, m, dim, "vol_slope")
     return DenseCoefficientField(
         grid=grid,
         drift_level=_span(drift_level, scenarios, n, m, None, "drift_level"),
         drift_slope=_span(drift_slope, scenarios, n, m, None, "drift_slope"),
         vol_level=_span(vol_level, scenarios, n, m, dim, "vol_level"),
-        vol_slope=vs,
+        vol_slope=_span(vol_slope, scenarios, n, m, dim, "vol_slope"),
         jump_gain_x=gx,
         jump_gain_y=gy,
         scenarios=scenarios,
-        vol_slope_bound=float(np.max(np.abs(vs))),
     )
 
 
@@ -572,23 +567,3 @@ def moment_diagnostics(bundle: TrajectoryBundle, field: CoefficientField, p: flo
         non_finite=non_finite,
     )
 
-
-def bundle_to_csv(bundle: TrajectoryBundle, path) -> None:
-    """One row per (scenario, step); increment columns are empty at the
-    terminal step."""
-    times = bundle.tg.times()
-    d = bundle.dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["scenario", "step", "t", "x", "y"] + [f"dW{i}" for i in range(d)]
-        )
-        for s in range(bundle.scenarios):
-            for k in range(bundle.tg.steps + 1):
-                row = [s, k, repr(float(times[k])), repr(float(bundle.x[s, k])),
-                       repr(float(bundle.y[s, k]))]
-                if k < bundle.tg.steps:
-                    row += [repr(float(v)) for v in bundle.noise[s, k]]
-                else:
-                    row += [""] * d
-                writer.writerow(row)

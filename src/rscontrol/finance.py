@@ -200,7 +200,6 @@ class FinanceCoefficientField(CoefficientField):
         slope = np.zeros((tg.steps, m, 2))
         slope[:, :, 0] = vol_rows[:, maturity_index]
         self._vol_slope = slope
-        self.vol_slope_bound = float(np.abs(slope).max())
         self.jump_gain_x = np.broadcast_to(
             np.array([1.0 - cost_buy, -1.0]), (tg.steps, 2)
         ).copy()

@@ -92,23 +92,24 @@ def pointwise_maximizer(slc: HamiltonianSlice):
     return idx, gap
 
 
-def _path_slices(fieldref, bundle, adj, running, mu):
-    """Yield (k, slice values (S, count), value at mu (S,)) along the paths."""
+def _path_slices(fieldref, bundle, adj, running):
+    """Yield (k, slice values (S, count), value at the bundle's mu (S,)) along
+    the paths."""
     times = bundle.tg.times()
     for k in range(bundle.tg.steps):
         slc = hamiltonian_slice(
             fieldref, k,
             bundle.x[:, k], bundle.y[:, k],
             adj.px[:, k], adj.Px[:, k],
-            running, mu.weights[k], times[k],
+            running, bundle.mu.weights[k], times[k],
         )
         yield k, slc.values, slc.at_mu
 
 
-def mean_hamiltonian_values(fieldref, bundle, adj, running, mu) -> np.ndarray:
+def mean_hamiltonian_values(fieldref, bundle, adj, running) -> np.ndarray:
     """Scenario-mean Hamiltonian per (step, grid point), shape (steps, count)."""
     out = np.empty((bundle.tg.steps, fieldref.grid.count))
-    for k, values, _ in _path_slices(fieldref, bundle, adj, running, mu):
+    for k, values, _ in _path_slices(fieldref, bundle, adj, running):
         out[k] = values.mean(axis=0)
     return out
 
@@ -181,7 +182,7 @@ def variational_derivative(
     delta = eta.increments - bundle.xi.increments
     singular = np.einsum("snd,nd->s", slack, delta)
     measure = np.zeros(bundle.scenarios)
-    for k, values, at_mu in _path_slices(fieldref, bundle, adj, running, bundle.mu):
+    for k, values, at_mu in _path_slices(fieldref, bundle, adj, running):
         at_q = values @ q.weights[k]
         measure += (at_mu - at_q) * dt
     return VariationalDerivative.from_samples(singular, measure)
@@ -284,7 +285,7 @@ def check_max_principle(
     tol = tolerances or MaxPrincipleTolerances()
     dt = bundle.tg.dt
     gap_samples = np.zeros(bundle.scenarios)
-    for _, values, at_mu in _path_slices(fieldref, bundle, adj, running, bundle.mu):
+    for _, values, at_mu in _path_slices(fieldref, bundle, adj, running):
         gap_samples += (values.max(axis=-1) - at_mu) * dt
     gap = float(gap_samples.mean())
     gap_se = float(gap_samples.std(ddof=1) / np.sqrt(bundle.scenarios)) if bundle.scenarios > 1 else 0.0

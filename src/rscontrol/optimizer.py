@@ -49,29 +49,21 @@ def evaluate_cost(
     running: RunningCost,
     k_path: np.ndarray,
     terminal: TerminalCost,
-    xi: SingularControl | None = None,
-    fieldref: CoefficientField | None = None,
-    points: np.ndarray | None = None,
+    fieldref: CoefficientField,
 ) -> CostEstimate:
     """Sample mean and standard error of the cost functional.
 
     Left-point quadrature of the running cost integrated against the relaxed
-    control, plus the singular cost against the jump increments, plus the
-    terminal cost.  Grid points default to the field's; pass either
-    ``fieldref`` or ``points``.
+    control on the field's grid points, plus the singular cost against the
+    jump increments, plus the terminal cost.
     """
-    xi = bundle.xi if xi is None else xi
-    if points is None:
-        if fieldref is None:
-            raise ValueError("need grid points: pass fieldref or points")
-        points = fieldref.grid.points
     tg = bundle.tg
     times = tg.times()
     run = np.zeros(bundle.scenarios)
     for k in range(tg.steps):
-        h_pt = running.value(times[k], bundle.x[:, k], bundle.y[:, k], points)
+        h_pt = running.value(times[k], bundle.x[:, k], bundle.y[:, k], fieldref.grid.points)
         run += integrate_against(h_pt, bundle.mu.weights[k], axis=-1) * tg.dt
-    samples = run + stieltjes_integral(k_path, xi) + terminal.value(
+    samples = run + stieltjes_integral(k_path, bundle.xi) + terminal.value(
         bundle.x[:, -1], bundle.y[:, -1]
     )
     finite = np.isfinite(samples)
@@ -291,7 +283,7 @@ def frank_wolfe_iterate(
         denom = float(np.sqrt(np.mean(adj.px ** 2))) or 1.0
         phi_rms = float(np.sqrt(np.mean((ref.px - adj.px) ** 2))) / denom
 
-    mean_h = mean_hamiltonian_values(fieldref, state.bundle, adj, problem.running, state.mu)
+    mean_h = mean_hamiltonian_values(fieldref, state.bundle, adj, problem.running)
     q_star = _measure_direction(mean_h)
     mean_slack = slack_paths(fieldref, problem.k_path, adj).mean(axis=0)
     eta_star = _singular_direction(mean_slack, opts.singular_rate, problem.tg.dt, problem.tv_cap)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import rscontrol as rc
-from rscontrol.adjoint import fit_conditional, adjoints_to_csv
+from rscontrol.adjoint import fit_conditional
+from rscontrol.cli import adjoints_to_csv
 from rscontrol.optimizer import solve_first_variation
 
 from toys import rich_toy, random_admissible_controls

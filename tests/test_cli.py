@@ -4,7 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from rscontrol.cli import example_bond_config, main
+import rscontrol as rc
+from rscontrol.cli import adjoints_to_csv, bundle_to_csv, example_bond_config, main
+from rscontrol.measures import RelaxedControl, SingularControl
 
 
 def _write(path: Path, doc: dict) -> str:
@@ -45,6 +47,51 @@ def _toy_config(outdir, steps=12, scenarios=40, drift_level=None, k_const=10.0,
 def _read_tree(root: Path) -> dict:
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestPathTables:
+    """Exact bytes of the per-(scenario, step) tables on 2 scenarios x 2 steps,
+    with values whose shortest round-trip text is easy to get wrong."""
+
+    tg = rc.TimeGrid(0.2, 2)   # times 0.0, 0.1, 0.2
+
+    def test_trajectories_bytes(self, tmp_path):
+        bundle = rc.TrajectoryBundle(
+            tg=self.tg,
+            x=np.array([[0.1, 1e-05, -2.5], [1e16, 0.30000000000000004, 0.0]]),
+            y=np.array([[-2.5, 0.1, 1e16], [1e-05, 0.30000000000000004, 0.1]]),
+            noise=np.array([[[1e-05], [1e16]], [[0.30000000000000004], [-2.5]]]),
+            mu=RelaxedControl.uniform(2, 3), xi=SingularControl.zero(2, 1), x0=0.1, y0=-2.5,
+        )
+        bundle_to_csv(bundle, tmp_path / "trajectories.csv")
+        assert (tmp_path / "trajectories.csv").read_bytes() == (
+            b"scenario,step,t,x,y,dW0\r\n"
+            b"0,0,0.0,0.1,-2.5,1e-05\r\n"
+            b"0,1,0.1,1e-05,0.1,1e+16\r\n"
+            b"0,2,0.2,-2.5,1e+16,\r\n"
+            b"1,0,0.0,1e+16,1e-05,0.30000000000000004\r\n"
+            b"1,1,0.1,0.30000000000000004,0.30000000000000004,-2.5\r\n"
+            b"1,2,0.2,0.0,0.1,\r\n"
+        )
+
+    def test_adjoints_bytes(self, tmp_path):
+        adj = rc.AdjointSolution(
+            px=np.array([[0.1, -2.5, 1e-05], [1e16, 0.30000000000000004, -2.5]]),
+            Px=np.array([[[0.1, 1e-05], [-2.5, 1e16]], [[0.30000000000000004, 0.1], [1e-05, -2.5]]]),
+            py=np.array([[1e-05, 0.1, 0.30000000000000004], [-2.5, 1e16, 0.1]]),
+            Py=np.array([[[1e16, -2.5], [0.30000000000000004, 0.1]], [[1e-05, 1e16], [0.1, 0.30000000000000004]]]),
+            method="regression",
+        )
+        adjoints_to_csv(adj, self.tg, tmp_path / "adjoints.csv")
+        assert (tmp_path / "adjoints.csv").read_bytes() == (
+            b"scenario,step,t,px,py,Px0,Px1,Py0,Py1\r\n"
+            b"0,0,0.0,0.1,1e-05,0.1,1e-05,1e+16,-2.5\r\n"
+            b"0,1,0.1,-2.5,0.1,-2.5,1e+16,0.30000000000000004,0.1\r\n"
+            b"0,2,0.2,1e-05,0.30000000000000004,,,,\r\n"
+            b"1,0,0.0,1e+16,-2.5,0.30000000000000004,0.1,1e-05,1e+16\r\n"
+            b"1,1,0.1,0.30000000000000004,1e+16,1e-05,-2.5,0.1,0.30000000000000004\r\n"
+            b"1,2,0.2,-2.5,0.1,,,,\r\n"
+        )
 
 
 class TestValidation:

@@ -5,12 +5,8 @@ import numpy as np
 import pytest
 
 import rscontrol as rc
-from rscontrol.cli import example_bond_config
-from rscontrol.dynamics import (
-    NonFiniteStateError,
-    bundle_to_csv,
-    coefficient_integrals,
-)
+from rscontrol.cli import bundle_to_csv, example_bond_config
+from rscontrol.dynamics import NonFiniteStateError, coefficient_integrals
 from rscontrol.finance import MarketModel, PortfolioParams, build_portfolio_problem
 from rscontrol.measures import RelaxedControl, SingularControl
 

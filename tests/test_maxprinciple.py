@@ -172,9 +172,9 @@ class TestVariationalDerivative:
                                     scaled.k_path, (q, eta))
         assert d2.total == pytest.approx(factor * d1.total, rel=1e-6)
         mean1 = rc.maxprinciple.mean_hamiltonian_values(field, bundle, base_adj,
-                                                        problem.running, mu)
+                                                        problem.running)
         mean2 = rc.maxprinciple.mean_hamiltonian_values(field, bundle, scaled_adj,
-                                                        scaled.running, mu)
+                                                        scaled.running)
         assert np.array_equal(np.argmax(mean1, axis=1), np.argmax(mean2, axis=1))
 
     def test_gap_nonnegative_for_random_controls(self):
