@@ -23,7 +23,7 @@ from .measures import (
 )
 from .dynamics import (
     CoefficientField,
-    DenseCoefficientField,
+    Factored,
     MomentReport,
     NonFiniteStateError,
     StockModel,

@@ -405,6 +405,7 @@ def cmd_optimize(args) -> int:
     doc["final_cost"] = state.cost
     doc["final_cost_stderr"] = state.cost_stderr
     doc["final_gap"] = state.gap if np.isfinite(state.gap) else None
+    doc["clamp_events"] = int(getattr(result.fieldref, "clamp_events", 0))
     _write_json(outdir / "report.json", doc)
     print(f"optimize: {state.reason} after {state.iteration} iterations, "
           f"cost {state.cost:.6g} (gap {state.gap:.3g})")
@@ -430,7 +431,9 @@ def cmd_verify(args) -> int:
 
     field, bundle = _simulate(cfg, problem, mu, xi, args.threads)
     report = _check(cfg, problem, field, bundle, outdir)
-    _write_json(outdir / "report.json", report.to_json())
+    doc = report.to_json()
+    doc["clamp_events"] = int(getattr(field, "clamp_events", 0))
+    _write_json(outdir / "report.json", doc)
     print(report.render_table())
     return 0 if report.passed else 1
 

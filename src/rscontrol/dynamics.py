@@ -12,6 +12,10 @@ each jump increment applied inside its step:
                   + (vol_level + vol_slope * x[k]) . dW[k]
                   + gain_x[k] . dxi[k]
 
+Each coefficient is a short sum of scenario factors times point tables
+(``Factored``), summed in one fixed order everywhere, so integrating against
+a point mass reproduces the gathered value bit for bit.
+
 Scenario noise comes from one generator per seed and is drawn once before
 thread chunking, so chunked or parallel execution reproduces the single-pass
 arrays exactly.
@@ -19,13 +23,13 @@ arrays exactly.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import ActionGrid, RelaxedControl, SingularControl, integrate_against
+from .measures import ActionGrid, RelaxedControl, SingularControl
+from .measures import integrate_against  # noqa: F401  (perfbench wraps this module attribute)
 
 
 class NonFiniteStateError(RuntimeError):
@@ -74,11 +78,55 @@ def brownian_increments(seed: int, scenarios: int, steps: int, dim: int, dt: flo
     return out
 
 
-class CoefficientField(ABC):
+@dataclass(frozen=True)
+class Factored:
+    """One coefficient as a short sum of products: term ``j`` pairs a
+    scenario factor ``A_j`` (S|1, steps) with a point table ``B_j`` (steps,
+    count) or, for a vector coefficient, (steps, count, dim); the value at
+    (s, k, u) is ``sum_j A_j[s, k] * B_j[k, u]``, summed left to right from 0.
+    """
+
+    terms: tuple        # ((A_j, B_j), ...); empty for an identically zero coefficient
+    point_shape: tuple  # (count,) or (count, dim)
+
+    @classmethod
+    def from_table(cls, table: np.ndarray) -> "Factored":
+        """Terms of a (S|1, steps, count[, dim]) table: one term ``A = 1`` when
+        the table is shared, else one term per point entry with a unit table."""
+        steps, tail = table.shape[1], table.shape[2:]
+        if table.shape[0] == 1:
+            return cls(((np.ones((1, steps)), table[0]),), tail)
+        flat = table.reshape(table.shape[:2] + (-1,))
+        units = np.eye(flat.shape[2]).reshape((-1,) + tail)
+        return cls(tuple((flat[:, :, i], np.broadcast_to(units[i], (steps,) + tail))
+                         for i in range(flat.shape[2])), tail)
+
+    def combine(self, parts, lead: tuple = ()) -> np.ndarray:
+        """Sum of per-term parts, left to right from zeros of the parts' shape."""
+        out = np.zeros((1,) + lead + self.point_shape[len(lead):])
+        for part in parts:
+            out = out + part
+        return out
+
+    def at(self, k: int) -> np.ndarray:
+        """Per-point values at step k, shape (S|1, count[, dim])."""
+        return self.combine(np.multiply.outer(A[:, k], B[k]) for A, B in self.terms)
+
+    def integral(self, weights: np.ndarray) -> np.ndarray:
+        """Integrals against one measure row per step, (steps, count) weights;
+        shape (S|1, steps[, dim])."""
+        parts = (np.einsum("sk,k...->sk...", A, np.einsum("kc...,kc->k...", B, weights))
+                 for A, B in self.terms)
+        return self.combine(parts, lead=(weights.shape[0],))
+
+
+@dataclass(frozen=True)
+class CoefficientField:
     """Per-scenario coefficient processes sampled on (step, grid point).
 
-    Subclasses expose step slices; a leading scenario axis of length 1 means
-    the slice is shared by all scenarios (deterministic coefficients).
+    Each of the four coefficients is a :class:`Factored` sum of scenario
+    factors times point tables; a scenario axis of length 1 means the factor
+    is shared by all scenarios (deterministic coefficients).
     ``jump_gain_x`` / ``jump_gain_y`` are the per-step deterministic jump
     gains, shape (steps, dim).
     """
@@ -87,32 +135,36 @@ class CoefficientField(ABC):
     steps: int
     dim: int
     scenarios: int
+    drift_level: Factored   # point shape (count,)
+    drift_slope: Factored   # point shape (count,)
+    vol_level: Factored     # point shape (count, dim)
+    vol_slope: Factored     # point shape (count, dim)
     jump_gain_x: np.ndarray
     jump_gain_y: np.ndarray
 
-    @abstractmethod
-    def drift_level_at(self, k: int) -> np.ndarray:
-        """Drift intercept slice, shape (scenarios | 1, count)."""
-
-    @abstractmethod
-    def drift_slope_at(self, k: int) -> np.ndarray:
-        """Drift slope slice, shape (scenarios | 1, count)."""
-
-    @abstractmethod
-    def vol_level_at(self, k: int) -> np.ndarray:
-        """Diffusion intercept slice, shape (scenarios | 1, count, dim)."""
-
-    @abstractmethod
-    def vol_slope_at(self, k: int) -> np.ndarray:
-        """Diffusion slope slice, shape (scenarios | 1, count, dim)."""
-
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.jump_gain_x.shape != (self.steps, self.dim):
             raise ValueError("jump_gain_x must have shape (steps, dim)")
         if self.jump_gain_y.shape != (self.steps, self.dim):
             raise ValueError("jump_gain_y must have shape (steps, dim)")
         if not (np.isfinite(self.jump_gain_x).all() and np.isfinite(self.jump_gain_y).all()):
             raise ValueError("jump gains must be finite")
+
+    def drift_level_at(self, k: int) -> np.ndarray:
+        """Drift intercept slice, shape (scenarios | 1, count)."""
+        return self.drift_level.at(k)
+
+    def drift_slope_at(self, k: int) -> np.ndarray:
+        """Drift slope slice, shape (scenarios | 1, count)."""
+        return self.drift_slope.at(k)
+
+    def vol_level_at(self, k: int) -> np.ndarray:
+        """Diffusion intercept slice, shape (scenarios | 1, count, dim)."""
+        return self.vol_level.at(k)
+
+    def vol_slope_at(self, k: int) -> np.ndarray:
+        """Diffusion slope slice, shape (scenarios | 1, count, dim)."""
+        return self.vol_slope.at(k)
 
 
 def _span(values, scenarios: int, steps: int, count: int, dim: int | None, name: str) -> np.ndarray:
@@ -151,43 +203,6 @@ def _span(values, scenarios: int, steps: int, count: int, dim: int | None, name:
     return out
 
 
-@dataclass(frozen=True)
-class DenseCoefficientField(CoefficientField):
-    """Coefficient field backed by in-memory arrays (broadcast views allowed)."""
-
-    grid: ActionGrid
-    drift_level: np.ndarray   # (S|1, steps, count)
-    drift_slope: np.ndarray   # (S|1, steps, count)
-    vol_level: np.ndarray     # (S|1, steps, count, dim)
-    vol_slope: np.ndarray     # (S|1, steps, count, dim)
-    jump_gain_x: np.ndarray   # (steps, dim)
-    jump_gain_y: np.ndarray   # (steps, dim)
-    scenarios: int
-
-    def __post_init__(self):
-        self.validate()
-
-    @property
-    def steps(self) -> int:  # type: ignore[override]
-        return self.drift_level.shape[1]
-
-    @property
-    def dim(self) -> int:  # type: ignore[override]
-        return self.vol_level.shape[3]
-
-    def drift_level_at(self, k):
-        return self.drift_level[:, k]
-
-    def drift_slope_at(self, k):
-        return self.drift_slope[:, k]
-
-    def vol_level_at(self, k):
-        return self.vol_level[:, k]
-
-    def vol_slope_at(self, k):
-        return self.vol_slope[:, k]
-
-
 def dense_field(
     tg: TimeGrid,
     grid: ActionGrid,
@@ -200,8 +215,8 @@ def dense_field(
     vol_slope=None,
     jump_gain_x=None,
     jump_gain_y=None,
-) -> DenseCoefficientField:
-    """Build a dense field from scalars, per-point, per-step or full tables."""
+) -> CoefficientField:
+    """Build a field from scalars, per-point, per-step or full tables."""
     m = grid.count
     n = tg.steps
     if vol_level is None:
@@ -210,31 +225,29 @@ def dense_field(
         vol_slope = np.zeros(dim)
     gx = np.zeros((n, dim)) if jump_gain_x is None else _gain_table(jump_gain_x, n, dim)
     gy = np.zeros((n, dim)) if jump_gain_y is None else _gain_table(jump_gain_y, n, dim)
-    return DenseCoefficientField(
+    return CoefficientField(
         grid=grid,
-        drift_level=_span(drift_level, scenarios, n, m, None, "drift_level"),
-        drift_slope=_span(drift_slope, scenarios, n, m, None, "drift_slope"),
-        vol_level=_span(vol_level, scenarios, n, m, dim, "vol_level"),
-        vol_slope=_span(vol_slope, scenarios, n, m, dim, "vol_slope"),
+        steps=n,
+        dim=dim,
+        scenarios=scenarios,
+        drift_level=Factored.from_table(_span(drift_level, scenarios, n, m, None, "drift_level")),
+        drift_slope=Factored.from_table(_span(drift_slope, scenarios, n, m, None, "drift_slope")),
+        vol_level=Factored.from_table(_span(vol_level, scenarios, n, m, dim, "vol_level")),
+        vol_slope=Factored.from_table(_span(vol_slope, scenarios, n, m, dim, "vol_slope")),
         jump_gain_x=gx,
         jump_gain_y=gy,
-        scenarios=scenarios,
     )
 
 
 def coefficient_integrals(field: CoefficientField, mu: RelaxedControl):
-    """Integrate each step's coefficient slices, over all scenarios, against
-    that step's measure row.  Returns (drift_level, drift_slope, vol_level,
-    vol_slope) with shapes (scenarios | 1, steps) and (scenarios | 1, steps, dim).
+    """Integrate the coefficients, over all scenarios and the whole horizon,
+    against each step's measure row.  Returns (drift_level, drift_slope,
+    vol_level, vol_slope) with shapes (scenarios | 1, steps) and
+    (scenarios | 1, steps, dim); a coefficient with no terms costs nothing.
     """
-    parts = ([], [], [], [])
-    for k in range(field.steps):
-        w = mu.weights[k]
-        parts[0].append(integrate_against(field.drift_level_at(k), w, axis=-1))
-        parts[1].append(integrate_against(field.drift_slope_at(k), w, axis=-1))
-        parts[2].append(integrate_against(field.vol_level_at(k), w, axis=-2))
-        parts[3].append(integrate_against(field.vol_slope_at(k), w, axis=-2))
-    return tuple(np.stack(part, axis=1) for part in parts)
+    w = mu.weights
+    return tuple(c.integral(w) for c in
+                 (field.drift_level, field.drift_slope, field.vol_level, field.vol_slope))
 
 
 def _gain_table(values, steps: int, dim: int) -> np.ndarray:
@@ -548,10 +561,8 @@ def moment_diagnostics(bundle: TrajectoryBundle, field: CoefficientField, p: flo
         sup_y = float(np.mean(np.abs(bundle.y).max(axis=1) ** p))
         term_x = float(np.mean(np.abs(bundle.x[:, -1]) ** p))
         term_y = float(np.mean(np.abs(bundle.y[:, -1]) ** p))
-        acc = None
-        for k in range(bundle.tg.steps):
-            sl = field.drift_slope_at(k)
-            acc = sl * bundle.tg.dt if acc is None else acc + sl * bundle.tg.dt
+        slope = field.drift_slope
+        acc = slope.combine(A @ B for A, B in slope.terms) * bundle.tg.dt
         exp_moment = float(np.exp(p * acc).mean(axis=0).max())
     values = (sup_x, sup_y, term_x, term_y, exp_moment)
     non_finite = any(not np.isfinite(v) for v in values)

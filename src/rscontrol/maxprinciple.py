@@ -2,7 +2,10 @@
 
 The Hamiltonian is affine in the measure, so its supremum over probability
 measures on the grid is attained at a point mass; the verifier therefore
-reduces the measure supremum to a finite maximum over grid points.  Three
+reduces the measure supremum to a finite maximum over grid points.  One
+evaluator, ``hamiltonian_slice``, serves the optimizer, the directional
+derivative and the verifier: H is affine in (p, p x, P, P x) times the
+field's scenario factors, so each step is one matrix product.  Three
 statistics are reported: the integrated Hamiltonian gap, the minimum of the
 singular slack ``k + gain_x * px + gain_y * py``, and the complementarity
 mass placed where that slack is strictly positive.
@@ -50,8 +53,10 @@ def hamiltonian_slice(
     H(u) = -p * (level(u) + slope(u) x) - P . (vol_level(u) + vol_slope(u) x)
            - h(t, x, y, u);  the measure value integrates these against mu_row.
 
-    ``x, y, p`` may be scalars or (scenarios,); ``P`` is (dim,) or
-    (scenarios, dim).
+    Each feature (p, p x, P, P x) times a term's scenario factor is a column
+    of an (S, f) matrix, multiplied by the terms' (f, count) point-table rows
+    at step k.  ``x, y, p`` may be scalars or (scenarios,); ``P`` is (dim,)
+    or (scenarios, dim).
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     yv = np.atleast_1d(np.asarray(y, dtype=float))
@@ -59,19 +64,25 @@ def hamiltonian_slice(
     Pv = np.asarray(P, dtype=float)
     if Pv.ndim == 1:
         Pv = Pv[None, :]
-    if not (np.isfinite(xv).all() and np.isfinite(pv).all() and np.isfinite(Pv).all()):
+    if not all(np.isfinite(a).all() for a in (xv, yv, pv, Pv)):
         raise ValueError("non-finite inputs to the Hamiltonian")
-    lev = fieldref.drift_level_at(k)
-    slo = fieldref.drift_slope_at(k)
-    vlev = fieldref.vol_level_at(k)
-    vslo = fieldref.vol_slope_at(k)
-    drift_pt = lev + slo * xv[:, None]
-    vol_pt = vlev + vslo * xv[:, None, None]
-    values = (
-        -pv[:, None] * drift_pt
-        - (vol_pt * Pv[:, None, :]).sum(axis=-1)
-        - running.value(t, xv, yv, fieldref.grid.points)
-    )
+    # one feature row block (length-1 or S columns) and one table row block
+    # per term; a shared scenario factor is folded into the table rows
+    factors = ((fieldref.drift_level, pv[None]), (fieldref.drift_slope, (pv * xv)[None]),
+               (fieldref.vol_level, Pv.T), (fieldref.vol_slope, Pv.T * xv))
+    cols, rows = [], []
+    for coeff, g in factors:
+        for A, B in coeff.terms:
+            row = B[k].reshape(B.shape[1], -1).T
+            cols.append(g if len(A) == 1 else g * A[:, k])
+            rows.append(A[0, k] * row if len(A) == 1 else row)
+    rows = np.concatenate(rows)
+    features = np.empty((len(rows), max(col.shape[1] for col in cols)))
+    i = 0
+    for col in cols:
+        features[i:i + len(col)] = col
+        i += len(col)
+    values = -(features.T @ rows) - running.value(t, xv, yv, fieldref.grid.points)
     at_mu = integrate_against(values, mu_row, axis=-1)
     if np.ndim(x) == 0 and values.shape[0] == 1:
         return HamiltonianSlice(values=values[0], at_mu=np.asarray(at_mu).reshape(()))

@@ -195,7 +195,7 @@ def integrate_against(values, weights, axis: int = 0):
             f"grid-size mismatch: values axis {axis} has length "
             f"{vals.shape[ax] if vals.ndim else 0}, measure has {w.shape[0]}"
         )
-    out = np.tensordot(vals, w, axes=([ax], [0]))
+    out = (vals if ax == vals.ndim - 1 else np.moveaxis(vals, ax, -1)) @ w
     return float(out) if out.ndim == 0 else out
 
 

@@ -232,11 +232,18 @@ class TestOptimize:
         cfg["time"]["steps"] = 20
         cfg["optimizer"]["max_iter"] = 6
         cfg["problem"]["singular_cost"] = {"constant": [100.0, 100.0]}
-        rc = main(["optimize", "--config", _write(tmp_path / "c.json", cfg),
-                   "--no-timestamp"])
+        cfg["problem"]["market"]["clamp_quantile"] = 0.01
+        path = _write(tmp_path / "c.json", cfg)
+        rc = main(["optimize", "--config", path, "--no-timestamp"])
         assert rc == 0
         controls = json.loads((out / "controls.json").read_text())
         assert np.all(np.asarray(controls["singular_increments"]) == 0.0)
+        # both reports count the rate-clamp events of the field they ran on
+        vout = tmp_path / "verify"
+        main(["verify", "--config", path, "--controls", str(out / "controls.json"),
+              "--out", str(vout), "--no-timestamp"])
+        clamped = [json.loads((d / "report.json").read_text())["clamp_events"] for d in (out, vout)]
+        assert clamped[0] == clamped[1] > 0
 
 
 class TestVerify:

@@ -10,6 +10,8 @@ from rscontrol.dynamics import NonFiniteStateError, coefficient_integrals
 from rscontrol.finance import MarketModel, PortfolioParams, build_portfolio_problem
 from rscontrol.measures import RelaxedControl, SingularControl
 
+from toys import coefficient_fields
+
 
 def _grid(m=4):
     return rc.ActionGrid(np.linspace(0.0, 1.0, m))
@@ -116,6 +118,21 @@ class TestSimulateForward:
             relaxed = rc.simulate_forward(
                 field, RelaxedControl.from_indices(idx, 5), xi, 1.0, 1.0, stock, tg, noise=noise
             )
+            assert np.array_equal(strict.x, relaxed.x)
+            assert np.array_equal(strict.y, relaxed.y)
+        # the bond field: per-scenario short rate in a three-term drift slope
+        market = MarketModel.from_dict(example_bond_config()["problem"]["market"])
+        tg = rc.TimeGrid(1.0, 50)
+        problem = build_portfolio_problem(market, PortfolioParams(), tg).problem
+        noise = problem.noise(8, 5)
+        field = problem.sample_field(8, 5, noise)
+        for _ in range(3):
+            idx = rng.integers(0, problem.grid.count, size=tg.steps)
+            xi = SingularControl(rng.uniform(0, 0.004, size=(tg.steps, 2)))
+            strict = rc.simulate_forward_strict(field, idx, xi, problem.x0, problem.y0,
+                                                problem.stock, tg, noise=noise)
+            relaxed = problem.simulate(field, RelaxedControl.from_indices(idx, problem.grid.count),
+                                       xi, noise)
             assert np.array_equal(strict.x, relaxed.x)
             assert np.array_equal(strict.y, relaxed.y)
 
@@ -233,6 +250,14 @@ class TestSampleCoefficients:
         for k in range(6):
             assert np.array_equal(field.drift_level_at(k), field2.drift_level_at(k))
             assert np.array_equal(field.vol_slope_at(k), field2.vol_slope_at(k))
+        # per-scenario tables come back exactly from their factored form
+        model["drift_slope"] = rng.normal(size=(4, 6, 3)).tolist()
+        model["vol_level"] = rng.normal(size=(4, 6, 3, 2)).tolist()
+        field = rc.sample_coefficients(model, tg, grid, scenarios=4, seed=0)
+        for k in range(6):
+            assert np.array_equal(field.drift_slope_at(k), np.asarray(model["drift_slope"])[:, k])
+            assert np.array_equal(field.vol_level_at(k), np.asarray(model["vol_level"])[:, k])
+            assert np.array_equal(field.vol_slope_at(k), np.asarray(model["vol_slope"])[None, k])
 
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown coefficient model"):
@@ -254,6 +279,20 @@ class TestSampleCoefficients:
         # deterministic coefficients keep the shared scenario axis
         assert lev.shape == slo.shape == (1, 4)
         assert vlev.shape == vslo.shape == (1, 4, 1)
+
+        # every stored form against the per-point formula on the *_at(k) slices
+        rng = np.random.default_rng(12)
+        for name, field in coefficient_fields(rng):
+            mu = RelaxedControl(rng.dirichlet(np.ones(field.grid.count), size=field.steps))
+            got = coefficient_integrals(field, mu)
+            for k in range(field.steps):
+                w = mu.weights[k]
+                want = ((field.drift_level_at(k) * w).sum(axis=-1),
+                        (field.drift_slope_at(k) * w).sum(axis=-1),
+                        (field.vol_level_at(k) * w[:, None]).sum(axis=-2),
+                        (field.vol_slope_at(k) * w[:, None]).sum(axis=-2))
+                for part, ref in zip(got, want):
+                    np.testing.assert_allclose(part[:, k], ref, rtol=1e-12, err_msg=name)
 
 
 class TestMomentDiagnostics:

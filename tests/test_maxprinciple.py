@@ -19,7 +19,13 @@ from rscontrol.optimizer import (
     solve_first_variation,
 )
 
-from toys import drift_control_toy, drift_control_optimum_index, rich_toy, random_admissible_controls
+from toys import (
+    coefficient_fields,
+    drift_control_optimum_index,
+    drift_control_toy,
+    random_admissible_controls,
+    rich_toy,
+)
 
 
 def _field_two_points(drift_level):
@@ -70,27 +76,39 @@ class TestHamiltonianSlice:
         with pytest.raises(ValueError, match="non-finite"):
             hamiltonian_slice(field, 0, np.nan, 0.0, 1.0, np.zeros(1),
                               rc.zero_running(), dirac(2, 0), t=0.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            hamiltonian_slice(field, 0, 0.0, np.nan, 1.0, np.zeros(1),
+                              rc.affine_quadratic_running(cy=1.0), dirac(2, 0), t=0.0)
 
     def test_affinity_in_measure(self):
         problem = rich_toy(steps=10)
         noise = problem.noise(50, 1)
-        field = problem.sample_field(50, 1, noise)
         rng = np.random.default_rng(3)
         running = problem.running
-        for k in (0, 5, 9):
-            x = rng.normal(size=50)
-            y = rng.normal(size=50)
-            p = rng.normal(size=50)
-            P = rng.normal(size=(50, 2))
-            w1 = rng.dirichlet(np.ones(5))
-            w2 = rng.dirichlet(np.ones(5))
-            theta = rng.uniform()
-            mix = (1 - theta) * w1 + theta * w2
-            h1 = hamiltonian_slice(field, k, x, y, p, P, running, w1, t=0.3)
-            h2 = hamiltonian_slice(field, k, x, y, p, P, running, w2, t=0.3)
-            hm = hamiltonian_slice(field, k, x, y, p, P, running, mix, t=0.3)
-            assert np.allclose(hm.at_mu, (1 - theta) * h1.at_mu + theta * h2.at_mu,
-                               atol=1e-10)
+        fields = [("rich toy", problem.sample_field(50, 1, noise))]
+        fields += coefficient_fields(rng, scenarios=50, steps=10)
+        for name, field in fields:
+            count = field.grid.count
+            for k in (0, 5, 9):
+                x = rng.normal(size=50)
+                y = rng.normal(size=50)
+                p = rng.normal(size=50)
+                P = rng.normal(size=(50, 2))
+                w1 = rng.dirichlet(np.ones(count))
+                w2 = rng.dirichlet(np.ones(count))
+                theta = rng.uniform()
+                mix = (1 - theta) * w1 + theta * w2
+                h1 = hamiltonian_slice(field, k, x, y, p, P, running, w1, t=0.3)
+                h2 = hamiltonian_slice(field, k, x, y, p, P, running, w2, t=0.3)
+                hm = hamiltonian_slice(field, k, x, y, p, P, running, mix, t=0.3)
+                assert np.allclose(hm.at_mu, (1 - theta) * h1.at_mu + theta * h2.at_mu,
+                                   atol=1e-10)
+                # the per-point formula on the *_at(k) slices
+                drift = field.drift_level_at(k) + field.drift_slope_at(k) * x[:, None]
+                vol = field.vol_level_at(k) + field.vol_slope_at(k) * x[:, None, None]
+                want = (-p[:, None] * drift - (vol * P[:, None, :]).sum(axis=-1)
+                        - running.value(0.3, x, y, field.grid.points))
+                np.testing.assert_allclose(h1.values, want, rtol=1e-12, err_msg=name)
 
 
 class TestVariationalDerivative:

@@ -9,6 +9,9 @@ terminal cost and affine running cost; the true costates are polynomials of
 the states, so the degree-2 regression basis is exact and the two adjoint
 methods can be compared without model bias.
 
+coefficient_fields: one field of each stored form (shared tables,
+per-scenario tables, the bond market) for checks against per-point formulas.
+
 window_toy: zero singular cost with a jump gain active only inside a
 mid-horizon window, creating a constructed negative-slack region that an
 optimal singular control must fill exclusively.
@@ -116,3 +119,27 @@ def random_admissible_controls(rng, steps, count, dim, tv_cap=10.0, scale=0.004)
         inc *= 0.5 * tv_cap / total
     xi = rc.SingularControl(inc, tv_cap=tv_cap)
     return mu, xi
+
+
+def coefficient_fields(rng, scenarios=6, steps=5, points=4):
+    """(name, field) for a shared dense field, a per-scenario tabulated field
+    and the bond-market field, all on two Brownian axes with random tables."""
+    tg = rc.TimeGrid(1.0, steps)
+    grid = rc.ActionGrid(np.linspace(-1.0, 1.0, points))
+
+    def tables(lead):
+        return dict(
+            drift_level=rng.normal(size=lead + (steps, points)),
+            drift_slope=rng.normal(size=lead + (steps, points)) * 0.3,
+            vol_level=rng.normal(size=lead + (steps, points, 2)) * 0.2,
+            vol_slope=rng.normal(size=lead + (steps, points, 2)) * 0.1,
+        )
+
+    market = rc.MarketModel(volatility="hull-white", sigma=0.02, mean_reversion=0.1,
+                            maturities=[1.0, 2.0, 4.0], consumption=[0.01, 0.05, 0.15])
+    bond = rc.build_portfolio_problem(market, rc.PortfolioParams(), tg).problem
+    return [
+        ("shared dense", rc.dense_field(tg, grid, scenarios, 2, **tables(()))),
+        ("per-scenario tabulated", rc.dense_field(tg, grid, scenarios, 2, **tables((scenarios,)))),
+        ("finance", bond.sample_field(scenarios, int(rng.integers(0, 2**31)))),
+    ]
