@@ -281,21 +281,24 @@ def _write_paths(path, tg: TimeGrid, states, groups) -> None:
     ``(name, (S, n+1))`` state columns, then the ``(name, (S, n, d))`` per-step
     groups as ``name0 .. name{d-1}``, blank on the terminal row.
 
-    Scenarios are converted one at a time, so the table is never held whole
-    as Python objects; floats are written as their ``repr``.
+    The rows are the bytes ``csv.writer`` writes in its default excel dialect
+    (comma separator, CRLF line ends, no quoting: numbers and the fixed header
+    names never need it), built directly from each float's ``repr``.  The
+    ``step, t`` text is formatted once per table; scenarios are converted one
+    at a time, so the table is never held whole as Python objects or text.
     """
     header = ["scenario", "step", "t"] + [name for name, _ in states]
     header += [f"{name}{i}" for name, arr in groups for i in range(arr.shape[2])]
-    blank = [""] * (len(header) - 3 - len(states))
-    times = tg.times()
+    blank = "," * (len(header) - 3 - len(states))
+    stamp = [f"{k},{t!r}" for k, t in enumerate(tg.times().tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for s in range(states[0][1].shape[0]):
-            head = np.column_stack([times] + [arr[s] for _, arr in states]).tolist()
-            cells = np.concatenate([arr[s] for _, arr in groups], axis=1).tolist()
-            cells.append(blank)
-            writer.writerows([s, k, *h, *c] for k, (h, c) in enumerate(zip(head, cells)))
+            head = np.column_stack([arr[s] for _, arr in states])
+            rows = np.concatenate([head[:-1]] + [arr[s] for _, arr in groups], axis=1).tolist()
+            lines = [f"{s},{at},{','.join(map(repr, row))}\r\n" for at, row in zip(stamp, rows)]
+            lines.append(f"{s},{stamp[-1]},{','.join(map(repr, head[-1].tolist()))}{blank}\r\n")
+            fh.writelines(lines)
 
 
 def bundle_to_csv(bundle, path) -> None:
@@ -322,6 +325,8 @@ def _write_manifest(outdir: Path, command: str, cfg: dict, args) -> None:
 
 
 def _prepare(args, command: str):
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     cfg = _resolve_config(args.config, args)
     try:
         tg = TimeGrid(float(cfg["time"]["horizon"]), int(cfg["time"]["steps"]))
@@ -387,12 +392,13 @@ def cmd_optimize(args) -> int:
     with open(outdir / "iterations.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "cost", "cost_stderr", "gap", "gap_stderr",
-                         "theta", "accepted", "phi_check_rms"])
+                         "theta", "accepted", "phi_check_rms", "halvings"])
         for rec in result.records:
             writer.writerow([
                 rec.iteration, repr(rec.cost), repr(rec.cost_stderr), repr(rec.gap),
                 repr(rec.gap_stderr), repr(rec.theta), int(rec.accepted),
                 "" if rec.phi_check_rms is None else repr(rec.phi_check_rms),
+                rec.halvings,
             ])
 
     save_controls(outdir / "controls.json", problem.grid, state.mu, state.xi,
@@ -418,7 +424,7 @@ def cmd_verify(args) -> int:
         grid, mu, xi, horizon = load_controls(args.controls)
     except FileNotFoundError:
         raise ConfigError(f"controls file not found: {args.controls}")
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"malformed controls file: {exc}") from exc
     if abs(horizon - problem.tg.horizon) > 1e-12 or mu.steps != problem.tg.steps:
         raise ConfigError("controls file does not match the scenario time grid")

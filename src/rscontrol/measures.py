@@ -267,8 +267,12 @@ def controls_to_json(
 
 def controls_from_json(doc: dict):
     """Inverse of :func:`controls_to_json`; returns (grid, mu, xi, horizon)."""
+    if not isinstance(doc, dict):
+        raise ValueError("controls document must be a JSON object")
     if doc.get("schema") != CONTROLS_SCHEMA:
         raise ValueError(f"unsupported controls schema: {doc.get('schema')!r}")
+    if not isinstance(doc.get("grid"), dict):
+        raise ValueError("controls grid must be a JSON object")
     grid = ActionGrid(
         np.asarray(doc["grid"]["points"], float),
         box_lo=doc["grid"].get("box_lo"),

@@ -205,6 +205,7 @@ class IterationRecord:
     theta: float
     accepted: bool
     phi_check_rms: float | None = None
+    halvings: int = 0         # Armijo trial steps rejected in this iteration
 
 
 @dataclass(frozen=True)
@@ -304,7 +305,7 @@ def frank_wolfe_iterate(
         )
 
     theta = min(1.0, 2.0 / (state.iteration + 2.0))
-    for _ in range(opts.max_halvings + 1):
+    for halvings in range(opts.max_halvings + 1):
         mu_new = convex_combine(state.mu, q_star, theta)
         xi_new = combine_singular(state.xi, eta_star, theta)
         bundle_new = problem.simulate(fieldref, mu_new, xi_new, noise, threads=threads)
@@ -321,7 +322,7 @@ def frank_wolfe_iterate(
             return new, IterationRecord(
                 iteration=new.iteration, cost=new.cost, cost_stderr=new.cost_stderr,
                 gap=gap, gap_stderr=gap_se, theta=theta, accepted=True,
-                phi_check_rms=phi_rms,
+                phi_check_rms=phi_rms, halvings=halvings,
             )
         theta *= 0.5
 
@@ -330,6 +331,7 @@ def frank_wolfe_iterate(
     return new, IterationRecord(
         iteration=state.iteration, cost=state.cost, cost_stderr=state.cost_stderr,
         gap=gap, gap_stderr=gap_se, theta=0.0, accepted=False, phi_check_rms=phi_rms,
+        halvings=opts.max_halvings + 1,
     )
 
 

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 import rscontrol as rc
 from rscontrol.cli import adjoints_to_csv, bundle_to_csv, example_bond_config, main
-from rscontrol.measures import RelaxedControl, SingularControl
+from rscontrol.measures import RelaxedControl, SingularControl, controls_to_json
 
 
 def _write(path: Path, doc: dict) -> str:
@@ -93,6 +94,59 @@ class TestPathTables:
             b"1,2,0.2,-2.5,0.1,,,,\r\n"
         )
 
+    # shortest round-trip texts that are easy to get wrong: signed zero, the
+    # smallest subnormal, exponent switch-overs and a non-terminating sum
+    SPECIAL = (-0.0, 5e-324, 1e16, 1e-05, 1e-04, 0.30000000000000004)
+
+    @staticmethod
+    def _values(rng, shape):
+        """Random finite floats over the whole exponent range, one in four a
+        special value."""
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+        special = rng.random(shape) < 0.25
+        values[special] = rng.choice(TestPathTables.SPECIAL, int(special.sum()))
+        return values
+
+    @staticmethod
+    def _reference(tg, states, groups):
+        """The table written cell by cell through ``csv.writer``."""
+        buffer = io.StringIO(newline="")
+        writer = csv.writer(buffer)
+        writer.writerow(["scenario", "step", "t"] + [name for name, _ in states]
+                        + [f"{name}{i}" for name, arr in groups for i in range(arr.shape[2])])
+        times = tg.times()
+        for s in range(states[0][1].shape[0]):
+            for k in range(tg.steps + 1):
+                row = [s, k, float(times[k])] + [float(arr[s, k]) for _, arr in states]
+                for _, arr in groups:
+                    row += ([float(v) for v in arr[s, k]] if k < tg.steps
+                            else [""] * arr.shape[2])
+                writer.writerow(row)
+        return buffer.getvalue().encode()
+
+    @pytest.mark.parametrize("scenarios, steps, dim, horizon", [
+        (1, 7, 1, 0.7), (1, 1, 3, 1.0), (5, 1, 1, 0.3), (4, 9, 3, 2.5), (6, 13, 1, 1.0 / 3.0),
+    ])
+    def test_matches_csv_module_reference(self, tmp_path, scenarios, steps, dim, horizon):
+        rng = np.random.default_rng(1000 * steps + dim)
+        tg = rc.TimeGrid(horizon, steps)
+        paths = {name: self._values(rng, (scenarios, steps + 1)) for name in ("x", "y", "px", "py")}
+        loads = {name: self._values(rng, (scenarios, steps, dim)) for name in ("dW", "Px", "Py")}
+        bundle = rc.TrajectoryBundle(
+            tg=tg, x=paths["x"], y=paths["y"], noise=loads["dW"],
+            mu=RelaxedControl.uniform(steps, 3), xi=SingularControl.zero(steps, dim),
+            x0=0.0, y0=0.0,
+        )
+        bundle_to_csv(bundle, tmp_path / "trajectories.csv")
+        assert (tmp_path / "trajectories.csv").read_bytes() == self._reference(
+            tg, (("x", paths["x"]), ("y", paths["y"])), (("dW", loads["dW"]),))
+        adj = rc.AdjointSolution(px=paths["px"], Px=loads["Px"], py=paths["py"], Py=loads["Py"],
+                                 method="regression")
+        adjoints_to_csv(adj, tg, tmp_path / "adjoints.csv")
+        assert (tmp_path / "adjoints.csv").read_bytes() == self._reference(
+            tg, (("px", paths["px"]), ("py", paths["py"])),
+            (("Px", loads["Px"]), ("Py", loads["Py"])))
+
 
 class TestValidation:
     def test_missing_field(self, tmp_path):
@@ -135,6 +189,31 @@ class TestValidation:
         rc = main(["optimize", "--config", _write(tmp_path / "c.json", cfg)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one(self, tmp_path, capsys, threads):
+        cfg = _toy_config(tmp_path / "out")
+        rc = main(["simulate", "--config", _write(tmp_path / "c.json", cfg),
+                   "--threads", str(threads)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: [],
+        lambda doc: {**doc, "grid": None},
+        lambda doc: {**doc, "horizon": None},
+    ], ids=["top-level-list", "null-grid", "null-horizon"])
+    def test_malformed_controls_document(self, tmp_path, capsys, mutate):
+        cfg = _toy_config(tmp_path / "out")
+        problem_grid = rc.ActionGrid(np.asarray(cfg["problem"]["action_grid"]["points"]))
+        steps = cfg["time"]["steps"]
+        doc = controls_to_json(problem_grid, RelaxedControl.uniform(steps, problem_grid.count),
+                               SingularControl.zero(steps, 1), cfg["time"]["horizon"])
+        controls = _write(tmp_path / "controls.json", mutate(doc))
+        code = main(["verify", "--config", _write(tmp_path / "c.json", cfg),
+                     "--controls", controls])
+        assert code == 2
+        assert "config error: malformed controls file" in capsys.readouterr().err
 
     def test_invalid_grid(self, tmp_path):
         cfg = _toy_config(tmp_path / "out")
@@ -191,7 +270,9 @@ class TestOptimize:
         controls = json.loads((out / "controls.json").read_text())
         weights = np.asarray(controls["relaxed_weights"])
         assert np.argmax(weights[0]) == 1  # grid point -0.5
-        assert (out / "iterations.csv").exists()
+        with open(out / "iterations.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(int(row["halvings"]) >= 0 for row in rows)
         assert (out / "adjoints.csv").exists()
 
     def test_stdout_names_stop_reason(self, tmp_path, capsys):

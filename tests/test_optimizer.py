@@ -154,6 +154,7 @@ class TestFrankWolfe:
         assert result.state.converged
         assert result.state.iteration <= 50
         accepted = [r for r in result.records if r.accepted]
+        assert accepted[0].theta == 1.0 and accepted[0].halvings == 0   # first trial taken
         costs = [r.cost for r in accepted]
         assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
         best = drift_control_optimum_index(problem)
@@ -172,6 +173,7 @@ class TestFrankWolfe:
         assert result.state.converged is False
         assert result.state.iteration == 0
         assert len(result.records) == 1
+        assert result.records[0].halvings == 2   # both trial steps rejected
 
     def test_threads_reach_every_simulation(self, monkeypatch):
         calls = []
