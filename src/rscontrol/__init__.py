@@ -63,7 +63,6 @@ from .maxprinciple import (
     VariationalDerivative,
     check_max_principle,
     hamiltonian_slice,
-    pointwise_maximizer,
     variational_derivative,
 )
 from .optimizer import (

@@ -259,11 +259,10 @@ def solve_adjoint_phi(
         incr = (mart_next - mart)[:, :, None] * bundle.noise[:, k, None] / dt
         mart_next = mart
         integrand = proj.fit(incr.reshape(scen, 2 * d)).reshape(scen, 2, d)
-        slope = np.stack(np.broadcast_arrays(
-            vol_slope[:, k],
-            stock.diffusion_dy(times[k], bundle.y[:, k]),
-        ), axis=1)
-        load[:, :, k] = flow_inv[:, :, k, None] * integrand - slope * p[:, :, k, None]
+        loaded = flow_inv[:, :, k, None] * integrand
+        sdy = stock.diffusion_dy(times[k], bundle.y[:, k])
+        load[:, 0, k] = loaded[:, 0] - vol_slope[:, k] * p[:, 0, k, None]
+        load[:, 1, k] = loaded[:, 1] - sdy * p[:, 1, k, None]
     return AdjointSolution(px=p[:, 0], Px=load[:, 0], py=p[:, 1], Py=load[:, 1],
                            method="phi-construction")
 

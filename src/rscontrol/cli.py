@@ -23,7 +23,14 @@ import numpy as np
 
 from . import __version__
 from .adjoint import solve_adjoint_regression
-from .dynamics import NonFiniteStateError, TimeGrid, inert_stock, linear_stock, moment_diagnostics
+from .dynamics import (
+    NonFiniteStateError,
+    TimeGrid,
+    inert_stock,
+    linear_stock,
+    moment_diagnostics,
+    sample_coefficients,
+)
 from .finance import MarketModel, PortfolioParams, build_portfolio_problem
 from .maxprinciple import MaxPrincipleTolerances, check_max_principle
 from .measures import (
@@ -189,7 +196,17 @@ def _build_problem(cfg: dict, tg: TimeGrid) -> ControlProblem:
                 dim, component=int(stock_spec.get("component", dim - 1)),
             )
         coefficients = dict(spec["coefficients"])
-        coefficients.setdefault("dim", dim)
+        model = coefficients["model"]
+        if model not in ("deterministic-constant", "tabulated"):
+            raise ConfigError("problem.coefficients.model must be 'deterministic-constant' or "
+                              f"'tabulated', got {model!r}")
+        if coefficients.setdefault("dim", dim) != dim:
+            raise ConfigError(f"problem.coefficients.dim must equal brownian_dim {dim}, "
+                              f"got {coefficients['dim']!r}")
+        try:   # tables of the wrong shape or with non-finite entries fail here, not mid-run
+            sample_coefficients(coefficients, tg, grid, int(cfg["scenarios"]), int(cfg["seed"]))
+        except ValueError as exc:
+            raise ConfigError(f"problem.coefficients: {exc}") from exc
         return ControlProblem(
             tg=tg, grid=grid, dim=dim,
             x0=float(spec["x0"]), y0=float(spec["y0"]),
@@ -426,7 +443,8 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"controls file not found: {args.controls}")
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"malformed controls file: {exc}") from exc
-    if abs(horizon - problem.tg.horizon) > 1e-12 or mu.steps != problem.tg.steps:
+    if (not math.isfinite(horizon) or abs(horizon - problem.tg.horizon) > 1e-12
+            or mu.steps != problem.tg.steps):
         raise ConfigError("controls file does not match the scenario time grid")
     if mu.count != problem.grid.count or xi.dim != problem.dim:
         raise ConfigError("controls file does not match the scenario problem shape")
@@ -498,9 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="scenario config JSON")
+    def common(p):
+        p.add_argument("--config", required=True, help="scenario config JSON")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=1, help="scenario-chunk worker cap")
         p.add_argument("--out", default=None, help="override the output directory")
@@ -521,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_ex = sub.add_parser("example-bond", help="write the packaged bond-portfolio scenario")
-    common(p_ex, config_required=False)
+    p_ex.add_argument("--out", default=None, help="output file or directory")
     p_ex.set_defaults(func=cmd_example_bond)
     return parser
 

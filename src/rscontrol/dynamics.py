@@ -349,8 +349,6 @@ class TrajectoryBundle:
     noise: np.ndarray   # (scenarios, steps, dim)
     mu: RelaxedControl
     xi: SingularControl
-    x0: float
-    y0: float
 
     @property
     def scenarios(self) -> int:
@@ -466,7 +464,7 @@ def simulate_forward(
                 x[rows] = xb
                 y[rows] = yb
 
-    return TrajectoryBundle(tg=tg, x=x, y=y, noise=noise, mu=mu, xi=xi, x0=x0, y0=y0)
+    return TrajectoryBundle(tg=tg, x=x, y=y, noise=noise, mu=mu, xi=xi)
 
 
 def simulate_forward_strict(
@@ -516,7 +514,7 @@ def simulate_forward_strict(
             _check_finite(x[:, k + 1], "x", k + 1)
             _check_finite(y[:, k + 1], "y", k + 1)
     mu = RelaxedControl.from_indices(idx, field.grid.count)
-    return TrajectoryBundle(tg=tg, x=x, y=y, noise=noise, mu=mu, xi=xi, x0=x0, y0=y0)
+    return TrajectoryBundle(tg=tg, x=x, y=y, noise=noise, mu=mu, xi=xi)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,14 @@ measures on the grid is attained at a point mass; the verifier therefore
 reduces the measure supremum to a finite maximum over grid points.  One
 evaluator, ``hamiltonian_slice``, serves the optimizer, the directional
 derivative and the verifier: H is affine in (p, p x, P, P x) times the
-field's scenario factors, so each step is one matrix product.  Three
-statistics are reported: the integrated Hamiltonian gap, the minimum of the
-singular slack ``k + gain_x * px + gain_y * py``, and the complementarity
-mass placed where that slack is strictly positive.
+field's scenario factors, so each step is one matrix product.  Every use is
+one sweep of that evaluator along the paths, accumulating the per-scenario
+shortfall of H at the control against H at a compared measure: the
+direction's measure (the derivative), the pointwise grid maximum (the
+verifier) or the point mass at the scenario-mean maximizer (the optimizer's
+vertex).  Three statistics are reported: the integrated Hamiltonian gap, the
+minimum of the singular slack ``k + gain_x * px + gain_y * py``, and the
+complementarity mass placed where that slack is strictly positive.
 
 The conditions are almost-sure, pathwise statements.  Controls in this
 package are deterministic time paths, so on problems whose Hamiltonian
@@ -89,24 +93,15 @@ def hamiltonian_slice(
     return HamiltonianSlice(values=values, at_mu=np.atleast_1d(at_mu))
 
 
-def pointwise_maximizer(slc: HamiltonianSlice):
-    """Grid index of the per-point maximum and the gap to the measure value.
+def _shortfall(fieldref, bundle, adj, running, compared) -> np.ndarray:
+    """Per-scenario sum over steps of (H(mu[k]) - compared(k, values)) dt.
 
-    Ties break to the lowest index.  For batched slices the index and gap are
-    returned per scenario.
+    One ``hamiltonian_slice`` sweep along the paths; ``compared`` reads the
+    (S,) compared values off step k's (S, count) per-point values.
     """
-    vals = np.asarray(slc.values, dtype=float)
-    idx = np.argmax(vals, axis=-1)
-    gap = np.max(vals, axis=-1) - np.asarray(slc.at_mu)
-    if vals.ndim == 1:
-        return int(idx), float(gap)
-    return idx, gap
-
-
-def _path_slices(fieldref, bundle, adj, running):
-    """Yield (k, slice values (S, count), value at the bundle's mu (S,)) along
-    the paths."""
     times = bundle.tg.times()
+    dt = bundle.tg.dt
+    out = np.zeros(bundle.scenarios)
     for k in range(bundle.tg.steps):
         slc = hamiltonian_slice(
             fieldref, k,
@@ -114,14 +109,7 @@ def _path_slices(fieldref, bundle, adj, running):
             adj.px[:, k], adj.Px[:, k],
             running, bundle.mu.weights[k], times[k],
         )
-        yield k, slc.values, slc.at_mu
-
-
-def mean_hamiltonian_values(fieldref, bundle, adj, running) -> np.ndarray:
-    """Scenario-mean Hamiltonian per (step, grid point), shape (steps, count)."""
-    out = np.empty((bundle.tg.steps, fieldref.grid.count))
-    for k, values, _ in _path_slices(fieldref, bundle, adj, running):
-        out[k] = values.mean(axis=0)
+        out += (slc.at_mu - compared(k, slc.values)) * dt
     return out
 
 
@@ -188,14 +176,9 @@ def variational_derivative(
         raise ValueError("measure direction does not match the control shape")
     if eta.increments.shape != bundle.xi.increments.shape:
         raise ValueError("singular direction does not match the control shape")
-    dt = bundle.tg.dt
     slack = slack_paths(fieldref, k_path, adj)
-    delta = eta.increments - bundle.xi.increments
-    singular = np.einsum("snd,nd->s", slack, delta)
-    measure = np.zeros(bundle.scenarios)
-    for k, values, at_mu in _path_slices(fieldref, bundle, adj, running):
-        at_q = values @ q.weights[k]
-        measure += (at_mu - at_q) * dt
+    singular = np.einsum("snd,nd->s", slack, eta.increments - bundle.xi.increments)
+    measure = _shortfall(fieldref, bundle, adj, running, lambda k, values: values @ q.weights[k])
     return VariationalDerivative.from_samples(singular, measure)
 
 
@@ -294,12 +277,10 @@ def check_max_principle(
     verified up to statistical tolerances derived from the sample.
     """
     tol = tolerances or MaxPrincipleTolerances()
-    dt = bundle.tg.dt
-    gap_samples = np.zeros(bundle.scenarios)
-    for _, values, at_mu in _path_slices(fieldref, bundle, adj, running):
-        gap_samples += (values.max(axis=-1) - at_mu) * dt
-    gap = float(gap_samples.mean())
-    gap_se = float(gap_samples.std(ddof=1) / np.sqrt(bundle.scenarios)) if bundle.scenarios > 1 else 0.0
+    # the gap samples are minus the shortfall against the grid maximum
+    shortfall = _shortfall(fieldref, bundle, adj, running, lambda k, values: values.max(axis=-1))
+    gap = -float(shortfall.mean()) + 0.0   # normalize -0.0
+    gap_se = float(shortfall.std(ddof=1) / np.sqrt(bundle.scenarios)) if bundle.scenarios > 1 else 0.0
     gap_tol = tol.gap_se_multiplier * gap_se + tol.gap_floor
 
     slack = slack_paths(fieldref, k_path, adj)

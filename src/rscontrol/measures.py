@@ -140,6 +140,8 @@ class SingularControl:
             raise ValueError("increments must be a (steps, dim) matrix")
         if np.any(inc < 0.0):
             raise ValueError("singular increments must be nonnegative")
+        if np.isnan(self.tv_cap):
+            raise ValueError("total-variation cap must be a number, got nan")
         tv = float(inc.sum())
         if not np.isfinite(tv) or tv > self.tv_cap * (1.0 + 1e-9) + 1e-12:
             raise ValueError(f"total variation {tv} exceeds cap {self.tv_cap}")

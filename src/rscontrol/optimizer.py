@@ -17,12 +17,8 @@ import numpy as np
 
 from .adjoint import _gradient_paths, solve_adjoint_phi, solve_adjoint_regression
 from .dynamics import CoefficientField, TrajectoryBundle, coefficient_integrals
-from .maxprinciple import (
-    VariationalDerivative,
-    mean_hamiltonian_values,
-    slack_paths,
-    variational_derivative,
-)
+from .maxprinciple import VariationalDerivative, _shortfall, slack_paths
+from .maxprinciple import variational_derivative  # noqa: F401  (perfbench wraps this module attribute)
 from .measures import (
     RelaxedControl,
     SingularControl,
@@ -245,14 +241,6 @@ def _singular_direction(mean_slack: np.ndarray, rate: float, dt: float, cap: flo
     return SingularControl(inc, tv_cap=cap)
 
 
-def _measure_direction(mean_h: np.ndarray) -> RelaxedControl:
-    """Per-step point mass at the scenario-mean Hamiltonian maximizer."""
-    idx = np.argmax(mean_h, axis=1)
-    w = np.zeros_like(mean_h)
-    w[np.arange(mean_h.shape[0]), idx] = 1.0
-    return RelaxedControl(w)
-
-
 def frank_wolfe_iterate(
     state: IterationState,
     problem: ControlProblem,
@@ -284,54 +272,56 @@ def frank_wolfe_iterate(
         denom = float(np.sqrt(np.mean(adj.px ** 2))) or 1.0
         phi_rms = float(np.sqrt(np.mean((ref.px - adj.px) ** 2))) / denom
 
-    mean_h = mean_hamiltonian_values(fieldref, state.bundle, adj, problem.running)
-    q_star = _measure_direction(mean_h)
-    mean_slack = slack_paths(fieldref, problem.k_path, adj).mean(axis=0)
-    eta_star = _singular_direction(mean_slack, opts.singular_rate, problem.tg.dt, problem.tv_cap)
+    # one Hamiltonian sweep gives both the vertex q* (per-step point mass at
+    # the scenario-mean maximizer) and its shortfall against the control
+    q_rows = np.zeros_like(state.mu.weights)
 
-    deriv = variational_derivative(
-        fieldref, state.bundle, adj, problem.running, problem.k_path, (q_star, eta_star)
-    )
+    def vertex(k, values):
+        q_rows[k, np.argmax(values.mean(axis=0))] = 1.0
+        return values @ q_rows[k]
+
+    shortfall = _shortfall(fieldref, state.bundle, adj, problem.running, vertex)
+    q_star = RelaxedControl(q_rows)
+    slack = slack_paths(fieldref, problem.k_path, adj)
+    eta_star = _singular_direction(slack.mean(axis=0), opts.singular_rate, problem.tg.dt,
+                                   problem.tv_cap)
+    singular = np.einsum("snd,nd->s", slack, eta_star.increments - state.bundle.xi.increments)
+    deriv = VariationalDerivative.from_samples(singular, shortfall)
     gap = -deriv.total + 0.0   # normalize -0.0
     gap_se = deriv.stderr
     tol = opts.gap_tol if opts.gap_tol is not None else (3.0 * gap_se + opts.gap_floor)
 
+    theta, halvings = 0.0, 0
     if gap <= tol:
         new = replace(state, gap=gap, gap_stderr=gap_se, converged=True,
                       reason="duality gap within tolerance")
-        return new, IterationRecord(
-            iteration=state.iteration, cost=state.cost, cost_stderr=state.cost_stderr,
-            gap=gap, gap_stderr=gap_se, theta=0.0, accepted=False, phi_check_rms=phi_rms,
-        )
-
-    theta = min(1.0, 2.0 / (state.iteration + 2.0))
-    for halvings in range(opts.max_halvings + 1):
-        mu_new = convex_combine(state.mu, q_star, theta)
-        xi_new = combine_singular(state.xi, eta_star, theta)
-        bundle_new = problem.simulate(fieldref, mu_new, xi_new, noise, threads=threads)
-        cost_new = evaluate_cost(
-            bundle_new, problem.running, problem.k_path, problem.terminal, fieldref=fieldref
-        )
-        if cost_new.value <= state.cost - opts.armijo_c1 * theta * gap + 1e-12 * (1.0 + abs(state.cost)):
-            new = IterationState(
-                mu=mu_new, xi=xi_new, bundle=bundle_new,
-                cost=cost_new.value, cost_stderr=cost_new.stderr,
-                gap=gap, gap_stderr=gap_se,
-                iteration=state.iteration + 1,
+    else:
+        theta = min(1.0, 2.0 / (state.iteration + 2.0))
+        for halvings in range(opts.max_halvings + 1):
+            mu_new = convex_combine(state.mu, q_star, theta)
+            xi_new = combine_singular(state.xi, eta_star, theta)
+            bundle_new = problem.simulate(fieldref, mu_new, xi_new, noise, threads=threads)
+            cost_new = evaluate_cost(
+                bundle_new, problem.running, problem.k_path, problem.terminal, fieldref=fieldref
             )
-            return new, IterationRecord(
-                iteration=new.iteration, cost=new.cost, cost_stderr=new.cost_stderr,
-                gap=gap, gap_stderr=gap_se, theta=theta, accepted=True,
-                phi_check_rms=phi_rms, halvings=halvings,
-            )
-        theta *= 0.5
-
-    new = replace(state, gap=gap, gap_stderr=gap_se,
-                  reason="no descent step within halving budget")
+            bound = state.cost - opts.armijo_c1 * theta * gap + 1e-12 * (1.0 + abs(state.cost))
+            if cost_new.value <= bound:
+                new = IterationState(
+                    mu=mu_new, xi=xi_new, bundle=bundle_new,
+                    cost=cost_new.value, cost_stderr=cost_new.stderr,
+                    gap=gap, gap_stderr=gap_se,
+                    iteration=state.iteration + 1,
+                )
+                break
+            theta *= 0.5
+        else:
+            theta, halvings = 0.0, opts.max_halvings + 1
+            new = replace(state, gap=gap, gap_stderr=gap_se,
+                          reason="no descent step within halving budget")
     return new, IterationRecord(
-        iteration=state.iteration, cost=state.cost, cost_stderr=state.cost_stderr,
-        gap=gap, gap_stderr=gap_se, theta=0.0, accepted=False, phi_check_rms=phi_rms,
-        halvings=opts.max_halvings + 1,
+        iteration=new.iteration, cost=new.cost, cost_stderr=new.cost_stderr,
+        gap=gap, gap_stderr=gap_se, theta=theta, accepted=not new.reason,
+        phi_check_rms=phi_rms, halvings=halvings,
     )
 
 

@@ -62,7 +62,7 @@ class TestPathTables:
             x=np.array([[0.1, 1e-05, -2.5], [1e16, 0.30000000000000004, 0.0]]),
             y=np.array([[-2.5, 0.1, 1e16], [1e-05, 0.30000000000000004, 0.1]]),
             noise=np.array([[[1e-05], [1e16]], [[0.30000000000000004], [-2.5]]]),
-            mu=RelaxedControl.uniform(2, 3), xi=SingularControl.zero(2, 1), x0=0.1, y0=-2.5,
+            mu=RelaxedControl.uniform(2, 3), xi=SingularControl.zero(2, 1),
         )
         bundle_to_csv(bundle, tmp_path / "trajectories.csv")
         assert (tmp_path / "trajectories.csv").read_bytes() == (
@@ -135,7 +135,6 @@ class TestPathTables:
         bundle = rc.TrajectoryBundle(
             tg=tg, x=paths["x"], y=paths["y"], noise=loads["dW"],
             mu=RelaxedControl.uniform(steps, 3), xi=SingularControl.zero(steps, dim),
-            x0=0.0, y0=0.0,
         )
         bundle_to_csv(bundle, tmp_path / "trajectories.csv")
         assert (tmp_path / "trajectories.csv").read_bytes() == self._reference(
@@ -214,6 +213,40 @@ class TestValidation:
                      "--controls", controls])
         assert code == 2
         assert "config error: malformed controls file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target, key", [
+        ("controls", "horizon"),
+        ("controls", "tv_cap"),
+        ("config", "tv_cap"),
+    ])
+    def test_nan_horizon_or_cap(self, tmp_path, capsys, target, key):
+        cfg = _toy_config(tmp_path / "out")
+        grid = rc.ActionGrid(np.asarray(cfg["problem"]["action_grid"]["points"]))
+        steps = cfg["time"]["steps"]
+        doc = controls_to_json(grid, RelaxedControl.uniform(steps, grid.count),
+                               SingularControl.zero(steps, 1), cfg["time"]["horizon"])
+        (doc if target == "controls" else cfg["problem"])[key] = float("nan")
+        code = main(["verify", "--config", _write(tmp_path / "c.json", cfg),
+                     "--controls", _write(tmp_path / "controls.json", doc)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "optimize", "verify"])
+    @pytest.mark.parametrize("key, value", [
+        ("model", "bogus"),
+        ("model", "finance"),
+        ("drift_level", [0.0, 1.0]),
+        ("drift_level", [0.0, float("nan"), 0.0, 0.0, 0.0]),
+        ("dim", 3),
+    ], ids=["unknown-model", "finance-model", "short-table", "nan-entry", "dim-mismatch"])
+    def test_malformed_coefficients(self, tmp_path, capsys, command, key, value):
+        cfg = _toy_config(tmp_path / "out")
+        cfg["problem"]["coefficients"][key] = value
+        argv = [command, "--config", _write(tmp_path / "c.json", cfg)]
+        if command == "verify":
+            argv += ["--controls", str(tmp_path / "absent.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: problem")
 
     def test_invalid_grid(self, tmp_path):
         cfg = _toy_config(tmp_path / "out")
@@ -398,6 +431,13 @@ class TestExampleBond:
         assert rc == 0
         doc = json.loads((tmp_path / "scen.json").read_text())
         assert doc["schema"] == "rscontrol-scenario/1"
+
+    @pytest.mark.parametrize("flag", [["--threads", "0"], ["--seed", "3"], ["--no-timestamp"]])
+    def test_takes_only_out(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["example-bond", "--out", str(tmp_path / "scen.json")] + flag)
+        assert exc.value.code == 2
+        assert not (tmp_path / "scen.json").exists()
 
     def test_example_bond_simulates_at_default_size(self, tmp_path):
         import time

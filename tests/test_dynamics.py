@@ -326,7 +326,7 @@ class TestMomentDiagnostics:
         field = rc.dense_field(tg, grid, scenarios=3, dim=1, drift_slope=1e4)
         mu, xi = _zero_controls(10, 4, 1)
         b = rc.TrajectoryBundle(tg=tg, x=np.ones((3, 11)), y=np.zeros((3, 11)),
-                                noise=np.zeros((3, 10, 1)), mu=mu, xi=xi, x0=1.0, y0=0.0)
+                                noise=np.zeros((3, 10, 1)), mu=mu, xi=xi)
         rep = rc.moment_diagnostics(b, field, p=2.0)
         assert rep.exploded
 

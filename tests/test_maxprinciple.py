@@ -8,7 +8,6 @@ from rscontrol.maxprinciple import (
     MaxPrincipleTolerances,
     check_max_principle,
     hamiltonian_slice,
-    pointwise_maximizer,
     slack_paths,
     variational_derivative,
 )
@@ -23,6 +22,7 @@ from toys import (
     coefficient_fields,
     drift_control_optimum_index,
     drift_control_toy,
+    mean_argmax_vertex,
     random_admissible_controls,
     rich_toy,
 )
@@ -50,26 +50,23 @@ class TestHamiltonianSlice:
         slc = hamiltonian_slice(field, 0, 0.0, 0.0, 1.0, np.zeros(1), running,
                                 dirac(2, 0), t=0.0)
         assert np.allclose(slc.values, [0.0, -1.0])
-        idx, gap = pointwise_maximizer(slc)
-        assert idx == 0 and gap == 0.0
+        assert np.argmax(slc.values) == 0 and slc.values.max() - slc.at_mu == 0.0
 
     def test_uniform_gap(self):
         field, tg = _field_two_points([0.0, 1.0])
         running = rc.zero_running()
         slc = hamiltonian_slice(field, 0, 0.0, 0.0, 1.0, np.zeros(1), running,
                                 np.array([0.5, 0.5]), t=0.0)
-        idx, gap = pointwise_maximizer(slc)
-        assert idx == 0
-        assert gap == pytest.approx(0.5, abs=1e-15)
+        assert np.argmax(slc.values) == 0
+        assert slc.values.max() - slc.at_mu == pytest.approx(0.5, abs=1e-15)
 
     def test_constant_slice_tie_break(self):
         field, tg = _field_two_points([1.0, 1.0 + 0.0])
         running = rc.zero_running()
         slc = hamiltonian_slice(field, 0, 0.0, 0.0, 1.0, np.zeros(1), running,
                                 np.array([0.5, 0.5]), t=0.0)
-        idx, gap = pointwise_maximizer(slc)
-        assert idx == 0
-        assert gap == pytest.approx(0.0, abs=1e-15)
+        assert np.argmax(slc.values) == 0
+        assert slc.values.max() - slc.at_mu == pytest.approx(0.0, abs=1e-15)
 
     def test_non_finite_rejected(self):
         field, tg = _field_two_points([0.0, 1.0])
@@ -189,11 +186,9 @@ class TestVariationalDerivative:
         d2 = variational_derivative(field, bundle, scaled_adj, scaled.running,
                                     scaled.k_path, (q, eta))
         assert d2.total == pytest.approx(factor * d1.total, rel=1e-6)
-        mean1 = rc.maxprinciple.mean_hamiltonian_values(field, bundle, base_adj,
-                                                        problem.running)
-        mean2 = rc.maxprinciple.mean_hamiltonian_values(field, bundle, scaled_adj,
-                                                        scaled.running)
-        assert np.array_equal(np.argmax(mean1, axis=1), np.argmax(mean2, axis=1))
+        v1 = mean_argmax_vertex(field, bundle, base_adj, problem.running)
+        v2 = mean_argmax_vertex(field, bundle, scaled_adj, scaled.running)
+        assert np.array_equal(v1.weights, v2.weights)
 
     def test_gap_nonnegative_for_random_controls(self):
         problem, field, noise, bundle, adj, rng = self._solved(scenarios=400)
@@ -217,6 +212,9 @@ class TestCheckMaxPrinciple:
         mu = RelaxedControl.from_indices(np.full(problem.tg.steps, best), problem.grid.count)
         xi = SingularControl.zero(problem.tg.steps, 2)
         report, *_ = self._run(problem, mu, xi)
+        # the pointwise maximum is the control itself: a gap of exactly +0.0
+        assert report.hamiltonian_gap == 0.0
+        assert math.copysign(1.0, report.hamiltonian_gap) == 1.0
         assert report.pass_hamiltonian
         assert report.pass_slack
         assert report.pass_complementarity

@@ -110,6 +110,17 @@ def window_toy(steps=90, horizon=1.0, points=5, slope=-0.3):
     ), lo, hi
 
 
+def mean_argmax_vertex(field, bundle, adj, running) -> rc.RelaxedControl:
+    """Per-step point mass at the argmax of the scenario-mean Hamiltonian,
+    built slice by slice from ``hamiltonian_slice``."""
+    times = bundle.tg.times()
+    idx = [np.argmax(rc.hamiltonian_slice(field, k, bundle.x[:, k], bundle.y[:, k],
+                                          adj.px[:, k], adj.Px[:, k], running,
+                                          bundle.mu.weights[k], times[k]).values.mean(axis=0))
+           for k in range(bundle.tg.steps)]
+    return rc.RelaxedControl.from_indices(np.array(idx), field.grid.count)
+
+
 def random_admissible_controls(rng, steps, count, dim, tv_cap=10.0, scale=0.004):
     """Random measure rows (Dirichlet) and random capped increments."""
     mu = rc.RelaxedControl(rng.dirichlet(np.ones(count), size=steps))
