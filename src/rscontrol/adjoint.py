@@ -17,6 +17,10 @@ true costate is a polynomial of the states (the toy problems used for validation
 with state-dependent diffusion slopes the fundamental-solution method
 acquires a projection bias because the flow itself is an extra state, so the
 regression scheme is preferred for production runs.
+
+The fundamental flows, both adjoints and the first variation (in
+:mod:`rscontrol.optimizer`) read one per-step linearization of both state
+components, ``_path_slopes``, and carry x and y on one component axis.
 """
 
 from __future__ import annotations
@@ -148,6 +152,28 @@ class AdjointSolution:
                 raise FloatingPointError(f"adjoint path {name} contains non-finite values")
 
 
+def _path_slopes(integrals, bundle, stock):
+    """The linearization of both state components along the paths.
+
+    ``integrals`` is ``coefficient_integrals(field, mu)``.  Returns ``at(k)``,
+    giving step k's drift slopes (S, 2) and diffusion slopes (S, 2, dim):
+    component 0 is x, with the measure-integrated slopes, and component 1 is
+    y, with the stock model's derivatives at ``bundle.y[:, k]``.
+    """
+    _, slope, _, vol_slope = integrals
+    times = bundle.tg.times()
+    shape = (bundle.scenarios, 2)
+
+    def at(k):
+        yk = bundle.y[:, k]
+        drift, vol = np.empty(shape), np.empty(shape + (bundle.dim,))
+        drift[:, 0], drift[:, 1] = slope[:, k], stock.drift_dy(times[k], yk)
+        vol[:, 0], vol[:, 1] = vol_slope[:, k], stock.diffusion_dy(times[k], yk)
+        return drift, vol
+
+    return at
+
+
 def solve_fundamental(
     field: CoefficientField,
     mu: RelaxedControl,
@@ -160,54 +186,41 @@ def solve_fundamental(
     the x-pair uses the measure-integrated drift/diffusion slopes and the
     y-pair the stock model's derivatives along the simulated y path.
     """
-    _, slope, _, vol_slope = coefficient_integrals(field, mu)
-    return _fundamental_pairs(slope, vol_slope, bundle, stock)
+    slopes = _path_slopes(coefficient_integrals(field, mu), bundle, stock)
+    flow, inv_sde = _fundamental_pairs(slopes, bundle)
+    return tuple(FundamentalPair(flow=flow[:, c], flow_inv=1.0 / flow[:, c],
+                                 flow_inv_sde=inv_sde[:, c]) for c in (0, 1))
 
 
-def _fundamental_pairs(slope, vol_slope, bundle, stock):
-    """``solve_fundamental`` on given slope integrals, (S|1, n) and (S|1, n, d)."""
-    tg = bundle.tg
-    n, dt = tg.steps, tg.dt
-    times = tg.times()
-    scen = bundle.scenarios
-    flow_x = np.empty((scen, n + 1))
-    inv_x = np.empty((scen, n + 1))
-    flow_y = np.empty((scen, n + 1))
-    inv_y = np.empty((scen, n + 1))
-    flow_x[:, 0] = inv_x[:, 0] = flow_y[:, 0] = inv_y[:, 0] = 1.0
+def _fundamental_pairs(slopes, bundle):
+    """Flows and SDE-integrated inverse flows of both components,
+    (S, 2, steps + 1) each, on the per-step ``slopes`` of ``_path_slopes``."""
+    n, dt = bundle.tg.steps, bundle.tg.dt
+    flow = np.empty((bundle.scenarios, 2, n + 1))
+    inv = np.empty_like(flow)
+    flow[:, :, 0] = inv[:, :, 0] = 1.0
     for k in range(n):
-        dw = bundle.noise[:, k]
-        slo, vslo = slope[:, k], vol_slope[:, k]
-        shock = (vslo * dw).sum(axis=-1)
+        slo, vslo = slopes(k)
+        shock = (vslo * bundle.noise[:, k, None]).sum(axis=-1)
         quad = (vslo * vslo).sum(axis=-1)
-        flow_x[:, k + 1] = flow_x[:, k] * (1.0 + slo * dt + shock)
-        inv_x[:, k + 1] = inv_x[:, k] * (1.0 + (quad - slo) * dt - shock)
-        yk = bundle.y[:, k]
-        bdy = stock.drift_dy(times[k], yk)
-        sdy = stock.diffusion_dy(times[k], yk)
-        shock_y = (sdy * dw).sum(axis=-1)
-        quad_y = (sdy * sdy).sum(axis=-1)
-        flow_y[:, k + 1] = flow_y[:, k] * (1.0 + bdy * dt + shock_y)
-        inv_y[:, k + 1] = inv_y[:, k] * (1.0 + (quad_y - bdy) * dt - shock_y)
-    pair_x = FundamentalPair(flow=flow_x, flow_inv=1.0 / flow_x, flow_inv_sde=inv_x)
-    pair_y = FundamentalPair(flow=flow_y, flow_inv=1.0 / flow_y, flow_inv_sde=inv_y)
-    return pair_x, pair_y
+        flow[:, :, k + 1] = flow[:, :, k] * (1.0 + slo * dt + shock)
+        inv[:, :, k + 1] = inv[:, :, k] * (1.0 + (quad - slo) * dt - shock)
+    return flow, inv
 
 
 def _gradient_paths(field, mu, bundle, running):
-    """Measure-integrated running-cost gradients along the paths, (S, steps)."""
+    """Measure-integrated running-cost gradients along the paths,
+    (S, 2, steps) with component 0 for x and 1 for y."""
     tg = bundle.tg
     times = tg.times()
     pts = field.grid.points
-    scen = bundle.scenarios
-    hx = np.empty((scen, tg.steps))
-    hy = np.empty((scen, tg.steps))
+    h = np.empty((bundle.scenarios, 2, tg.steps))
     for k in range(tg.steps):
         w = mu.weights[k]
         xk, yk = bundle.x[:, k], bundle.y[:, k]
-        hx[:, k] = integrate_against(running.dx(times[k], xk, yk, pts), w, axis=-1)
-        hy[:, k] = integrate_against(running.dy(times[k], xk, yk, pts), w, axis=-1)
-    return hx, hy
+        h[:, 0, k] = integrate_against(running.dx(times[k], xk, yk, pts), w, axis=-1)
+        h[:, 1, k] = integrate_against(running.dy(times[k], xk, yk, pts), w, axis=-1)
+    return h
 
 
 def solve_adjoint_phi(
@@ -230,21 +243,16 @@ def solve_adjoint_phi(
     components share one projector per step.  Terminal slices are set to the
     exact gradients.
     """
-    _, slope, _, vol_slope = coefficient_integrals(field, mu)
-    pair_x, pair_y = _fundamental_pairs(slope, vol_slope, bundle, stock)
-    hx, hy = _gradient_paths(field, mu, bundle, running)
-    tg = bundle.tg
-    n, dt = tg.steps, tg.dt
-    times = tg.times()
+    slopes = _path_slopes(coefficient_integrals(field, mu), bundle, stock)
+    flow = _fundamental_pairs(slopes, bundle)[0]
+    flow_inv = 1.0 / flow
+    n, dt = bundle.tg.steps, bundle.tg.dt
     scen, d = bundle.scenarios, bundle.dim
     xn, yn = bundle.x[:, n], bundle.y[:, n]
 
     # axis 1 indexes the component: 0 for x, 1 for y
-    flow = np.stack([pair_x.flow, pair_y.flow], axis=1)
-    flow_inv = np.stack([pair_x.flow_inv, pair_y.flow_inv], axis=1)
-    del pair_x, pair_y  # release the unstacked copies before the backward pass
     grad = np.column_stack([terminal.dx(xn, yn), terminal.dy(xn, yn)])
-    weighted = flow[:, :, :n] * np.stack([hx, hy], axis=1) * dt
+    weighted = flow[:, :, :n] * _gradient_paths(field, mu, bundle, running) * dt
     total = flow[:, :, n] * grad + weighted.sum(axis=2)
     prefix = np.zeros((scen, 2, n + 1))
     np.cumsum(weighted, axis=2, out=prefix[:, :, 1:])
@@ -259,10 +267,7 @@ def solve_adjoint_phi(
         incr = (mart_next - mart)[:, :, None] * bundle.noise[:, k, None] / dt
         mart_next = mart
         integrand = proj.fit(incr.reshape(scen, 2 * d)).reshape(scen, 2, d)
-        loaded = flow_inv[:, :, k, None] * integrand
-        sdy = stock.diffusion_dy(times[k], bundle.y[:, k])
-        load[:, 0, k] = loaded[:, 0] - vol_slope[:, k] * p[:, 0, k, None]
-        load[:, 1, k] = loaded[:, 1] - sdy * p[:, 1, k, None]
+        load[:, :, k] = flow_inv[:, :, k, None] * integrand - slopes(k)[1] * p[:, :, k, None]
     return AdjointSolution(px=p[:, 0], Px=load[:, 0], py=p[:, 1], Py=load[:, 1],
                            method="phi-construction")
 
@@ -289,32 +294,25 @@ def solve_adjoint_regression(
 
     Both components share one projector per step, with three stacked fits.
     """
-    tg = bundle.tg
-    n, dt = tg.steps, tg.dt
-    times = tg.times()
+    n, dt = bundle.tg.steps, bundle.tg.dt
     scen, d = bundle.scenarios, bundle.dim
     x, y, dw = bundle.x, bundle.y, bundle.noise
-    _, slope, _, vol_slope = coefficient_integrals(field, mu)
-    hx, hy = _gradient_paths(field, mu, bundle, running)
+    slopes = _path_slopes(coefficient_integrals(field, mu), bundle, stock)
+    h = _gradient_paths(field, mu, bundle, running)
 
-    px = np.empty((scen, n + 1))
-    py = np.empty((scen, n + 1))
-    Px = np.empty((scen, n, d))
-    Py = np.empty((scen, n, d))
-    px[:, n] = terminal.dx(x[:, n], y[:, n])
-    py[:, n] = terminal.dy(x[:, n], y[:, n])
+    # stored component-first, so that each returned array is C-contiguous;
+    # every fit target is a C-contiguous (S, 2 | 2 * dim) block
+    p = np.empty((2, scen, n + 1))
+    load = np.empty((2, scen, n, d))
+    nxt = np.column_stack([terminal.dx(x[:, n], y[:, n]), terminal.dy(x[:, n], y[:, n])])
+    p[:, :, n] = nxt.T
     for k in range(n - 1, -1, -1):
-        xk, yk = x[:, k], y[:, k]
-        proj = Projector(xk, yk, degree, ridge)
-        nxt = np.column_stack([px[:, k + 1], py[:, k + 1]])
+        proj = Projector(x[:, k], y[:, k], degree, ridge)
         resid = nxt - proj.fit(nxt)
         loads = proj.fit((resid[:, :, None] * dw[:, k, None]).reshape(scen, 2 * d) / dt)
-        Px[:, k], Py[:, k] = loads[:, :d], loads[:, d:]
-        slo, vslo = slope[:, k], vol_slope[:, k]
-        target_x = px[:, k + 1] + (slo * px[:, k + 1] + (vslo * Px[:, k]).sum(-1) + hx[:, k]) * dt
-        bdy = stock.drift_dy(times[k], yk)
-        sdy = stock.diffusion_dy(times[k], yk)
-        target_y = py[:, k + 1] + (bdy * py[:, k + 1] + (sdy * Py[:, k]).sum(-1) + hy[:, k]) * dt
-        px[:, k], py[:, k] = proj.fit(np.column_stack([target_x, target_y])).T
-    return AdjointSolution(px=px, Px=Px, py=py, Py=Py, method="regression")
-
+        loads = loads.reshape(scen, 2, d)
+        slo, vslo = slopes(k)
+        nxt = proj.fit(nxt + (slo * nxt + (vslo * loads).sum(-1) + h[:, :, k]) * dt)
+        p[:, :, k] = nxt.T
+        load[:, :, k] = loads.transpose(1, 0, 2)
+    return AdjointSolution(px=p[0], Px=load[0], py=p[1], Py=load[1], method="regression")

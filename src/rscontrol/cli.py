@@ -235,24 +235,40 @@ def _build_problem(cfg: dict, tg: TimeGrid) -> ControlProblem:
     raise ConfigError(f"problem.kind must be 'canonical' or 'finance', got {kind!r}")
 
 
-def _build_controls(cfg: dict, problem: ControlProblem):
+def _build_controls(cfg: dict, problem: ControlProblem, path: str | None):
+    """The controls of the controls file at ``path`` if given, else of the
+    config's ``controls`` block (validated either way), else the defaults."""
     mu, xi = problem.default_controls()
     spec = cfg.get("controls")
-    if spec is None:
-        return mu, xi
-    _check_keys(spec, _CONTROLS_KEYS, set(), "controls")
-    relaxed = spec.get("relaxed", "uniform")
-    if relaxed != "uniform":
-        mu = RelaxedControl(np.asarray(relaxed["weights"], float))
-    singular = spec.get("singular", "zero")
-    if singular != "zero":
-        xi = SingularControl(
-            np.asarray(singular["increments"], float), tv_cap=problem.tv_cap
-        )
+    if spec is not None:
+        _check_keys(spec, _CONTROLS_KEYS, set(), "controls")
+        relaxed = spec.get("relaxed", "uniform")
+        if relaxed != "uniform":
+            mu = RelaxedControl(np.asarray(relaxed["weights"], float))
+        singular = spec.get("singular", "zero")
+        if singular != "zero":
+            xi = SingularControl(
+                np.asarray(singular["increments"], float), tv_cap=problem.tv_cap
+            )
+    source = "controls"
+    if path is not None:
+        source = "controls file"
+        try:
+            grid, mu, xi, horizon = load_controls(path)
+        except FileNotFoundError:
+            raise ConfigError(f"controls file not found: {path}")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"malformed controls file: {exc}") from exc
+        if not math.isfinite(horizon) or abs(horizon - problem.tg.horizon) > 1e-12:
+            raise ConfigError("controls file does not match the scenario time grid")
+        if grid.points.shape != problem.grid.points.shape or not np.allclose(
+            grid.points, problem.grid.points, atol=1e-12
+        ):
+            raise ConfigError("controls file grid does not match the scenario action grid")
     if mu.steps != problem.tg.steps or mu.count != problem.grid.count:
-        raise ConfigError("controls.relaxed does not match the problem shape")
+        raise ConfigError(f"{source}: relaxed control does not match the problem shape")
     if xi.steps != problem.tg.steps or xi.dim != problem.dim:
-        raise ConfigError("controls.singular does not match the problem shape")
+        raise ConfigError(f"{source}: singular control does not match the problem shape")
     return mu, xi
 
 
@@ -348,7 +364,7 @@ def _prepare(args, command: str):
     try:
         tg = TimeGrid(float(cfg["time"]["horizon"]), int(cfg["time"]["steps"]))
         problem = _build_problem(cfg, tg)
-        mu, xi = _build_controls(cfg, problem)
+        mu, xi = _build_controls(cfg, problem, getattr(args, "controls", None))
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
     outdir = Path(cfg["output_dir"])
@@ -437,22 +453,6 @@ def cmd_optimize(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg, problem, mu, xi, outdir = _prepare(args, "verify")
-    try:
-        grid, mu, xi, horizon = load_controls(args.controls)
-    except FileNotFoundError:
-        raise ConfigError(f"controls file not found: {args.controls}")
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed controls file: {exc}") from exc
-    if (not math.isfinite(horizon) or abs(horizon - problem.tg.horizon) > 1e-12
-            or mu.steps != problem.tg.steps):
-        raise ConfigError("controls file does not match the scenario time grid")
-    if mu.count != problem.grid.count or xi.dim != problem.dim:
-        raise ConfigError("controls file does not match the scenario problem shape")
-    if grid.points.shape != problem.grid.points.shape or not np.allclose(
-        grid.points, problem.grid.points, atol=1e-12
-    ):
-        raise ConfigError("controls file grid does not match the scenario action grid")
-
     field, bundle = _simulate(cfg, problem, mu, xi, args.threads)
     report = _check(cfg, problem, field, bundle, outdir)
     doc = report.to_json()

@@ -24,7 +24,7 @@ arrays exactly.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -533,19 +533,8 @@ class MomentReport:
     EXPLOSION_THRESHOLD = 1e12
 
     def to_json(self) -> dict:
-        def safe(v):
-            return v if np.isfinite(v) else None  # strict-JSON friendly
-
-        return {
-            "order": self.order,
-            "sup_moment_x": safe(self.sup_moment_x),
-            "sup_moment_y": safe(self.sup_moment_y),
-            "terminal_moment_x": safe(self.terminal_moment_x),
-            "terminal_moment_y": safe(self.terminal_moment_y),
-            "drift_slope_exp_moment": safe(self.drift_slope_exp_moment),
-            "exploded": self.exploded,
-            "non_finite": self.non_finite,
-        }
+        # non-finite values become null, for strict JSON
+        return {k: v if np.isfinite(v) else None for k, v in asdict(self).items()}
 
 
 def moment_diagnostics(bundle: TrajectoryBundle, field: CoefficientField, p: float = 2.0) -> MomentReport:

@@ -11,7 +11,7 @@ the jump gains ``((1-cost_buy), -1)`` and ``(-1, (1-cost_sell))``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -52,29 +52,12 @@ class MarketModel:
             raise ValueError("maturity and consumption grids must be nonempty")
 
     def to_dict(self) -> dict:
-        return {
-            "volatility": self.volatility,
-            "sigma": self.sigma,
-            "mean_reversion": self.mean_reversion,
-            "maturities": self.maturities.tolist(),
-            "consumption": self.consumption.tolist(),
-            "short_rate": self.short_rate,
-            "market_price_of_risk": self.market_price_of_risk,
-            "clamp_quantile": self.clamp_quantile,
-        }
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v
+                for k, v in asdict(self).items()}
 
     @staticmethod
     def from_dict(doc: dict) -> "MarketModel":
-        return MarketModel(
-            volatility=doc["volatility"],
-            sigma=doc["sigma"],
-            mean_reversion=doc.get("mean_reversion", 0.0),
-            maturities=doc["maturities"],
-            consumption=doc["consumption"],
-            short_rate=doc.get("short_rate", {"kind": "gaussian", "r0": 0.03, "drift": 0.0}),
-            market_price_of_risk=doc.get("market_price_of_risk", {"kind": "constant", "value": 0.1}),
-            clamp_quantile=doc.get("clamp_quantile"),
-        )
+        return MarketModel(**doc)
 
 
 def integrated_volatility(market: MarketModel, maturities) -> np.ndarray:
@@ -87,8 +70,6 @@ def integrated_volatility(market: MarketModel, maturities) -> np.ndarray:
     if market.volatility == "ho-lee":
         return -market.sigma * u
     c = market.mean_reversion
-    if c == 0.0:
-        raise ValueError("hull-white requires a nonzero mean-reversion rate")
     return (market.sigma / c) * np.expm1(-c * u)
 
 

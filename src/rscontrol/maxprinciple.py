@@ -23,7 +23,7 @@ the report then quantifies the pathwise violation rather than hiding it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -197,12 +197,7 @@ class MaxPrincipleTolerances:
     comp_scale: float = 1e-6
 
     def to_json(self) -> dict:
-        return {
-            "gap_se_multiplier": self.gap_se_multiplier,
-            "gap_floor": self.gap_floor,
-            "slack_scale": self.slack_scale,
-            "comp_scale": self.comp_scale,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -229,22 +224,7 @@ class OptimalityReport:
         return self.pass_hamiltonian and self.pass_slack and self.pass_complementarity
 
     def to_json(self) -> dict:
-        return {
-            "hamiltonian_gap": self.hamiltonian_gap,
-            "gap_stderr": self.gap_stderr,
-            "gap_tolerance": self.gap_tolerance,
-            "slack_min": self.slack_min,
-            "slack_tolerance": self.slack_tolerance,
-            "complementarity_violation": self.complementarity_violation,
-            "comp_tolerance": self.comp_tolerance,
-            "costate_scale": self.costate_scale,
-            "xi_total_variation": self.xi_total_variation,
-            "pass_hamiltonian": self.pass_hamiltonian,
-            "pass_slack": self.pass_slack,
-            "pass_complementarity": self.pass_complementarity,
-            "passed": self.passed,
-            "tolerances": self.tolerances.to_json(),
-        }
+        return {**asdict(self), "passed": self.passed}
 
     def render_table(self) -> str:
         rows = [

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adjoint import _gradient_paths, solve_adjoint_phi, solve_adjoint_regression
+from .adjoint import _gradient_paths, _path_slopes, solve_adjoint_phi, solve_adjoint_regression
 from .dynamics import CoefficientField, TrajectoryBundle, coefficient_integrals
 from .maxprinciple import VariationalDerivative, _shortfall, slack_paths
 from .maxprinciple import variational_derivative  # noqa: F401  (perfbench wraps this module attribute)
@@ -100,39 +100,29 @@ def solve_first_variation(
     Reuses the bundle's Brownian increments.
     """
     q, eta = direction
-    tg = bundle.tg
-    n, dt = tg.steps, tg.dt
-    times = tg.times()
+    n, dt = bundle.tg.steps, bundle.tg.dt
     scen = bundle.scenarios
-    delta = eta.increments - bundle.xi.increments
-    jump_x = (fieldref.jump_gain_x * delta).sum(axis=1)
-    jump_y = (fieldref.jump_gain_y * delta).sum(axis=1)
+    gains = np.stack([fieldref.jump_gain_x, fieldref.jump_gain_y], axis=1)
+    jump = (gains * (eta.increments - bundle.xi.increments)[:, None]).sum(axis=-1)
 
-    alpha_x = np.zeros((scen, n + 1))
-    alpha_y = np.zeros((scen, n + 1))
+    # axis 1 of alpha indexes the component: 0 for x, 1 for y
+    alpha = np.zeros((scen, 2, n + 1))
     beta = np.zeros((scen, n + 1))
     at_mu = coefficient_integrals(fieldref, mu)
-    at_q = coefficient_integrals(fieldref, q)
+    slopes = _path_slopes(at_mu, bundle, stock)
+    d_lev, d_slo, d_vlev, d_vslo = (
+        b - a for a, b in zip(at_mu, coefficient_integrals(fieldref, q))
+    )
     for k in range(n):
         dw = bundle.noise[:, k]
-        xk, yk = bundle.x[:, k], bundle.y[:, k]
-        lev, slo, vlev, vslo = (a[:, k] for a in at_mu)
-        lev_q, slo_q, vlev_q, vslo_q = (a[:, k] for a in at_q)
-        shock = (vslo * dw).sum(axis=-1)
-        alpha_x[:, k + 1] = alpha_x[:, k] * (1.0 + slo * dt + shock) + jump_x[k]
-        bdy = stock.drift_dy(times[k], yk)
-        sdy = stock.diffusion_dy(times[k], yk)
-        alpha_y[:, k + 1] = (
-            alpha_y[:, k] * (1.0 + bdy * dt + (sdy * dw).sum(axis=-1)) + jump_y[k]
-        )
-        drift_diff = (lev_q - lev) + (slo_q - slo) * xk
-        vol_diff = (vlev_q - vlev) + (vslo_q - vslo) * xk[:, None]
-        beta[:, k + 1] = (
-            beta[:, k] * (1.0 + slo * dt + shock)
-            + drift_diff * dt
-            + (vol_diff * dw).sum(axis=-1)
-        )
-    return FirstVariation(alpha_x=alpha_x, alpha_y=alpha_y, beta=beta)
+        xk = bundle.x[:, k]
+        slo, vslo = slopes(k)
+        growth = 1.0 + slo * dt + (vslo * dw[:, None]).sum(axis=-1)
+        alpha[:, :, k + 1] = alpha[:, :, k] * growth + jump[k]
+        drift_diff = d_lev[:, k] + d_slo[:, k] * xk
+        vol_diff = d_vlev[:, k] + d_vslo[:, k] * xk[:, None]
+        beta[:, k + 1] = beta[:, k] * growth[:, 0] + drift_diff * dt + (vol_diff * dw).sum(axis=-1)
+    return FirstVariation(alpha_x=alpha[:, 0], alpha_y=alpha[:, 1], beta=beta)
 
 
 def first_variation_derivative(
@@ -159,16 +149,16 @@ def first_variation_derivative(
     xn, yn = bundle.x[:, -1], bundle.y[:, -1]
     gx = terminal.dx(xn, yn)
     gy = terminal.dy(xn, yn)
-    hx, hy = _gradient_paths(fieldref, bundle.mu, bundle, running)
+    h = _gradient_paths(fieldref, bundle.mu, bundle, running)
 
     singular = gx * fv.alpha_x[:, -1] + gy * fv.alpha_y[:, -1]
     measure = gx * fv.beta[:, -1]
     for k in range(tg.steps):
         xk, yk = bundle.x[:, k], bundle.y[:, k]
-        singular += (hx[:, k] * fv.alpha_x[:, k] + hy[:, k] * fv.alpha_y[:, k]) * tg.dt
+        singular += (h[:, 0, k] * fv.alpha_x[:, k] + h[:, 1, k] * fv.alpha_y[:, k]) * tg.dt
         h_pt = running.value(times[k], xk, yk, pts)
         dq = q.weights[k] - bundle.mu.weights[k]
-        measure += (hx[:, k] * fv.beta[:, k] + integrate_against(h_pt, dq, axis=-1)) * tg.dt
+        measure += (h[:, 0, k] * fv.beta[:, k] + integrate_against(h_pt, dq, axis=-1)) * tg.dt
     delta = eta.increments - bundle.xi.increments
     singular = singular + float(np.sum(k_path * delta))
     return VariationalDerivative.from_samples(singular, measure)

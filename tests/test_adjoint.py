@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -75,6 +76,19 @@ class TestSolveFundamental:
         assert np.all(fx.flow_inv == 1.0)
         assert np.all(fx.flow_inv_sde == 1.0)
         assert np.all(fy.flow == 1.0)
+
+    def test_linear_stock_y_flow(self):
+        # dy = lam y dt + rho y dW_1: the y flow is the product of the Euler
+        # growth factors along the path, whatever the x coefficients
+        lam, rho = 0.3, 0.4
+        problem = dataclasses.replace(rich_toy(steps=40), stock=rc.linear_stock(lam, rho, 2))
+        field, mu, bundle = _setup(problem, 50, 4)
+        _, fy = rc.solve_fundamental(field, mu, bundle, problem.stock)
+        growth = 1.0 + lam * bundle.tg.dt + rho * bundle.noise[:, :, 1]
+        expected = np.concatenate([np.ones((50, 1)), np.cumprod(growth, axis=1)], axis=1)
+        assert np.allclose(fy.flow, expected, rtol=1e-13, atol=0.0)
+        assert np.array_equal(fy.flow_inv, 1.0 / fy.flow)
+        assert np.ptp(fy.flow[:, -1]) > 0.1   # the y flow is genuinely random
 
     def test_exponential_oracle(self):
         a = 0.8

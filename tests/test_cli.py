@@ -420,6 +420,22 @@ class TestVerify:
                    "--controls", str(tmp_path / "absent.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("case", ["missing", "mismatched"])
+    def test_bad_controls_file_creates_no_output(self, tmp_path, capsys, case):
+        cfg = _toy_config(tmp_path / "out")
+        controls = tmp_path / "controls.json"
+        if case == "mismatched":   # one step more than the scenario's time grid
+            grid = rc.ActionGrid(np.asarray(cfg["problem"]["action_grid"]["points"]))
+            steps = cfg["time"]["steps"] + 1
+            _write(controls, controls_to_json(grid, RelaxedControl.uniform(steps, grid.count),
+                                              SingularControl.zero(steps, 1),
+                                              cfg["time"]["horizon"]))
+        code = main(["verify", "--config", _write(tmp_path / "c.json", cfg),
+                     "--controls", str(controls), "--out", str(tmp_path / "mf")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "mf").exists()
+
 
 class TestExampleBond:
     def test_packaged_scenario_matches_generator(self):

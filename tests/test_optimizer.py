@@ -115,6 +115,25 @@ class TestFirstVariation:
         expected[8:] = 1.0
         assert np.allclose(fv.alpha_x, expected[None, :], atol=1e-14)
 
+    def test_unit_y_jump_step_path(self):
+        # a unit y-jump at step 7 (gain (0, 1)), then the stock's growth:
+        # alpha_y[k] = prod_{8 <= j < k} (1 + lam dt + rho dW_1[j]) for k >= 8
+        lam, rho = 0.3, 0.4
+        problem = dataclasses.replace(drift_control_toy(steps=20),
+                                      stock=rc.linear_stock(lam, rho, 2))
+        field, noise, bundle = _setup(problem, 6, 2)
+        inc = np.zeros((20, 2))
+        inc[7, 1] = 1.0
+        fv = solve_first_variation(field, bundle.mu, bundle, problem.stock,
+                                   (bundle.mu, SingularControl(inc)))
+        growth = 1.0 + lam * bundle.tg.dt + rho * noise[:, 8:, 1]
+        expected = np.zeros((6, 21))
+        expected[:, 8] = 1.0
+        expected[:, 9:] = np.cumprod(growth, axis=1)
+        assert np.allclose(fv.alpha_y, expected, rtol=1e-13, atol=1e-14)
+        assert np.all(fv.alpha_x == 0.0)
+        assert np.ptp(fv.alpha_y[:, -1]) > 0.05
+
     def test_finite_difference_oracle(self):
         # (J(theta) - J(0)) / theta against the first-variation formula
         problem = rich_toy(steps=120)
