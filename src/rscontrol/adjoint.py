@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import CoefficientField, StockModel, TrajectoryBundle, coefficient_integrals
+from .dynamics import _dot_last
 from .measures import RelaxedControl, integrate_against
 from .problems import RunningCost, TerminalCost
 
@@ -138,6 +139,7 @@ class AdjointSolution:
     px, py : (scenarios, steps + 1) costate values; the terminal slice equals
         the terminal-cost gradient exactly.
     Px, Py : (scenarios, steps, dim) diffusion loadings of the costates.
+    Both solvers store them step-major, so ``px[:, k]`` is contiguous.
     """
 
     px: np.ndarray
@@ -166,7 +168,7 @@ def _path_slopes(integrals, bundle, stock):
 
     def at(k):
         yk = bundle.y[:, k]
-        drift, vol = np.empty(shape), np.empty(shape + (bundle.dim,))
+        drift, vol = np.empty(shape, order="F"), np.empty(shape + (bundle.dim,), order="F")
         drift[:, 0], drift[:, 1] = slope[:, k], stock.drift_dy(times[k], yk)
         vol[:, 0], vol[:, 1] = vol_slope[:, k], stock.diffusion_dy(times[k], yk)
         return drift, vol
@@ -193,16 +195,16 @@ def solve_fundamental(
 
 
 def _fundamental_pairs(slopes, bundle):
-    """Flows and SDE-integrated inverse flows of both components,
-    (S, 2, steps + 1) each, on the per-step ``slopes`` of ``_path_slopes``."""
+    """Flows and SDE-integrated inverse flows of both components, (S, 2,
+    steps + 1) each and step-major, on the per-step ``slopes`` of ``_path_slopes``."""
     n, dt = bundle.tg.steps, bundle.tg.dt
-    flow = np.empty((bundle.scenarios, 2, n + 1))
+    flow = np.empty((bundle.scenarios, 2, n + 1), order="F")
     inv = np.empty_like(flow)
     flow[:, :, 0] = inv[:, :, 0] = 1.0
     for k in range(n):
         slo, vslo = slopes(k)
-        shock = (vslo * bundle.noise[:, k, None]).sum(axis=-1)
-        quad = (vslo * vslo).sum(axis=-1)
+        shock = _dot_last(vslo, bundle.noise[:, k, None])
+        quad = _dot_last(vslo, vslo)
         flow[:, :, k + 1] = flow[:, :, k] * (1.0 + slo * dt + shock)
         inv[:, :, k + 1] = inv[:, :, k] * (1.0 + (quad - slo) * dt - shock)
     return flow, inv
@@ -210,11 +212,11 @@ def _fundamental_pairs(slopes, bundle):
 
 def _gradient_paths(field, mu, bundle, running):
     """Measure-integrated running-cost gradients along the paths,
-    (S, 2, steps) with component 0 for x and 1 for y."""
+    (S, 2, steps) step-major, with component 0 for x and 1 for y."""
     tg = bundle.tg
     times = tg.times()
     pts = field.grid.points
-    h = np.empty((bundle.scenarios, 2, tg.steps))
+    h = np.empty((bundle.scenarios, 2, tg.steps), order="F")
     for k in range(tg.steps):
         w = mu.weights[k]
         xk, yk = bundle.x[:, k], bundle.y[:, k]
@@ -252,13 +254,14 @@ def solve_adjoint_phi(
 
     # axis 1 indexes the component: 0 for x, 1 for y
     grad = np.column_stack([terminal.dx(xn, yn), terminal.dy(xn, yn)])
-    weighted = flow[:, :, :n] * _gradient_paths(field, mu, bundle, running) * dt
+    # C order, so that the step sum is numpy's pairwise sum along contiguous rows
+    weighted = np.ascontiguousarray(flow[:, :, :n] * _gradient_paths(field, mu, bundle, running) * dt)
     total = flow[:, :, n] * grad + weighted.sum(axis=2)
-    prefix = np.zeros((scen, 2, n + 1))
+    prefix = np.zeros((scen, 2, n + 1), order="F")
     np.cumsum(weighted, axis=2, out=prefix[:, :, 1:])
-    p = np.empty((scen, 2, n + 1))
+    p = np.empty((scen, 2, n + 1), order="F")
     p[:, :, n] = grad
-    load = np.empty((scen, 2, n, d))
+    load = np.empty((scen, 2, n, d), order="F")
     mart_next = total
     for k in range(n - 1, -1, -1):
         proj = Projector(bundle.x[:, k], bundle.y[:, k], degree, ridge)
@@ -300,19 +303,19 @@ def solve_adjoint_regression(
     slopes = _path_slopes(coefficient_integrals(field, mu), bundle, stock)
     h = _gradient_paths(field, mu, bundle, running)
 
-    # stored component-first, so that each returned array is C-contiguous;
     # every fit target is a C-contiguous (S, 2 | 2 * dim) block
-    p = np.empty((2, scen, n + 1))
-    load = np.empty((2, scen, n, d))
+    p = np.empty((scen, 2, n + 1), order="F")
+    load = np.empty((scen, 2, n, d), order="F")
     nxt = np.column_stack([terminal.dx(x[:, n], y[:, n]), terminal.dy(x[:, n], y[:, n])])
-    p[:, :, n] = nxt.T
+    p[:, :, n] = nxt
     for k in range(n - 1, -1, -1):
         proj = Projector(x[:, k], y[:, k], degree, ridge)
         resid = nxt - proj.fit(nxt)
         loads = proj.fit((resid[:, :, None] * dw[:, k, None]).reshape(scen, 2 * d) / dt)
         loads = loads.reshape(scen, 2, d)
         slo, vslo = slopes(k)
-        nxt = proj.fit(nxt + (slo * nxt + (vslo * loads).sum(-1) + h[:, :, k]) * dt)
-        p[:, :, k] = nxt.T
-        load[:, :, k] = loads.transpose(1, 0, 2)
-    return AdjointSolution(px=p[0], Px=load[0], py=p[1], Py=load[1], method="regression")
+        nxt = proj.fit(nxt + (slo * nxt + _dot_last(vslo, loads) + h[:, :, k]) * dt)
+        p[:, :, k] = nxt
+        load[:, :, k] = loads
+    return AdjointSolution(px=p[:, 0], Px=load[:, 0], py=p[:, 1], Py=load[:, 1],
+                           method="regression")

@@ -222,6 +222,7 @@ def _build_problem(cfg: dict, tg: TimeGrid) -> ControlProblem:
         _check_keys(spec["market"], _MARKET_KEYS,
                     {"volatility", "sigma", "maturities", "consumption"}, "problem.market")
         market = MarketModel.from_dict(spec["market"])
+        market.check_tables(tg.steps, int(cfg["scenarios"]))
         terminal = _build_terminal(spec["terminal_cost"]) if "terminal_cost" in spec else None
         terminal_spec = spec.get("terminal_cost", {})
         params = PortfolioParams(

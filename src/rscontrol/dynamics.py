@@ -18,7 +18,9 @@ a point mass reproduces the gathered value bit for bit.
 
 Scenario noise comes from one generator per seed and is drawn once before
 thread chunking, so chunked or parallel execution reproduces the single-pass
-arrays exactly.
+arrays exactly.  Every (scenario, step) path array is stored step-major
+(Fortran order, same shapes), so that each recurrence reads and writes one
+contiguous block per step; the layout changes no value.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ import numpy as np
 
 from .measures import ActionGrid, RelaxedControl, SingularControl
 from .measures import integrate_against  # noqa: F401  (perfbench wraps this module attribute)
+
+NOISE_BLOCK = 256   # scenarios per generator call in ``brownian_increments``
 
 
 class NonFiniteStateError(RuntimeError):
@@ -69,12 +73,19 @@ class TimeGrid:
 def brownian_increments(seed: int, scenarios: int, steps: int, dim: int, dt: float) -> np.ndarray:
     """Brownian increments, shape (scenarios, steps, dim), from one generator per seed.
 
-    The block is drawn once, in C order, so it is deterministic in
+    Stored step-major, filled by blocks of ``NOISE_BLOCK`` scenarios that
+    continue one stream as a single C-order draw would: it is deterministic in
     ``(seed, shape)`` and its first ``s`` scenarios equal an ``s``-scenario
     draw; threaded simulation slices this array, so chunking cannot change it.
     """
-    out = np.random.default_rng(seed).standard_normal((scenarios, steps, dim))
-    out *= np.sqrt(dt)
+    rng = np.random.default_rng(seed)
+    out = np.empty((scenarios, steps, dim), order="F")
+    block = np.empty((min(NOISE_BLOCK, scenarios), steps, dim))
+    for first in range(0, scenarios, NOISE_BLOCK):
+        rows = out[first:first + NOISE_BLOCK]
+        draw = rng.standard_normal(out=block[:len(rows)])
+        draw *= np.sqrt(dt)
+        rows.T[...] = draw.T   # copied through the transposes, in the target's memory order
     return out
 
 
@@ -284,7 +295,7 @@ def linear_stock(lam: float, rho: float, dim: int, component: int = 1) -> StockM
     return StockModel(
         drift=lambda t, y: lam * y,
         drift_dy=lambda t, y: np.full_like(y, lam),
-        diffusion=lambda t, y: rho * y[:, None] * unit,
+        diffusion=lambda t, y: np.multiply((rho * y)[:, None], unit, order="F"),
         diffusion_dy=lambda t, y: np.broadcast_to(rho * unit, (y.shape[0], dim)),
     )
 
@@ -341,7 +352,7 @@ def sample_coefficients(
 
 @dataclass(frozen=True)
 class TrajectoryBundle:
-    """Simulated scenario paths plus the inputs needed to reproduce them."""
+    """Simulated scenario paths, stored step-major, plus the inputs needed to reproduce them."""
 
     tg: TimeGrid
     x: np.ndarray       # (scenarios, steps + 1)
@@ -359,36 +370,63 @@ class TrajectoryBundle:
         return self.noise.shape[2]
 
 
+def _affine_columns(level, slope, x) -> np.ndarray:
+    """``level + slope * x[:, None]``, step-major so numpy loops over scenarios."""
+    return np.add(level, np.multiply(slope, x[:, None], order="F"), order="F")
+
+
+def _dot_last(a, b) -> np.ndarray:
+    """``(a * b).sum(axis=-1)`` bit for bit, over a step-major product so that
+    numpy adds whole columns instead of looping over short rows; from 8
+    columns on numpy's C-order sum pairs terms, so C order is kept there."""
+    order = "F" if max(np.shape(a)[-1], np.shape(b)[-1]) < 8 else "C"
+    return np.multiply(a, b, order=order).sum(axis=-1)
+
+
 def _check_finite(arr: np.ndarray, component: str, step: int, first: int = 0) -> None:
     if not np.isfinite(arr).all():
         scenario = first + int(np.flatnonzero(~np.isfinite(arr))[0])
         raise NonFiniteStateError(component, step, scenario)
 
 
-def _simulate_block(integrals, stock, tg, noise, x0, y0, first, jump_x, jump_y):
-    """Euler steps for the scenario block at rows ``first``.. of ``integrals``."""
+def _simulate_block(integrals, stock, tg, noise, x, y, first, jump_x, jump_y):
+    """Euler steps for the scenario block at rows ``first``.. of ``integrals``,
+    written into its rows ``x``, ``y`` of the shared paths (step 0 is set)."""
     lev, slo, vlev, vslo = integrals
-    scenarios = noise.shape[0]
-    n = tg.steps
     dt = tg.dt
     times = tg.times()
-    x = np.empty((scenarios, n + 1))
-    y = np.empty((scenarios, n + 1))
-    x[:, 0] = x0
-    y[:, 0] = y0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
+        for k in range(tg.steps):
             dw = noise[:, k]
             xk = x[:, k]
             yk = y[:, k]
-            diff = vlev[:, k] + vslo[:, k] * xk[:, None]
+            diff = _affine_columns(vlev[:, k], vslo[:, k], xk)
             x[:, k + 1] = (xk + (lev[:, k] + slo[:, k] * xk) * dt
-                           + (diff * dw).sum(axis=-1) + jump_x[k])
+                           + _dot_last(diff, dw) + jump_x[k])
             sy = stock.diffusion(times[k], yk)
-            y[:, k + 1] = yk + stock.drift(times[k], yk) * dt + (sy * dw).sum(axis=-1) + jump_y[k]
+            y[:, k + 1] = yk + stock.drift(times[k], yk) * dt + _dot_last(sy, dw) + jump_y[k]
             _check_finite(x[:, k + 1], "x", k + 1, first)
             _check_finite(y[:, k + 1], "y", k + 1, first)
-    return x, y
+
+
+def _forward_inputs(field, mu, xi, tg, seed, noise):
+    """Checked controls and noise of a forward simulation; returns the noise
+    (drawn from ``seed`` when not given) and the per-step jumps of x and y."""
+    if mu.steps != tg.steps or xi.steps != tg.steps:
+        raise ValueError("controls must have one row per time step")
+    if mu.count != field.grid.count:
+        raise ValueError("relaxed control does not match the field's grid")
+    if xi.dim != field.dim:
+        raise ValueError("singular control dimension does not match the field")
+    if noise is None:
+        if seed is None:
+            raise ValueError("either seed or noise must be given")
+        noise = brownian_increments(seed, field.scenarios, tg.steps, field.dim, tg.dt)
+    if noise.shape != (field.scenarios, tg.steps, field.dim):
+        raise ValueError(f"noise shape {noise.shape} does not match the field")
+    jump_x = (field.jump_gain_x * xi.increments).sum(axis=1)
+    jump_y = (field.jump_gain_y * xi.increments).sum(axis=1)
+    return noise, jump_x, jump_y
 
 
 def simulate_forward(
@@ -427,43 +465,27 @@ def simulate_forward(
     NonFiniteStateError
         If a path overflows; the error names the step and scenario.
     """
-    if mu.steps != tg.steps or xi.steps != tg.steps:
-        raise ValueError("controls must have one row per time step")
-    if mu.count != field.grid.count:
-        raise ValueError("relaxed control does not match the field's grid")
-    if xi.dim != field.dim:
-        raise ValueError("singular control dimension does not match the field")
-    if noise is None:
-        if seed is None:
-            raise ValueError("either seed or noise must be given")
-        noise = brownian_increments(seed, field.scenarios, tg.steps, field.dim, tg.dt)
-    if noise.shape != (field.scenarios, tg.steps, field.dim):
-        raise ValueError(f"noise shape {noise.shape} does not match the field")
-
-    jump_x = (field.jump_gain_x * xi.increments).sum(axis=1)
-    jump_y = (field.jump_gain_y * xi.increments).sum(axis=1)
+    noise, jump_x, jump_y = _forward_inputs(field, mu, xi, tg, seed, noise)
     integrals = coefficient_integrals(field, mu)
     scenarios = field.scenarios
+    x = np.empty((scenarios, tg.steps + 1), order="F")
+    y = np.empty_like(x)
+    x[:, 0] = x0
+    y[:, 0] = y0
+    chunks = 1 if threads <= 1 or scenarios < 2 * threads else threads
+    bounds = np.linspace(0, scenarios, chunks + 1).astype(int).tolist()
 
-    if threads <= 1 or scenarios < 2 * threads:
-        x, y = _simulate_block(integrals, stock, tg, noise, x0, y0, 0, jump_x, jump_y)
+    def run(i):
+        rows = slice(bounds[i], bounds[i + 1])
+        block = tuple(a if a.shape[0] == 1 else a[rows] for a in integrals)
+        _simulate_block(block, stock, tg, noise[rows], x[rows], y[rows], rows.start,
+                        jump_x, jump_y)
+
+    if chunks == 1:
+        run(0)
     else:
-        bounds = np.linspace(0, scenarios, threads + 1).astype(int).tolist()
-        x = np.empty((scenarios, tg.steps + 1))
-        y = np.empty((scenarios, tg.steps + 1))
-
-        def run(i):
-            rows = slice(bounds[i], bounds[i + 1])
-            block = tuple(a if a.shape[0] == 1 else a[rows] for a in integrals)
-            return rows, _simulate_block(
-                block, stock, tg, noise[rows], x0, y0, rows.start, jump_x, jump_y
-            )
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for rows, (xb, yb) in pool.map(run, range(threads)):
-                x[rows] = xb
-                y[rows] = yb
-
+        with ThreadPoolExecutor(max_workers=chunks) as pool:
+            list(pool.map(run, range(chunks)))
     return TrajectoryBundle(tg=tg, x=x, y=y, noise=noise, mu=mu, xi=xi)
 
 
@@ -487,17 +509,12 @@ def simulate_forward_strict(
     idx = np.asarray(action_indices, dtype=int)
     if idx.shape != (tg.steps,):
         raise ValueError("need one grid index per time step")
-    if noise is None:
-        if seed is None:
-            raise ValueError("either seed or noise must be given")
-        noise = brownian_increments(seed, field.scenarios, tg.steps, field.dim, tg.dt)
-
-    jump_x = (field.jump_gain_x * xi.increments).sum(axis=1)
-    jump_y = (field.jump_gain_y * xi.increments).sum(axis=1)
+    mu = RelaxedControl.from_indices(idx, field.grid.count)   # raises on an index off the grid
+    noise, jump_x, jump_y = _forward_inputs(field, mu, xi, tg, seed, noise)
     n, dt = tg.steps, tg.dt
     times = tg.times()
-    x = np.empty((field.scenarios, n + 1))
-    y = np.empty((field.scenarios, n + 1))
+    x = np.empty((field.scenarios, n + 1), order="F")
+    y = np.empty_like(x)
     x[:, 0] = x0
     y[:, 0] = y0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -507,13 +524,12 @@ def simulate_forward_strict(
             xk, yk = x[:, k], y[:, k]
             lev = field.drift_level_at(k)[:, j]
             slo = field.drift_slope_at(k)[:, j]
-            diff = field.vol_level_at(k)[:, j] + field.vol_slope_at(k)[:, j] * xk[:, None]
-            x[:, k + 1] = xk + (lev + slo * xk) * dt + (diff * dw).sum(axis=-1) + jump_x[k]
+            diff = _affine_columns(field.vol_level_at(k)[:, j], field.vol_slope_at(k)[:, j], xk)
+            x[:, k + 1] = xk + (lev + slo * xk) * dt + _dot_last(diff, dw) + jump_x[k]
             sy = stock.diffusion(times[k], yk)
-            y[:, k + 1] = yk + stock.drift(times[k], yk) * dt + (sy * dw).sum(axis=-1) + jump_y[k]
+            y[:, k + 1] = yk + stock.drift(times[k], yk) * dt + _dot_last(sy, dw) + jump_y[k]
             _check_finite(x[:, k + 1], "x", k + 1)
             _check_finite(y[:, k + 1], "y", k + 1)
-    mu = RelaxedControl.from_indices(idx, field.grid.count)
     return TrajectoryBundle(tg=tg, x=x, y=y, noise=noise, mu=mu, xi=xi)
 
 

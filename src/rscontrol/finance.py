@@ -11,6 +11,7 @@ the jump gains ``((1-cost_buy), -1)`` and ``(-1, (1-cost_sell))``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
@@ -42,14 +43,37 @@ class MarketModel:
     def __post_init__(self):
         if self.volatility not in ("ho-lee", "hull-white"):
             raise ValueError(f"unknown volatility model {self.volatility!r}")
+        for name in ("sigma", "mean_reversion", "clamp_quantile"):   # None reads as 0
+            _check_number(getattr(self, name) or 0.0, name)
+        clamp = self.clamp_quantile or 0.0
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
         if self.volatility == "hull-white" and not self.mean_reversion > 0:
             raise ValueError("hull-white requires a positive mean-reversion rate")
-        object.__setattr__(self, "maturities", np.asarray(self.maturities, float))
-        object.__setattr__(self, "consumption", np.asarray(self.consumption, float))
-        if self.maturities.size == 0 or self.consumption.size == 0:
-            raise ValueError("maturity and consumption grids must be nonempty")
+        if not 0.0 <= clamp < 0.5:   # else the lower quantile is not below the upper one
+            raise ValueError(f"clamp_quantile must lie in [0, 0.5), got {clamp!r}")
+        for name in ("maturities", "consumption"):
+            grid = np.asarray(getattr(self, name), float)
+            if grid.ndim != 1 or not grid.size or not np.isfinite(grid).all() or any(np.diff(grid) <= 0):
+                raise ValueError(f"{name} must be a nonempty increasing list of finite numbers")
+            object.__setattr__(self, name, grid)
+        if self.maturities[0] < 0.0:
+            raise ValueError("maturities must be nonnegative times to maturity")
+        for name, kinds in _GENERATOR_KEYS.items():   # a known kind with only its own keys
+            spec = getattr(self, name)
+            kind = spec.get("kind") if isinstance(spec, dict) else None
+            if kind not in kinds or not set(spec) - {"kind"} <= kinds[kind]:
+                raise ValueError(f"{name} must name a kind of {sorted(kinds)} and only that "
+                                 f"kind's keys, got {spec!r}")
+            for key in sorted(set(spec) - {"kind", "values"}):
+                _check_number(spec[key], f"{name}.{key}")
+
+    def check_tables(self, steps: int, scenarios: int) -> None:
+        """Raise ValueError unless each tabulated generator is a finite table
+        of ``steps`` columns and one or ``scenarios`` rows."""
+        for name in _GENERATOR_KEYS:
+            if getattr(self, name)["kind"] == "tabulated":
+                _table(getattr(self, name), name, steps, scenarios)
 
     def to_dict(self) -> dict:
         return {k: v.tolist() if isinstance(v, np.ndarray) else v
@@ -58,6 +82,30 @@ class MarketModel:
     @staticmethod
     def from_dict(doc: dict) -> "MarketModel":
         return MarketModel(**doc)
+
+
+# the keys of each generator kind besides ``kind``; all but ``values`` are numbers
+_GENERATOR_KEYS = {
+    "short_rate": {"gaussian": {"r0", "drift"}, "ou": {"r0", "speed", "level"},
+                   "tabulated": {"values"}},
+    "market_price_of_risk": {"constant": {"value"}, "tabulated": {"values"}},
+}
+
+
+def _check_number(value, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _table(spec: dict, name: str, steps: int, scenarios: int) -> np.ndarray:
+    """The (scenarios | 1, steps) path of a tabulated generator."""
+    values = np.asarray(spec.get("values"), float)
+    table = np.atleast_2d(values)
+    if (table.ndim != 2 or table.shape[1] != steps or not np.isfinite(table).all()
+            or table.shape[0] not in (1, scenarios)):
+        raise ValueError(f"tabulated {name} must be a finite ({steps},) or (scenarios, {steps}) "
+                         f"table, got shape {values.shape}")
+    return table
 
 
 def integrated_volatility(market: MarketModel, maturities) -> np.ndarray:
@@ -118,34 +166,24 @@ def _short_rate_and_mpr(market: MarketModel, tg: TimeGrid, scenarios: int, noise
     spec = market.short_rate
     kind = spec.get("kind")
     if kind == "gaussian":
-        b_path = np.zeros((scenarios, n))
+        b_path = np.zeros((scenarios, n), order="F")
         np.cumsum(noise[:, : n - 1, 0], axis=1, out=b_path[:, 1:])
         r0 = spec.get("r0", 0.03) + spec.get("drift", 0.0) * times + market.sigma * b_path
     elif kind == "ou":
         speed = spec.get("speed", market.mean_reversion)
         level = spec.get("level", spec.get("r0", 0.03))
-        r0 = np.empty((scenarios, n))
+        r0 = np.empty((scenarios, n), order="F")
         r0[:, 0] = spec.get("r0", 0.03)
         for k in range(n - 1):
             r0[:, k + 1] = r0[:, k] + speed * (level - r0[:, k]) * dt + market.sigma * noise[:, k, 0]
-    elif kind == "tabulated":
-        vals = np.asarray(spec["values"], float)
-        r0 = vals[None, :] if vals.ndim == 1 else vals
-        if r0.shape[1] != n or r0.shape[0] not in (1, scenarios):
-            raise ValueError("tabulated short rate must have shape (steps,) or (scenarios, steps)")
-    else:
-        raise ValueError(f"unknown short-rate generator {kind!r}")
+    else:   # the market's checks admit only the three kinds
+        r0 = _table(spec, "short_rate", n, scenarios)
 
     mpr_spec = market.market_price_of_risk
-    if mpr_spec.get("kind") == "constant":
+    if mpr_spec["kind"] == "constant":
         theta = np.full((1, n), float(mpr_spec.get("value", 0.0)))
-    elif mpr_spec.get("kind") == "tabulated":
-        vals = np.asarray(mpr_spec["values"], float)
-        theta = vals[None, :] if vals.ndim == 1 else vals
-        if theta.shape[1] != n or theta.shape[0] not in (1, scenarios):
-            raise ValueError("tabulated price of risk must have shape (steps,) or (scenarios, steps)")
     else:
-        raise ValueError(f"unknown price-of-risk generator {mpr_spec.get('kind')!r}")
+        theta = _table(mpr_spec, "market_price_of_risk", n, scenarios)
 
     r0, events_r = _clamp(r0, market.clamp_quantile)
     theta, events_t = _clamp(theta, market.clamp_quantile)
@@ -275,6 +313,9 @@ def build_portfolio_problem(
     running = discounted_utility_running(
         params.discount, params.utility, params.utility_sign, component=1
     )
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if not np.isfinite(running.value(0.0, np.zeros(1), np.zeros(1), grid.points)).all():
+            raise ValueError(f"{params.utility} utility is not finite at every consumption rate")
     if terminal is None:
         terminal = tanh_wealth_terminal(params.terminal_weight, params.terminal_scale)
     if k_path is None:
@@ -333,7 +374,7 @@ def bond_price_path(
             raise ValueError("forward rate must provide one value per step")
     v = float(integrated_volatility(market, [maturity])[0])
     n, dt = tg.steps, tg.dt
-    prices = np.empty((scenarios, n + 1))
+    prices = np.empty((scenarios, n + 1), order="F")
     prices[:, 0] = initial_price
     negative = 0
     for k in range(n):

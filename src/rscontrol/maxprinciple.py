@@ -114,13 +114,14 @@ def _shortfall(fieldref, bundle, adj, running, compared) -> np.ndarray:
 
 
 def slack_paths(fieldref, k_path: np.ndarray, adj: AdjointSolution) -> np.ndarray:
-    """Singular slack k + gain_x * px + gain_y * py, shape (scenarios, steps, dim)."""
-    n = fieldref.jump_gain_x.shape[0]
-    return (
-        k_path[None, :, :]
-        + fieldref.jump_gain_x[None, :, :] * adj.px[:, :n, None]
-        + fieldref.jump_gain_y[None, :, :] * adj.py[:, :n, None]
-    )
+    """Singular slack k + gain_x * px + gain_y * py, shape (scenarios, steps, dim),
+    C-ordered whatever the costates' layout: the callers' einsums sum in memory order."""
+    n, dim = k_path.shape
+    slack = np.empty((adj.px.shape[0], n, dim))
+    for j in range(dim):
+        slack[:, :, j] = (k_path[:, j] + fieldref.jump_gain_x[:, j] * adj.px[:, :n]
+                          + fieldref.jump_gain_y[:, j] * adj.py[:, :n])
+    return slack
 
 
 @dataclass(frozen=True)
@@ -265,7 +266,8 @@ def check_max_principle(
 
     slack = slack_paths(fieldref, k_path, adj)
     slack_min = float(slack.min())
-    scale = float(np.sqrt(np.mean(adj.px ** 2) + np.mean(adj.py ** 2)))
+    px2, py2 = (np.square(p, order="C") for p in (adj.px, adj.py))   # summed in memory order
+    scale = float(np.sqrt(np.mean(px2) + np.mean(py2)))
     slack_tol = tol.slack_scale * scale
 
     over = slack > slack_tol

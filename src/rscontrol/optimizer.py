@@ -17,6 +17,7 @@ import numpy as np
 
 from .adjoint import _gradient_paths, _path_slopes, solve_adjoint_phi, solve_adjoint_regression
 from .dynamics import CoefficientField, TrajectoryBundle, coefficient_integrals
+from .dynamics import _affine_columns, _dot_last
 from .maxprinciple import VariationalDerivative, _shortfall, slack_paths
 from .maxprinciple import variational_derivative  # noqa: F401  (perfbench wraps this module attribute)
 from .measures import (
@@ -79,7 +80,7 @@ class FirstVariation:
     to the measure direction; all start at zero.
     """
 
-    alpha_x: np.ndarray   # (scenarios, steps + 1)
+    alpha_x: np.ndarray   # (scenarios, steps + 1), step-major
     alpha_y: np.ndarray
     beta: np.ndarray
 
@@ -106,8 +107,8 @@ def solve_first_variation(
     jump = (gains * (eta.increments - bundle.xi.increments)[:, None]).sum(axis=-1)
 
     # axis 1 of alpha indexes the component: 0 for x, 1 for y
-    alpha = np.zeros((scen, 2, n + 1))
-    beta = np.zeros((scen, n + 1))
+    alpha = np.zeros((scen, 2, n + 1), order="F")
+    beta = np.zeros((scen, n + 1), order="F")
     at_mu = coefficient_integrals(fieldref, mu)
     slopes = _path_slopes(at_mu, bundle, stock)
     d_lev, d_slo, d_vlev, d_vslo = (
@@ -117,11 +118,11 @@ def solve_first_variation(
         dw = bundle.noise[:, k]
         xk = bundle.x[:, k]
         slo, vslo = slopes(k)
-        growth = 1.0 + slo * dt + (vslo * dw[:, None]).sum(axis=-1)
+        growth = 1.0 + slo * dt + _dot_last(vslo, dw[:, None])
         alpha[:, :, k + 1] = alpha[:, :, k] * growth + jump[k]
         drift_diff = d_lev[:, k] + d_slo[:, k] * xk
-        vol_diff = d_vlev[:, k] + d_vslo[:, k] * xk[:, None]
-        beta[:, k + 1] = beta[:, k] * growth[:, 0] + drift_diff * dt + (vol_diff * dw).sum(axis=-1)
+        vol_diff = _affine_columns(d_vlev[:, k], d_vslo[:, k], xk)
+        beta[:, k + 1] = beta[:, k] * growth[:, 0] + drift_diff * dt + _dot_last(vol_diff, dw)
     return FirstVariation(alpha_x=alpha[:, 0], alpha_y=alpha[:, 1], beta=beta)
 
 
@@ -259,8 +260,9 @@ def frank_wolfe_iterate(
             fieldref, state.mu, state.bundle, problem.running, problem.terminal,
             problem.stock, opts.adjoint_degree, opts.ridge,
         )
-        denom = float(np.sqrt(np.mean(adj.px ** 2))) or 1.0
-        phi_rms = float(np.sqrt(np.mean((ref.px - adj.px) ** 2))) / denom
+        # C-order squares: numpy sums whole arrays in memory order
+        denom = float(np.sqrt(np.mean(np.square(adj.px, order="C")))) or 1.0
+        phi_rms = float(np.sqrt(np.mean(np.square(ref.px - adj.px, order="C")))) / denom
 
     # one Hamiltonian sweep gives both the vertex q* (per-step point mass at
     # the scenario-mean maximizer) and its shortfall against the control

@@ -187,6 +187,36 @@ class TestAdjointRegression:
         assert np.array_equal(adj.py[:, -1], gy)
 
 
+class TestLayout:
+    def test_step_major_and_layout_free(self):
+        # every path the solvers return is step-major, and a bundle of
+        # C-ordered copies gives the same bits
+        problem = rich_toy(steps=15)
+        field, _, bundle = _setup(problem, 120, 4)
+        mu, xi = random_admissible_controls(np.random.default_rng(2), 15, problem.grid.count, 2)
+        q, eta = random_admissible_controls(np.random.default_rng(3), 15, problem.grid.count, 2)
+        bundle = problem.simulate(field, mu, xi, bundle.noise)
+        c_bundle = dataclasses.replace(bundle, **{name: np.ascontiguousarray(getattr(bundle, name))
+                                                  for name in ("x", "y", "noise")})
+        args = (problem.running, problem.terminal, problem.stock)
+        for solve in (rc.solve_adjoint_regression, rc.solve_adjoint_phi):
+            adj, c_adj = (solve(field, mu, b, *args) for b in (bundle, c_bundle))
+            assert all(path[:, 7].flags.c_contiguous for path in (adj.px, adj.py))
+            assert all(path[:, 7, 0].flags.c_contiguous for path in (adj.Px, adj.Py))
+            for name in ("px", "Px", "py", "Py"):
+                assert np.array_equal(getattr(adj, name), getattr(c_adj, name))
+        pairs, c_pairs = (rc.solve_fundamental(field, mu, b, problem.stock) for b in (bundle, c_bundle))
+        for pair, c_pair in zip(pairs, c_pairs):
+            assert pair.flow[:, 7].flags.c_contiguous
+            assert np.array_equal(pair.flow, c_pair.flow)
+            assert np.array_equal(pair.flow_inv_sde, c_pair.flow_inv_sde)
+        fv, c_fv = (solve_first_variation(field, mu, b, problem.stock, (q, eta))
+                    for b in (bundle, c_bundle))
+        for name in ("alpha_x", "alpha_y", "beta"):
+            assert getattr(fv, name)[:, 7].flags.c_contiguous
+            assert np.array_equal(getattr(fv, name), getattr(c_fv, name))
+
+
 class TestMethodAgreement:
     def test_cross_validation_rich_toy(self):
         problem = rich_toy(steps=100)

@@ -248,6 +248,31 @@ class TestValidation:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("config error: problem")
 
+    @pytest.mark.parametrize("command", ["simulate", "optimize"])
+    @pytest.mark.parametrize("key, value", [
+        ("short_rate", {"kind": "vasicek", "r0": 0.03}),
+        ("short_rate", {"kind": "ou", "r0": 0.03, "speed": "x"}),
+        ("short_rate", {"kind": "tabulated", "values": [0.03] * 7}),
+        ("short_rate", {"kind": "tabulated", "values": [[0.03] * 10] * 3}),
+        ("market_price_of_risk", {"kind": "bogus"}),
+        ("clamp_quantile", "x"),
+        ("clamp_quantile", 0.7),
+        ("maturities", [-1.0, 2.0, 5.0]),
+        ("maturities", [5.0, 2.0, 1.0]),
+        ("consumption", [-0.05, 0.0, 0.1]),
+    ], ids=["rate-kind", "ou-speed", "rate-table-length", "rate-table-rows", "mpr-kind",
+            "clamp-text", "clamp-above-half", "negative-maturity", "unsorted-maturities",
+            "negative-consumption-sqrt"])
+    def test_malformed_market(self, tmp_path, capsys, command, key, value):
+        cfg = example_bond_config()
+        cfg.update(scenarios=20, output_dir=str(tmp_path / "out"), optimizer={"max_iter": 1})
+        cfg["time"]["steps"] = 10
+        cfg["problem"]["market"][key] = value
+        assert main([command, "--config", _write(tmp_path / "c.json", cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "Traceback" not in err
+
     def test_invalid_grid(self, tmp_path):
         cfg = _toy_config(tmp_path / "out")
         cfg["problem"]["action_grid"]["points"] = [1.0, 1.0]

@@ -50,6 +50,37 @@ class TestBrownianIncrements:
         dw = rc.brownian_increments(1, 2000, 50, 2, dt)
         assert abs(dw.var() / dt - 1.0) <= 0.05
 
+    def test_one_stream_across_draw_blocks(self):
+        # consecutive scenario blocks continue the single C-order draw
+        scenarios = 2 * rc.dynamics.NOISE_BLOCK + 37
+        dw = rc.brownian_increments(8, scenarios, 9, 3, 0.04)
+        ref = np.random.default_rng(8).standard_normal((scenarios, 9, 3)) * np.sqrt(0.04)
+        assert np.array_equal(dw, ref)
+        assert np.array_equal(np.signbit(dw), np.signbit(ref))
+
+    def test_step_slices_contiguous(self):
+        dw = rc.brownian_increments(2, 300, 7, 2, 0.1)
+        assert dw.flags.f_contiguous
+        for k in (0, 3, 6):
+            for j in (0, 1):
+                assert dw[:, k, j].flags.c_contiguous
+
+
+class TestStepMajorSums:
+    # ``_dot_last`` on step-major operands must give the C-ordered
+    # ``(a * b).sum(-1)`` bit for bit, on both sides of numpy's switch to
+    # pairwise summation along contiguous rows
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_dot_last_matches_c_order_sum(self, d):
+        rng = np.random.default_rng(d)
+        paths = np.asfortranarray(rng.normal(size=(257, 3, d)))
+        slopes = np.asfortranarray(rng.normal(size=(257, 2, d)))
+        cases = [(paths[:, 0], paths[:, 2]), (slopes, paths[:, 1, None]), (slopes, slopes)]
+        for a, b in cases:
+            ref = (np.ascontiguousarray(a) * np.ascontiguousarray(b)).sum(axis=-1)
+            for a_, b_ in ((a, b), (np.ascontiguousarray(a), np.ascontiguousarray(b))):
+                assert np.array_equal(rc.dynamics._dot_last(a_, b_), ref)
+
 
 class TestSimulateForward:
     def test_zero_coefficients_constant_path(self):
@@ -136,6 +167,47 @@ class TestSimulateForward:
             assert np.array_equal(strict.x, relaxed.x)
             assert np.array_equal(strict.y, relaxed.y)
 
+    def _strict_case(self):
+        tg = rc.TimeGrid(1.0, 10)
+        field = rc.dense_field(tg, _grid(), scenarios=5, dim=2, drift_level=[0.0, 0.1, 0.2, 0.3],
+                               vol_level=[0.2, 0.0])
+        calls = []
+
+        def drift(t, y):
+            calls.append(t)
+            return np.zeros_like(y)
+
+        stock = rc.StockModel(drift=drift, drift_dy=drift,
+                              diffusion=lambda t, y: np.zeros((y.shape[0], 2)),
+                              diffusion_dy=lambda t, y: np.zeros((y.shape[0], 2)))
+        return tg, field, stock, calls
+
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_strict_index_off_grid_raises_before_simulating(self, index):
+        tg, field, stock, calls = self._strict_case()
+        idx = np.zeros(10, dtype=int)
+        idx[3] = index
+        with pytest.raises(IndexError, match="outside the grid"):
+            rc.simulate_forward_strict(field, idx, SingularControl.zero(10, 2), 1.0, 1.0,
+                                       stock, tg, seed=0)
+        assert calls == []
+
+    @pytest.mark.parametrize("case", ["noise-shape", "control-steps", "singular-dim"])
+    def test_strict_checks_inputs_up_front(self, case):
+        tg, field, stock, calls = self._strict_case()
+        xi = SingularControl.zero(10, 2)
+        noise = rc.brownian_increments(0, 5, 10, 2, tg.dt)
+        if case == "noise-shape":
+            noise = noise[:, :9]
+        elif case == "control-steps":
+            xi = SingularControl.zero(9, 2)
+        else:
+            xi = SingularControl.zero(10, 1)
+        with pytest.raises(ValueError):
+            rc.simulate_forward_strict(field, np.zeros(10, dtype=int), xi, 1.0, 1.0, stock, tg,
+                                       noise=noise)
+        assert calls == []
+
     def test_linearity_in_state(self):
         tg = rc.TimeGrid(1.0, 30)
         grid = _grid()
@@ -182,6 +254,38 @@ class TestSimulateForward:
         assert np.array_equal(serial.x, threaded.x)
         assert np.array_equal(serial.y, threaded.y)
 
+    @pytest.mark.parametrize("scenarios,threads", [(101, 1), (101, 2), (101, 3)])
+    def test_threads_match_serial_on_uneven_chunks(self, scenarios, threads):
+        # 101 scenarios split into chunks of unequal size; every step slice contiguous
+        tg = rc.TimeGrid(1.0, 20)
+        rng = np.random.default_rng(4)
+        field = rc.dense_field(tg, _grid(), scenarios=scenarios, dim=2,
+                               drift_level=rng.normal(size=(scenarios, 20, 4)) * 0.1,
+                               drift_slope=0.2, vol_level=[0.2, 0.05], vol_slope=[0.1, 0.0])
+        mu = RelaxedControl(rng.dirichlet(np.ones(4), size=20))
+        xi = SingularControl(rng.uniform(0.0, 0.01, size=(20, 2)))
+        stock = rc.linear_stock(0.05, 0.2, 2)
+        noise = rc.brownian_increments(11, scenarios, 20, 2, tg.dt)
+        serial = rc.simulate_forward(field, mu, xi, 1.0, 1.0, stock, tg, noise=noise)
+        threaded = rc.simulate_forward(field, mu, xi, 1.0, 1.0, stock, tg, noise=noise,
+                                       threads=threads)
+        assert np.array_equal(serial.x, threaded.x)
+        assert np.array_equal(serial.y, threaded.y)
+        assert threaded.x[:, 7].flags.c_contiguous and threaded.y[:, 7].flags.c_contiguous
+
+    def test_c_ordered_noise_gives_same_paths(self):
+        tg = rc.TimeGrid(1.0, 12)
+        field = rc.dense_field(tg, _grid(), scenarios=30, dim=2, drift_slope=0.3,
+                               vol_level=[0.2, 0.1], vol_slope=[0.1, 0.2])
+        mu, xi = _zero_controls(12, 4, 2)
+        stock = rc.linear_stock(0.05, 0.2, 2)
+        noise = rc.brownian_increments(6, 30, 12, 2, tg.dt)
+        step_major = rc.simulate_forward(field, mu, xi, 1.0, 1.0, stock, tg, noise=noise)
+        c_order = rc.simulate_forward(field, mu, xi, 1.0, 1.0, stock, tg,
+                                      noise=np.ascontiguousarray(noise), threads=2)
+        assert np.array_equal(step_major.x, c_order.x)
+        assert np.array_equal(step_major.y, c_order.y)
+
     @pytest.mark.parametrize("scenarios,threads", [(6, 2), (22, 3)])
     def test_threads_match_serial_on_bond_field(self, scenarios, threads):
         # per-scenario drift slopes under a random measure: a thread chunk
@@ -212,7 +316,7 @@ class TestSimulateForward:
         level = np.zeros((64, 40, 4))
         level[40] = 1e308
         field = rc.dense_field(tg, grid, scenarios=64, dim=1, drift_level=level)
-        for threads in (1, 4):
+        for threads in (1, 2, 3, 4):
             with pytest.raises(NonFiniteStateError) as exc:
                 rc.simulate_forward(field, mu, xi, 1e308, 0.0, rc.inert_stock(1), tg,
                                     seed=0, threads=threads)
