@@ -345,6 +345,12 @@ def adjoints_to_csv(adj, tg: TimeGrid, path) -> None:
     _write_paths(path, tg, (("px", adj.px), ("py", adj.py)), (("Px", adj.Px), ("Py", adj.Py)))
 
 
+def _write_npz(path: Path, tg: TimeGrid, **tables) -> None:
+    """Uncompressed ``.npz`` of ``t`` (n+1,) and then ``tables`` in the given
+    order, each float64 array saved as is (NPY format, no pickles)."""
+    np.savez(path, t=tg.times(), **tables)
+
+
 def _write_manifest(outdir: Path, command: str, cfg: dict, args) -> None:
     manifest = {
         "schema": MANIFEST_SCHEMA,
@@ -368,8 +374,13 @@ def _prepare(args, command: str):
         mu, xi = _build_controls(cfg, problem, getattr(args, "controls", None))
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
+    if not isinstance(cfg["output_dir"], str):
+        raise ConfigError(f"output_dir must be a string, got {cfg['output_dir']!r}")
     outdir = Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {str(outdir)!r}: {exc}") from exc
     _write_manifest(outdir, command, cfg, args)
     return cfg, problem, mu, xi, outdir
 
@@ -385,14 +396,14 @@ def _simulate(cfg: dict, problem: ControlProblem, mu, xi, threads: int):
 
 def _check(cfg: dict, problem: ControlProblem, field, bundle, outdir: Path):
     """Regression adjoint on the configured degree and ridge, written to
-    ``adjoints.csv``, then the max-principle report on the configured
+    ``adjoints.npz``, then the max-principle report on the configured
     tolerances."""
     options = _from_block(cfg, "optimizer", OptimizerOptions)
     adj = solve_adjoint_regression(
         field, bundle.mu, bundle, problem.running, problem.terminal, problem.stock,
         options.adjoint_degree, options.ridge,
     )
-    adjoints_to_csv(adj, problem.tg, outdir / "adjoints.csv")
+    _write_npz(outdir / "adjoints.npz", problem.tg, px=adj.px, py=adj.py, Px=adj.Px, Py=adj.Py)
     return check_max_principle(field, bundle, adj, problem.running, problem.k_path,
                                _from_block(cfg, "tolerances", MaxPrincipleTolerances))
 
@@ -400,7 +411,7 @@ def _check(cfg: dict, problem: ControlProblem, field, bundle, outdir: Path):
 def cmd_simulate(args) -> int:
     cfg, problem, mu, xi, outdir = _prepare(args, "simulate")
     field, bundle = _simulate(cfg, problem, mu, xi, args.threads)
-    bundle_to_csv(bundle, outdir / "trajectories.csv")
+    _write_npz(outdir / "trajectories.npz", problem.tg, x=bundle.x, y=bundle.y, dW=bundle.noise)
     report = moment_diagnostics(bundle, field, p=float(cfg.get("moment_order", 2.0)))
     doc = report.to_json()
     doc["clamp_events"] = int(getattr(field, "clamp_events", 0))
@@ -408,7 +419,7 @@ def cmd_simulate(args) -> int:
     cost = evaluate_cost(bundle, problem.running, problem.k_path, problem.terminal, fieldref=field)
     _write_json(outdir / "cost.json",
                 {"value": cost.value, "stderr": cost.stderr, "excluded": cost.excluded})
-    print(f"simulate: wrote {outdir / 'trajectories.csv'} "
+    print(f"simulate: wrote {outdir / 'trajectories.npz'} "
           f"({bundle.scenarios} scenarios x {problem.tg.steps} steps)")
     return 0
 

@@ -55,7 +55,11 @@ def affine_quadratic_running(cx=0.0, cy=0.0, quad=0.0, lin=None) -> RunningCost:
         return part
 
     def value(t, x, y, pts):
-        return (cx * x + cy * y)[:, None] + _u_part(pts)[None, :]
+        state = cx * x + cy * y
+        table = np.empty((state.shape[0], pts.shape[0]))
+        for j, part in enumerate(_u_part(pts).tolist()):   # one column per point
+            np.add(state, part, out=table[:, j])
+        return table
 
     def dx(t, x, y, pts):
         return np.full((x.shape[0], pts.shape[0]), cx)

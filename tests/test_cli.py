@@ -6,8 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 import rscontrol as rc
-from rscontrol.cli import adjoints_to_csv, bundle_to_csv, example_bond_config, main
-from rscontrol.measures import RelaxedControl, SingularControl, controls_to_json
+from rscontrol.cli import (
+    _build_problem,
+    _write_npz,
+    adjoints_to_csv,
+    bundle_to_csv,
+    example_bond_config,
+    main,
+)
+from rscontrol.measures import RelaxedControl, SingularControl, controls_to_json, load_controls
+from rscontrol.optimizer import OptimizerOptions
 
 
 def _write(path: Path, doc: dict) -> str:
@@ -43,6 +51,11 @@ def _toy_config(outdir, steps=12, scenarios=40, drift_level=None, k_const=10.0,
         "optimizer": {"max_iter": max_iter},
         "output_dir": str(outdir),
     }
+
+
+def _load_npz(path) -> dict:
+    with np.load(path, allow_pickle=False) as tables:
+        return {name: tables[name] for name in tables.files}
 
 
 def _read_tree(root: Path) -> dict:
@@ -93,6 +106,34 @@ class TestPathTables:
             b"1,1,0.1,0.30000000000000004,1e+16,1e-05,-2.5,0.1,0.30000000000000004\r\n"
             b"1,2,0.2,-2.5,0.1,,,,\r\n"
         )
+
+    def test_npz_members_and_bits(self, tmp_path):
+        """The CLI's binary tables: the documented members in order, float64
+        values bit for bit (signed zero and the smallest subnormal included),
+        and the same bytes on every write."""
+        paths = [np.array([[0.1, -0.0, 5e-324], [1e16, 0.30000000000000004, 1e-05]]),
+                 np.array([[5e-324, 0.1, 1e16], [-0.0, 1e-05, 0.30000000000000004]])]
+        loads = [np.array([[[1e-05, -0.0], [1e16, 5e-324]], [[0.30000000000000004, 0.1],
+                                                              [-2.5, 1e-05]]]),
+                 np.array([[[-0.0, 1e16], [5e-324, 0.1]], [[1e-05, -2.5],
+                                                          [0.30000000000000004, 1e16]]])]
+        step_major = [np.asfortranarray(a) for a in paths + loads]   # as the CLI holds them
+        tables = {
+            "trajectories.npz": dict(zip(("x", "y", "dW"), step_major[:3])),
+            "adjoints.npz": dict(zip(("px", "py", "Px", "Py"), step_major)),
+        }
+        for name, arrays in tables.items():
+            _write_npz(tmp_path / name, self.tg, **arrays)
+            first = (tmp_path / name).read_bytes()
+            _write_npz(tmp_path / name, self.tg, **arrays)
+            assert (tmp_path / name).read_bytes() == first
+            loaded = _load_npz(tmp_path / name)
+            assert list(loaded) == ["t", *arrays]
+            for key, expected in {"t": self.tg.times(), **arrays}.items():
+                assert loaded[key].dtype == np.float64
+                assert loaded[key].shape == expected.shape
+                assert np.array_equal(loaded[key], expected)
+                assert np.array_equal(loaded[key].view(np.int64), expected.view(np.int64))
 
     # shortest round-trip texts that are easy to get wrong: signed zero, the
     # smallest subnormal, exponent switch-overs and a non-terminating sum
@@ -279,6 +320,29 @@ class TestValidation:
         rc = main(["simulate", "--config", _write(tmp_path / "c.json", cfg)])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "optimize", "verify"])
+    @pytest.mark.parametrize("case", ["out-is-a-file", "non-string-output-dir"])
+    def test_bad_output_path(self, tmp_path, capsys, command, case):
+        cfg = _toy_config(tmp_path / "out")
+        argv = [command]
+        if case == "out-is-a-file":
+            taken = tmp_path / "taken"
+            taken.write_text("not a directory")
+            argv += ["--out", str(taken)]
+        else:
+            cfg["output_dir"] = 5
+        if command == "verify":
+            grid = rc.ActionGrid(np.asarray(cfg["problem"]["action_grid"]["points"]))
+            steps = cfg["time"]["steps"]
+            doc = controls_to_json(grid, RelaxedControl.uniform(steps, grid.count),
+                                   SingularControl.zero(steps, 1), cfg["time"]["horizon"])
+            argv += ["--controls", _write(tmp_path / "controls.json", doc)]
+        assert main(argv + ["--config", _write(tmp_path / "c.json", cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "output" in err
+        assert "Traceback" not in err
+
 
 class TestSimulate:
     def test_zero_coefficients_constant_paths(self, tmp_path):
@@ -288,9 +352,10 @@ class TestSimulate:
         rc = main(["simulate", "--config", _write(tmp_path / "c.json", cfg),
                    "--no-timestamp"])
         assert rc == 0
-        with open(out / "trajectories.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert all(float(r["x"]) == 1.0 for r in rows)
+        tables = _load_npz(out / "trajectories.npz")
+        assert list(tables) == ["t", "x", "y", "dW"]
+        assert tables["x"].shape == (40, 13) and tables["dW"].shape == (40, 12, 1)
+        assert np.all(tables["x"] == 1.0)
         moments = json.loads((out / "moments.json").read_text())
         assert not moments["exploded"]
         manifest = json.loads((out / "manifest.json").read_text())
@@ -310,8 +375,8 @@ class TestSimulate:
         main(["simulate", "--config", path, "--no-timestamp", "--out", str(tmp_path / "a")])
         main(["simulate", "--config", path, "--no-timestamp", "--out", str(tmp_path / "b"),
               "--seed", "99"])
-        a = (tmp_path / "a" / "trajectories.csv").read_bytes()
-        b = (tmp_path / "b" / "trajectories.csv").read_bytes()
+        a = (tmp_path / "a" / "trajectories.npz").read_bytes()
+        b = (tmp_path / "b" / "trajectories.npz").read_bytes()
         assert a != b
 
 
@@ -331,7 +396,33 @@ class TestOptimize:
         with open(out / "iterations.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert rows and all(int(row["halvings"]) >= 0 for row in rows)
-        assert (out / "adjoints.csv").exists()
+        assert (out / "adjoints.npz").exists()
+
+    def test_adjoints_npz_round_trips_to_csv(self, tmp_path):
+        # the binary table loses nothing: loaded back into an AdjointSolution,
+        # it writes the CSV the library solver's own solution writes
+        out = tmp_path / "out"
+        cfg = _toy_config(out, scenarios=60, max_iter=3)
+        assert main(["optimize", "--config", _write(tmp_path / "c.json", cfg),
+                     "--no-timestamp"]) == 0
+        tables = _load_npz(out / "adjoints.npz")
+        assert list(tables) == ["t", "px", "py", "Px", "Py"]
+        tg = rc.TimeGrid(cfg["time"]["horizon"], cfg["time"]["steps"])
+        assert np.array_equal(tables["t"], tg.times())
+        loaded = rc.AdjointSolution(px=tables["px"], Px=tables["Px"], py=tables["py"],
+                                    Py=tables["Py"], method="regression")
+        problem = _build_problem(cfg, tg)
+        _, mu, xi, _ = load_controls(out / "controls.json")
+        noise = problem.noise(cfg["scenarios"], cfg["seed"])
+        field = problem.sample_field(cfg["scenarios"], cfg["seed"], noise)
+        bundle = problem.simulate(field, mu, xi, noise)
+        options = OptimizerOptions()
+        direct = rc.solve_adjoint_regression(field, mu, bundle, problem.running,
+                                             problem.terminal, problem.stock,
+                                             options.adjoint_degree, options.ridge)
+        adjoints_to_csv(loaded, tg, tmp_path / "loaded.csv")
+        adjoints_to_csv(direct, tg, tmp_path / "direct.csv")
+        assert (tmp_path / "loaded.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
     def test_stdout_names_stop_reason(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -429,7 +520,7 @@ class TestVerify:
         vout = tmp_path / "verify_out"
         main(["verify", "--config", cfg_path, "--controls", str(out / "controls.json"),
               "--out", str(vout), "--no-timestamp"])
-        assert (vout / "adjoints.csv").read_bytes() == (out / "adjoints.csv").read_bytes()
+        assert (vout / "adjoints.npz").read_bytes() == (out / "adjoints.npz").read_bytes()
 
     def test_malformed_controls(self, tmp_path):
         def corrupt(doc):
@@ -491,7 +582,7 @@ class TestExampleBond:
         elapsed = time.perf_counter() - started
         assert rc == 0
         assert elapsed < 60.0
-        assert (tmp_path / "out" / "trajectories.csv").exists()
+        assert (tmp_path / "out" / "trajectories.npz").exists()
         moments = json.loads((tmp_path / "out" / "moments.json").read_text())
         assert not moments["exploded"]
         assert "clamp_events" in moments

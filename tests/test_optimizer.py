@@ -92,6 +92,27 @@ class TestEvaluateCost:
         assert np.isfinite(cost.value)
 
 
+class TestAffineRunningTable:
+    """``affine_quadratic_running.value`` fills its table one column per point;
+    it equals the broadcast expression bitwise and is C-ordered, the operand
+    ``evaluate_cost`` and the Hamiltonian integrate."""
+
+    @pytest.mark.parametrize("count", [5, 9])
+    @pytest.mark.parametrize("lin", [None, [0.3, -1.7]])
+    @pytest.mark.parametrize("scenarios", [1, 7, 1000])
+    def test_matches_broadcast(self, scenarios, lin, count):
+        rng = np.random.default_rng(scenarios + count)
+        x, y = rng.standard_normal((2, scenarios)) * 10.0 ** rng.integers(-5, 5, (2, scenarios))
+        pts = rng.standard_normal((count, 2))
+        cx, cy, quad = 0.2, -0.1, 0.7
+        table = rc.affine_quadratic_running(cx, cy, quad, lin).value(0.0, x, y, pts)
+        parts = 0.5 * quad * (pts * pts).sum(axis=1)
+        if lin is not None:
+            parts = parts + pts @ np.asarray(lin, float)
+        assert np.array_equal(table, (cx * x + cy * y)[:, None] + parts[None, :])
+        assert table.shape == (scenarios, count) and table.flags.c_contiguous
+
+
 class TestFirstVariation:
     def test_zero_in_own_direction(self):
         problem = rich_toy(steps=30)
