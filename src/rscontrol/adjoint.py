@@ -9,10 +9,12 @@ Two independent methods are provided and cross-validated in the test suite:
   the production method.
 
 Both estimate conditional expectations by cross-scenario polynomial
-regression in the state pair (x, y).  One ``Projector`` per time step sets up
+regression in the state pair (x, y).  One ``Projector`` per time step holds
 that regression on the step's sample (basis, standardization, normal matrix,
 degree fallback) and fits every target of the step against it: both costate
-components and their diffusion loadings.  That projection is exact when the
+components and their diffusion loadings.  The solvers set up a block of
+steps' projectors in one pass (``_backward_projectors``), bit for bit as one
+step at a time.  That projection is exact when the
 true costate is a polynomial of the states (the toy problems used for validation);
 with state-dependent diffusion slopes the fundamental-solution method
 acquires a projection bias because the flow itself is an extra state, so the
@@ -36,18 +38,58 @@ from .measures import RelaxedControl, integrate_against
 from .problems import RunningCost, TerminalCost
 
 CONDITION_LIMIT = 1e12
+SETUP_BUDGET = 16384   # scenario-steps per block in ``_backward_projectors``
 
 
-def polynomial_basis(x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
-    """Monomials in (x, y) of total degree <= degree, shape (scenarios, k)."""
-    cols = [np.ones_like(x)]
+def _set_up(x: np.ndarray, y: np.ndarray, degree: int, ridge: float) -> list:
+    """Regression set-up of the samples in the columns of ``x``, ``y`` (S, m).
+
+    Returns one (design, gram, degree) per column, bit for bit those of a
+    C-ordered (S, k) basis of each column on its own: the monomial basis is
+    held as (S, m, k), so numpy sums its S rows in sequence for the means,
+    as it does for one (S, k) basis (a scenario-contiguous layout would be
+    summed pairwise, which changes bits).  The designs are C-ordered (S, k),
+    the Gram matrices one stacked matmul, and ``np.linalg.cond`` runs once
+    on the finite ones.  A column whose Gram matrix is non-finite or
+    ill-conditioned is set up again one degree lower, with one warning per
+    conditioning fallback; degree 0 (the intercept alone) is always kept.
+    """
+    if not 0 <= degree <= 2:
+        raise ValueError("regression basis supports total degree 0 to 2")
+    scen, m = x.shape
+    k = (1, 3, 6)[degree]
+    basis = np.empty((scen, m, k))
+    basis[:, :, 0] = 1.0
     if degree >= 1:
-        cols += [x, y]
+        basis[:, :, 1], basis[:, :, 2] = x, y
     if degree >= 2:
-        cols += [x * x, x * y, y * y]
-    if degree >= 3:
-        raise ValueError("regression basis supports total degree <= 2")
-    return np.column_stack(cols)
+        np.multiply(x, x, out=basis[:, :, 3])
+        np.multiply(x, y, out=basis[:, :, 4])
+        np.multiply(y, y, out=basis[:, :, 5])
+    shift = basis.sum(axis=0) / scen
+    shift[:, 0] = 0.0
+    centered = np.subtract(basis, shift, out=basis)
+    scale = np.sqrt((centered * centered).sum(axis=0) / scen)
+    scale[scale == 0.0] = 1.0
+    design = np.divide(centered.transpose(1, 0, 2), scale[:, None], out=np.empty((m, scen, k)))
+    gram = design.transpose(0, 2, 1) @ design / scen
+    diag = np.arange(k)
+    gram[:, diag, diag] += ridge
+    gram[:, 0, 0] -= ridge
+    finite = np.isfinite(gram).all(axis=(1, 2))
+    ok = finite.copy()
+    if degree > 0 and finite.any():
+        ok[finite] = ~(np.linalg.cond(gram[finite]) > CONDITION_LIMIT)
+    out = []
+    for j in range(m):
+        if ok[j] or degree == 0:
+            out.append((design[j], gram[j], degree))
+            continue
+        if finite[j]:
+            warnings.warn(f"singular regression design; falling back to degree {degree - 1}",
+                          RuntimeWarning, stacklevel=2)
+        out.append(_set_up(x[:, j:j + 1], y[:, j:j + 1], degree - 1, ridge)[0])
+    return out
 
 
 class Projector:
@@ -58,33 +100,18 @@ class Projector:
     ridge-regularized normal matrix.  If that matrix is numerically singular
     the degree is lowered (ultimately to the plain mean) with one warning per
     lowered degree.  ``fit`` then projects any number of targets on the same
-    design with one solve.
+    design with one solve.  This is the one-step case of the block set-up
+    that the adjoint solvers use (``_backward_projectors``).
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, degree: int = 2, ridge: float = 1e-8):
-        for deg in range(degree, -1, -1):
-            basis = polynomial_basis(x, y, deg)
-            shift = basis.mean(axis=0)
-            shift[0] = 0.0
-            centered = basis - shift
-            scale = np.sqrt(np.mean(centered * centered, axis=0))
-            scale[scale == 0.0] = 1.0
-            design = centered / scale
-            gram = design.T @ design / design.shape[0]
-            gram[np.diag_indices_from(gram)] += ridge
-            gram[0, 0] -= ridge
-            if not np.isfinite(gram).all():
-                continue
-            if deg > 0 and np.linalg.cond(gram) > CONDITION_LIMIT:
-                warnings.warn(
-                    f"singular regression design; falling back to degree {deg - 1}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                continue
-            break
-        # degree 0 always ends the loop: its design is the intercept alone
-        self.design, self.gram, self.degree = design, gram, deg
+        self.design, self.gram, self.degree = _set_up(x[:, None], y[:, None], degree, ridge)[0]
+
+    @classmethod
+    def _of(cls, design, gram, degree) -> "Projector":
+        proj = cls.__new__(cls)
+        proj.design, proj.gram, proj.degree = design, gram, degree
+        return proj
 
     def fit(self, target: np.ndarray) -> np.ndarray:
         """E[target | x, y] on the sample; ``target`` is (scenarios,) or
@@ -92,6 +119,17 @@ class Projector:
         t = np.asarray(target, dtype=float)
         rhs = self.design.T @ t / self.design.shape[0]
         return self.design @ np.linalg.solve(self.gram, rhs)
+
+
+def _backward_projectors(x: np.ndarray, y: np.ndarray, degree: int, ridge: float):
+    """Projectors of steps n-1, ..., 0 of the (S, n + 1) paths ``x``, ``y``,
+    set up ``max(1, SETUP_BUDGET // S)`` steps at a time."""
+    scen, n = x.shape[0], x.shape[1] - 1
+    size = max(1, SETUP_BUDGET // scen)
+    for stop in range(n, 0, -size):
+        start = max(0, stop - size)
+        for setup in reversed(_set_up(x[:, start:stop], y[:, start:stop], degree, ridge)):
+            yield Projector._of(*setup)
 
 
 def fit_conditional(
@@ -263,8 +301,8 @@ def solve_adjoint_phi(
     p[:, :, n] = grad
     load = np.empty((scen, 2, n, d), order="F")
     mart_next = total
-    for k in range(n - 1, -1, -1):
-        proj = Projector(bundle.x[:, k], bundle.y[:, k], degree, ridge)
+    projectors = _backward_projectors(bundle.x, bundle.y, degree, ridge)
+    for k, proj in zip(range(n - 1, -1, -1), projectors):
         mart = proj.fit(total)
         p[:, :, k] = (mart - prefix[:, :, k]) * flow_inv[:, :, k]
         incr = (mart_next - mart)[:, :, None] * bundle.noise[:, k, None] / dt
@@ -308,8 +346,8 @@ def solve_adjoint_regression(
     load = np.empty((scen, 2, n, d), order="F")
     nxt = np.column_stack([terminal.dx(x[:, n], y[:, n]), terminal.dy(x[:, n], y[:, n])])
     p[:, :, n] = nxt
-    for k in range(n - 1, -1, -1):
-        proj = Projector(x[:, k], y[:, k], degree, ridge)
+    projectors = _backward_projectors(x, y, degree, ridge)
+    for k, proj in zip(range(n - 1, -1, -1), projectors):
         resid = nxt - proj.fit(nxt)
         loads = proj.fit((resid[:, :, None] * dw[:, k, None]).reshape(scen, 2 * d) / dt)
         loads = loads.reshape(scen, 2, d)

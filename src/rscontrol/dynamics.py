@@ -463,7 +463,8 @@ def simulate_forward(
     Raises
     ------
     NonFiniteStateError
-        If a path overflows; the error names the step and scenario.
+        If a path overflows; the error names the step and scenario, the
+        same ones at every thread count.
     """
     noise, jump_x, jump_y = _forward_inputs(field, mu, xi, tg, seed, noise)
     integrals = coefficient_integrals(field, mu)
@@ -478,14 +479,21 @@ def simulate_forward(
     def run(i):
         rows = slice(bounds[i], bounds[i + 1])
         block = tuple(a if a.shape[0] == 1 else a[rows] for a in integrals)
-        _simulate_block(block, stock, tg, noise[rows], x[rows], y[rows], rows.start,
-                        jump_x, jump_y)
+        try:
+            _simulate_block(block, stock, tg, noise[rows], x[rows], y[rows], rows.start,
+                            jump_x, jump_y)
+        except NonFiniteStateError as exc:
+            return exc
+        return None
 
     if chunks == 1:
-        run(0)
+        errors = [run(0)]
     else:
         with ThreadPoolExecutor(max_workers=chunks) as pool:
-            list(pool.map(run, range(chunks)))
+            errors = list(pool.map(run, range(chunks)))
+    errors = [exc for exc in errors if exc is not None]
+    if errors:   # the one a serial pass meets first: by step, then x before y, then scenario
+        raise min(errors, key=lambda exc: (exc.step, exc.component != "x", exc.scenario))
     return TrajectoryBundle(tg=tg, x=x, y=y, noise=noise, mu=mu, xi=xi)
 
 

@@ -46,6 +46,8 @@ class ActionGrid:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError("grid points must form a nonempty (count, dim) array")
+        if not np.isfinite(pts).all():
+            raise ValueError("grid points must be finite")
         for i in range(pts.shape[0] - 1):
             if tuple(pts[i]) >= tuple(pts[i + 1]):
                 raise ValueError(
@@ -56,7 +58,7 @@ class ActionGrid:
         hi = np.max(pts, axis=0) if self.box_hi is None else np.asarray(self.box_hi, float)
         if lo.shape != (pts.shape[1],) or hi.shape != (pts.shape[1],):
             raise ValueError("bounding box must match the action dimension")
-        if np.any(pts < lo) or np.any(pts > hi):
+        if not (np.all(pts >= lo) and np.all(pts <= hi)):   # a NaN bound fails too
             raise ValueError("grid points must lie inside the declared bounding box")
         object.__setattr__(self, "points", _frozen_array(pts))
         object.__setattr__(self, "box_lo", _frozen_array(lo))
@@ -89,6 +91,8 @@ class RelaxedControl:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
             raise ValueError("weights must be a (steps, count) matrix")
+        if not np.isfinite(w).all():
+            raise ValueError("measure weights must be finite")
         if np.any(w < 0.0):
             raise ValueError("measure weights must be nonnegative")
         sums = w.sum(axis=1)

@@ -146,6 +146,8 @@ class ControlProblem:
     tv_cap: float = DEFAULT_TV_CAP
 
     def __post_init__(self):
+        if not (np.isfinite(self.x0) and np.isfinite(self.y0)):
+            raise ValueError(f"initial state must be finite, got x0={self.x0!r}, y0={self.y0!r}")
         k = np.asarray(self.k_path, dtype=float)
         if k.shape == (self.dim,):
             k = np.broadcast_to(k, (self.tg.steps, self.dim)).copy()

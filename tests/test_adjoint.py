@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 import rscontrol as rc
-from rscontrol.adjoint import fit_conditional
+from rscontrol.adjoint import (
+    CONDITION_LIMIT,
+    SETUP_BUDGET,
+    Projector,
+    _backward_projectors,
+    fit_conditional,
+)
 from rscontrol.cli import adjoints_to_csv
 from rscontrol.optimizer import solve_first_variation
 
@@ -36,6 +42,77 @@ def _simple_problem(steps=60, scenarios=200, drift_slope=0.0, vol_slope=0.0,
         k_path=np.zeros((steps, 1)),
     )
     return problem, _setup(problem, scenarios, seed)
+
+
+def _reference_setup(x, y, degree, ridge):
+    """One step's set-up on a C-ordered (S, k) basis, lowering the degree
+    while the normal matrix is non-finite or ill-conditioned."""
+    for deg in range(degree, -1, -1):
+        basis = np.column_stack([np.ones_like(x), x, y, x * x, x * y, y * y][:(1, 3, 6)[deg]])
+        shift = basis.mean(axis=0)
+        shift[0] = 0.0
+        centered = basis - shift
+        scale = np.sqrt(np.mean(centered * centered, axis=0))
+        scale[scale == 0.0] = 1.0
+        design = centered / scale
+        gram = design.T @ design / design.shape[0]
+        gram[np.diag_indices_from(gram)] += ridge
+        gram[0, 0] -= ridge
+        if not np.isfinite(gram).all():
+            continue
+        if deg > 0 and np.linalg.cond(gram) > CONDITION_LIMIT:
+            continue
+        break
+    return design, gram, deg
+
+
+def _state_paths(scenarios, steps, order, seed=0):
+    """Correlated random-walk paths (S, steps + 1) from a common start."""
+    rng = np.random.default_rng(seed)
+    shocks = rng.normal(size=(2, scenarios, steps)) * 0.1
+    x = np.concatenate([np.ones((scenarios, 1)), 1.0 + np.cumsum(shocks[0], axis=1)], axis=1)
+    y = np.concatenate([np.ones((scenarios, 1)),
+                        1.0 + np.cumsum(0.5 * shocks[0] + shocks[1], axis=1)], axis=1)
+    return (np.asfortranarray(x), np.asfortranarray(y)) if order == "F" else (x, y)
+
+
+class TestBlockSetUp:
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("scenarios", [1, 7, 200, 1000, SETUP_BUDGET + 1])
+    @pytest.mark.parametrize("steps", [1, 15, 16, 17, 37])
+    def test_matches_per_step_reference(self, steps, scenarios, order):
+        x, y = _state_paths(scenarios, steps, order)
+        projectors = list(_backward_projectors(x, y, 2, 1e-8))
+        assert len(projectors) == steps
+        for k, proj in zip(range(steps - 1, -1, -1), projectors):
+            design, gram, deg = _reference_setup(x[:, k], y[:, k], 2, 1e-8)
+            assert proj.degree == deg
+            assert proj.design.flags.c_contiguous
+            assert np.array_equal(proj.design, design)
+            assert np.array_equal(proj.gram, gram)
+
+    def test_projector_is_the_one_step_case(self):
+        x, y = _state_paths(300, 3, "C")
+        for k in range(4):
+            proj = Projector(x[:, k], y[:, k])
+            design, gram, deg = _reference_setup(x[:, k], y[:, k], 2, 1e-8)
+            assert proj.degree == deg
+            assert np.array_equal(proj.design, design) and np.array_equal(proj.gram, gram)
+
+    def test_singular_step_inside_a_block_falls_back(self):
+        # without the ridge the constant states of step 0 (the common start)
+        # and step 9 of one 40-step block lower their degree to 0, with one
+        # warning per lowered degree; every other step keeps degree 2
+        x, y = _state_paths(200, 40, "F")
+        x[:, 9], y[:, 9] = 2.0, 3.0
+        with pytest.warns(RuntimeWarning, match="falling back") as record:
+            projectors = list(_backward_projectors(x, y, 2, 0.0))[::-1]
+        assert len(record) == 4
+        assert [p.degree for p in projectors] == [0] + [2] * 8 + [0] + [2] * 30
+        for k in (8, 9, 10):
+            design, gram, _ = _reference_setup(x[:, k], y[:, k], 2, 0.0)
+            assert np.array_equal(projectors[k].design, design)
+            assert np.array_equal(projectors[k].gram, gram)
 
 
 class TestFitConditional:

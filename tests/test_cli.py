@@ -314,6 +314,33 @@ class TestValidation:
         assert err.startswith("config error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("case", ["controls-file-weight", "controls-block-weight",
+                                      "grid-point", "grid-box", "x0", "y0"])
+    def test_nan_input(self, tmp_path, capsys, case):
+        # each is rejected before the output directory is made
+        cfg = _toy_config(tmp_path / "out")
+        steps = cfg["time"]["steps"]
+        weights = np.full((steps, 5), 0.2)
+        weights[3, 1] = float("nan")
+        argv = ["simulate"]
+        if case == "controls-file-weight":
+            doc = controls_to_json(rc.ActionGrid(np.linspace(-1.0, 1.0, 5)),
+                                   RelaxedControl.uniform(steps, 5), SingularControl.zero(steps, 1),
+                                   cfg["time"]["horizon"])
+            doc["relaxed_weights"] = weights.tolist()
+            argv = ["verify", "--controls", _write(tmp_path / "controls.json", doc)]
+        elif case == "controls-block-weight":
+            cfg["controls"] = {"relaxed": {"weights": weights.tolist()}}
+        elif case == "grid-point":
+            cfg["problem"]["action_grid"]["points"][2] = float("nan")
+        elif case == "grid-box":
+            cfg["problem"]["action_grid"]["box_lo"] = [float("nan")]
+        else:
+            cfg["problem"][case] = float("nan")
+        assert main(argv + ["--config", _write(tmp_path / "c.json", cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_grid(self, tmp_path):
         cfg = _toy_config(tmp_path / "out")
         cfg["problem"]["action_grid"]["points"] = [1.0, 1.0]

@@ -323,6 +323,21 @@ class TestSimulateForward:
             assert exc.value.scenario == 40
             assert "scenario 40" in str(exc.value)
 
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_earliest_overflow_at_every_thread_count(self, threads):
+        # scenario 10 overflows from step 15 and scenario 70 from step 3; the
+        # later scenario's earlier step is the error a serial pass meets
+        tg = rc.TimeGrid(1.0, 40)
+        slope = np.zeros((100, 40, 4))
+        slope[10, 15:] = 1e308
+        slope[70, 3:] = 1e308
+        field = rc.dense_field(tg, _grid(), scenarios=100, dim=1, drift_slope=slope)
+        mu, xi = _zero_controls(40, 4, 1)
+        with pytest.raises(NonFiniteStateError) as exc:
+            rc.simulate_forward(field, mu, xi, 1.0, 0.0, rc.inert_stock(1), tg, seed=0,
+                                threads=threads)
+        assert (exc.value.component, exc.value.step, exc.value.scenario) == ("x", 5, 70)
+
 
 class TestSampleCoefficients:
     def test_deterministic_constant(self):

@@ -39,6 +39,12 @@ class TestActionGrid:
         with pytest.raises(ValueError, match="bounding box"):
             ActionGrid([0.5, 3.0], box_lo=[0.0], box_hi=[2.0])
 
+    @pytest.mark.parametrize("points, box_lo", [([0.0, np.nan, 2.0], None),
+                                                ([0.0, 1.0], [np.nan])])
+    def test_nan_rejected(self, points, box_lo):
+        with pytest.raises(ValueError):
+            ActionGrid(points, box_lo=box_lo)
+
     def test_immutable(self):
         g = ActionGrid([0.0, 1.0])
         with pytest.raises(ValueError):
@@ -108,6 +114,8 @@ class TestRelaxedControl:
             RelaxedControl([[1.5, -0.5]])
         with pytest.raises(ValueError, match="sum to 1"):
             RelaxedControl([[0.5, 0.4]])
+        with pytest.raises(ValueError, match="finite"):
+            RelaxedControl([[0.5, np.nan]])
 
     def test_uniform(self):
         mu = RelaxedControl.uniform(3, 4)
