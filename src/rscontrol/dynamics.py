@@ -12,6 +12,12 @@ each jump increment applied inside its step:
                   + (vol_level + vol_slope * x[k]) . dW[k]
                   + gain_x[k] . dxi[k]
 
+Since none of the coefficients depends on x, that step is computed as
+``x[k+1] = x[k] * a[k] + b[k]``, with the multiplier ``a = (1 + slope dt) +
+vol_slope . dW`` (the step factor of the fundamental flow) and the offset
+``b = (level dt + vol_level . dW) + gain_x . dxi``; both are set up for a
+block of steps at a time.
+
 Each coefficient is a short sum of scenario factors times point tables
 (``Factored``), summed in one fixed order everywhere, so integrating against
 a point mass reproduces the gathered value bit for bit.
@@ -34,6 +40,7 @@ from .measures import ActionGrid, RelaxedControl, SingularControl
 from .measures import integrate_against  # noqa: F401  (perfbench wraps this module attribute)
 
 NOISE_BLOCK = 256   # scenarios per generator call in ``brownian_increments``
+FACTOR_BUDGET = 65536   # scenario-steps of x's step factors set up at once in ``simulate_forward``
 
 
 class NonFiniteStateError(RuntimeError):
@@ -375,38 +382,83 @@ def _affine_columns(level, slope, x) -> np.ndarray:
     return np.add(level, np.multiply(slope, x[:, None], order="F"), order="F")
 
 
-def _dot_last(a, b) -> np.ndarray:
-    """``(a * b).sum(axis=-1)`` bit for bit, over a step-major product so that
-    numpy adds whole columns instead of looping over short rows; from 8
-    columns on numpy's C-order sum pairs terms, so C order is kept there."""
-    order = "F" if max(np.shape(a)[-1], np.shape(b)[-1]) < 8 else "C"
-    return np.multiply(a, b, order=order).sum(axis=-1)
+def _product_order(dim: int) -> str:
+    """Memory order of a product summed over its last axis of length ``dim``:
+    step-major, so that numpy adds whole columns instead of looping over
+    short rows; from 8 columns on numpy's C-order sum pairs terms, so C
+    order is kept there."""
+    return "F" if dim < 8 else "C"
 
 
-def _check_finite(arr: np.ndarray, component: str, step: int, first: int = 0) -> None:
-    if not np.isfinite(arr).all():
-        scenario = first + int(np.flatnonzero(~np.isfinite(arr))[0])
-        raise NonFiniteStateError(component, step, scenario)
+def _dot_last(a, b, out=None, product=None) -> np.ndarray:
+    """``(a * b).sum(axis=-1)`` bit for bit, over a product in
+    ``_product_order``; written into ``out``, through the buffer ``product``
+    (in that order), when given."""
+    if product is None:
+        product = np.multiply(a, b, order=_product_order(max(np.shape(a)[-1], np.shape(b)[-1])))
+    else:
+        np.multiply(a, b, out=product)
+    return product.sum(axis=-1, out=out)
 
 
-def _simulate_block(integrals, stock, tg, noise, x, y, first, jump_x, jump_y):
-    """Euler steps for the scenario block at rows ``first``.. of ``integrals``,
-    written into its rows ``x``, ``y`` of the shared paths (step 0 is set)."""
+def _factor_buffers(shape: tuple, dim: int) -> tuple:
+    """Buffers of ``_x_factors`` for factors of ``shape``: the multipliers,
+    the offsets, one Brownian sum and one Brownian product."""
+    a = np.empty(shape, order="F")
+    return a, np.empty_like(a), np.empty_like(a), np.empty(shape + (dim,), order=_product_order(dim))
+
+
+def _x_factors(integrals, dw, jump_x, dt, a, b, sums, product):
+    """Multipliers and offsets of x's Euler steps, ``x[k+1] = x[k] * a + b``,
+    for the steps of ``dw`` (S, m, dim) and the matching (S|1, m[, dim])
+    ``integrals``, written into the buffers of ``_factor_buffers``.  ``a`` is
+    ``(1 + slope dt) + vol_slope . dW``, bit for bit the fundamental flow's
+    step factor, and ``b`` is ``(level dt + vol_level . dW) + jump``."""
     lev, slo, vlev, vslo = integrals
-    dt = tg.dt
+    np.add(1.0, np.multiply(slo, dt, out=a), out=a)
+    a += _dot_last(vslo, dw, sums, product)
+    np.multiply(lev, dt, out=b)
+    b += _dot_last(vlev, dw, sums, product)
+    b += jump_x
+    return a, b
+
+
+def _check_finite(x, y, start: int, stop: int, first: int = 0) -> None:
+    """Raise for the earliest non-finite state of steps ``start + 1 .. stop``:
+    by step, then x before y, then scenario (``first`` offsets the index)."""
+    span = slice(start + 1, stop + 1)
+    if np.isfinite(x[:, span]).all() and np.isfinite(y[:, span]).all():
+        return
+    for k in range(start + 1, stop + 1):
+        for component, path in (("x", x), ("y", y)):
+            bad = ~np.isfinite(path[:, k])
+            if bad.any():
+                raise NonFiniteStateError(component, k, first + int(np.flatnonzero(bad)[0]))
+
+
+def _simulate_block(integrals, stock, tg, noise, x, y, first, jump_x, jump_y, buffers):
+    """Euler steps for the scenario block at rows ``first``.. of ``integrals``,
+    written into its rows ``x``, ``y`` of the shared paths (step 0 is set).
+    x's factors are set up in the block's rows of the ``_factor_buffers``,
+    as many steps at a time as they hold; the paths are checked once per
+    such block of steps."""
+    dt, size = tg.dt, buffers[0].shape[1]
     times = tg.times()
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(tg.steps):
-            dw = noise[:, k]
-            xk = x[:, k]
-            yk = y[:, k]
-            diff = _affine_columns(vlev[:, k], vslo[:, k], xk)
-            x[:, k + 1] = (xk + (lev[:, k] + slo[:, k] * xk) * dt
-                           + _dot_last(diff, dw) + jump_x[k])
-            sy = stock.diffusion(times[k], yk)
-            y[:, k + 1] = yk + stock.drift(times[k], yk) * dt + _dot_last(sy, dw) + jump_y[k]
-            _check_finite(x[:, k + 1], "x", k + 1, first)
-            _check_finite(y[:, k + 1], "y", k + 1, first)
+        for start in range(0, tg.steps, size):
+            stop = min(start + size, tg.steps)
+            span = slice(start, stop)
+            a, b = _x_factors(tuple(c[:, span] for c in integrals), noise[:, span], jump_x[span],
+                              dt, *(buf[:, :stop - start] for buf in buffers))
+            for k in range(start, stop):
+                xn = np.multiply(x[:, k], a[:, k - start], out=x[:, k + 1])
+                xn += b[:, k - start]
+                yk = y[:, k]
+                sy = stock.diffusion(times[k], yk)
+                yn = np.add(yk, stock.drift(times[k], yk) * dt, out=y[:, k + 1])
+                yn += _dot_last(sy, noise[:, k])
+                yn += jump_y[k]
+            _check_finite(x, y, start, stop, first)
 
 
 def _forward_inputs(field, mu, xi, tg, seed, noise):
@@ -473,6 +525,10 @@ def simulate_forward(
     y = np.empty_like(x)
     x[:, 0] = x0
     y[:, 0] = y0
+    # x's factors for one block of steps and their set-up; allocated here,
+    # not in the threads, so that they never grow a thread's allocation arena
+    size = min(tg.steps, max(1, FACTOR_BUDGET // max(1, scenarios)))
+    buffers = _factor_buffers((scenarios, size), field.dim)
     chunks = 1 if threads <= 1 or scenarios < 2 * threads else threads
     bounds = np.linspace(0, scenarios, chunks + 1).astype(int).tolist()
 
@@ -481,7 +537,7 @@ def simulate_forward(
         block = tuple(a if a.shape[0] == 1 else a[rows] for a in integrals)
         try:
             _simulate_block(block, stock, tg, noise[rows], x[rows], y[rows], rows.start,
-                            jump_x, jump_y)
+                            jump_x, jump_y, tuple(buf[rows] for buf in buffers))
         except NonFiniteStateError as exc:
             return exc
         return None
@@ -530,14 +586,13 @@ def simulate_forward_strict(
             j = idx[k]
             dw = noise[:, k]
             xk, yk = x[:, k], y[:, k]
-            lev = field.drift_level_at(k)[:, j]
-            slo = field.drift_slope_at(k)[:, j]
-            diff = _affine_columns(field.vol_level_at(k)[:, j], field.vol_slope_at(k)[:, j], xk)
-            x[:, k + 1] = xk + (lev + slo * xk) * dt + _dot_last(diff, dw) + jump_x[k]
+            gathered = (field.drift_level_at(k)[:, j], field.drift_slope_at(k)[:, j],
+                        field.vol_level_at(k)[:, j], field.vol_slope_at(k)[:, j])
+            a, b = _x_factors(gathered, dw, jump_x[k], dt, *_factor_buffers(xk.shape, field.dim))
+            x[:, k + 1] = xk * a + b
             sy = stock.diffusion(times[k], yk)
             y[:, k + 1] = yk + stock.drift(times[k], yk) * dt + _dot_last(sy, dw) + jump_y[k]
-            _check_finite(x[:, k + 1], "x", k + 1)
-            _check_finite(y[:, k + 1], "y", k + 1)
+            _check_finite(x, y, k, k + 1)
     return TrajectoryBundle(tg=tg, x=x, y=y, noise=noise, mu=mu, xi=xi)
 
 
@@ -561,6 +616,12 @@ class MomentReport:
         return {k: v if np.isfinite(v) else None for k, v in asdict(self).items()}
 
 
+def _sup_abs(path: np.ndarray) -> np.ndarray:
+    """``np.abs(path).max(axis=1)`` without an (S, steps + 1) temporary; ``+ 0.0``
+    turns a -0.0 into 0.0, as the absolute value would."""
+    return np.maximum(path.max(axis=1), -path.min(axis=1)) + 0.0
+
+
 def moment_diagnostics(bundle: TrajectoryBundle, field: CoefficientField, p: float = 2.0) -> MomentReport:
     """Sample sup/terminal moments of the paths and the exponential moment
     of the integrated drift slope (worst grid point).  Flags non-finite or
@@ -568,8 +629,7 @@ def moment_diagnostics(bundle: TrajectoryBundle, field: CoefficientField, p: flo
     if p < 1.0:
         raise ValueError("moment order must be >= 1")
     with np.errstate(over="ignore"):
-        sup_x = float(np.mean(np.abs(bundle.x).max(axis=1) ** p))
-        sup_y = float(np.mean(np.abs(bundle.y).max(axis=1) ** p))
+        sup_x, sup_y = (float(np.mean(_sup_abs(path) ** p)) for path in (bundle.x, bundle.y))
         term_x = float(np.mean(np.abs(bundle.x[:, -1]) ** p))
         term_y = float(np.mean(np.abs(bundle.y[:, -1]) ** p))
         slope = field.drift_slope

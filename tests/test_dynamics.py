@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import rscontrol as rc
 from rscontrol.cli import bundle_to_csv, example_bond_config
-from rscontrol.dynamics import NonFiniteStateError, coefficient_integrals
+from rscontrol.dynamics import FACTOR_BUDGET, NonFiniteStateError, coefficient_integrals
 from rscontrol.finance import MarketModel, PortfolioParams, build_portfolio_problem
 from rscontrol.measures import RelaxedControl, SingularControl
 
@@ -92,6 +93,13 @@ class TestSimulateForward:
         assert np.all(b.x == 2.5)
         assert np.all(b.y == -1.0)
 
+    def test_no_scenarios(self):
+        tg = rc.TimeGrid(1.0, 5)
+        field = rc.dense_field(tg, _grid(), scenarios=0, dim=1)
+        mu, xi = _zero_controls(5, 4, 1)
+        b = rc.simulate_forward(field, mu, xi, 1.0, 1.0, rc.inert_stock(1), tg, seed=0)
+        assert b.x.shape == b.y.shape == (0, 6)
+
     def test_exponential_drift_oracle(self):
         # deterministic drift slope a: x_T = x0 * e^{aT} within Euler error
         a, x0 = 0.7, 1.3
@@ -166,6 +174,53 @@ class TestSimulateForward:
                                        xi, noise)
             assert np.array_equal(strict.x, relaxed.x)
             assert np.array_equal(strict.y, relaxed.y)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("per_scenario", [False, True])
+    def test_x_is_the_fundamental_flow(self, per_scenario, threads):
+        # with zero drift and vol levels and no jumps, x from x0 = 1 is the
+        # flow of its linearization: x's multiplier is the flow's step factor
+        # bit for bit, over 3 blocks of 7 steps
+        scenarios, n = FACTOR_BUDGET // 7, 20
+        tg = rc.TimeGrid(1.0, n)
+        rng = np.random.default_rng(12)
+        lead = (scenarios,) if per_scenario else ()
+        field = rc.dense_field(tg, _grid(), scenarios=scenarios, dim=2,
+                               drift_slope=rng.normal(size=lead + (n, 4)) * 0.5,
+                               vol_slope=rng.normal(size=lead + (n, 4, 2)) * 0.3,
+                               jump_gain_x=[1.0, -0.5], jump_gain_y=[0.3, 0.2])
+        mu = RelaxedControl(rng.dirichlet(np.ones(4), size=n))
+        stock = rc.linear_stock(0.05, 0.2, 2)
+        bundle = rc.simulate_forward(field, mu, SingularControl.zero(n, 2), 1.0, 1.0, stock, tg,
+                                     seed=3, threads=threads)
+        assert np.array_equal(bundle.x, rc.solve_fundamental(field, mu, bundle, stock)[0].flow)
+
+    def test_memory_bounded_by_factor_budget(self):
+        # beyond its paths, a pass holds the buffers of one block of x's
+        # factors, (3 + dim) arrays of at most FACTOR_BUDGET values, and one
+        # step's temporaries, allowed 8 * (1 + dim) scenario columns; no array
+        # spans the horizon (that would be 16 MB here at 100 steps)
+        scenarios, d = 4000, 2
+        bound = 8 * ((3 + d) * FACTOR_BUDGET + 8 * (1 + d) * scenarios)
+        pts = np.linspace(-1.0, 1.0, 5)
+        stock = rc.linear_stock(0.05, 0.2, d)
+        for n in (100, 300):
+            tg = rc.TimeGrid(1.0, n)
+            field = rc.dense_field(tg, rc.ActionGrid(pts), scenarios=scenarios, dim=d,
+                                   drift_level=0.3 * pts, drift_slope=-0.2 + 0.1 * pts,
+                                   vol_level=np.column_stack([0.15 + 0.1 * pts, np.zeros(5)]),
+                                   vol_slope=[0.1, 0.05], jump_gain_x=[0.8, -0.5])
+            mu, xi = RelaxedControl.uniform(n, 5), SingularControl(np.full((n, d), 0.01))
+            noise = rc.brownian_increments(1, scenarios, n, d, tg.dt)
+            for threads in (1, 2):
+                tracemalloc.start()
+                try:
+                    bundle = rc.simulate_forward(field, mu, xi, 1.0, 1.0, stock, tg, noise=noise,
+                                                 threads=threads)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak - bundle.x.nbytes - bundle.y.nbytes < bound
 
     def _strict_case(self):
         tg = rc.TimeGrid(1.0, 10)
@@ -337,6 +392,42 @@ class TestSimulateForward:
             rc.simulate_forward(field, mu, xi, 1.0, 0.0, rc.inert_stock(1), tg, seed=0,
                                 threads=threads)
         assert (exc.value.component, exc.value.step, exc.value.scenario) == ("x", 5, 70)
+        # across the blocks in which x's factors are set up and the paths
+        # checked, 3 steps each at this sample size (states 1-3, 4-6, 7-9,
+        # 10-12): a huge increment on Brownian axis 0 (x's) or 1 (y's) at step
+        # k overflows that component at state k + 1 of one scenario
+        scenarios, n = FACTOR_BUDGET // 3, 12
+        assert max(1, FACTOR_BUDGET // scenarios) == 3
+        tg = rc.TimeGrid(1.0, n)
+        field = rc.dense_field(tg, _grid(), scenarios=scenarios, dim=2, drift_slope=0.1,
+                               vol_level=[10.0, 0.0])
+        unit = np.array([0.0, 10.0])
+        stock = rc.StockModel(drift=lambda t, y: np.zeros_like(y),
+                              drift_dy=lambda t, y: np.zeros_like(y),
+                              diffusion=lambda t, y: np.broadcast_to(unit, (y.shape[0], 2)),
+                              diffusion_dy=lambda t, y: np.zeros((y.shape[0], 2)))
+        idx = np.zeros(n, dtype=int)
+        mu, xi = RelaxedControl.from_indices(idx, 4), SingularControl.zero(n, 2)
+        base = rc.brownian_increments(2, scenarios, n, 2, tg.dt)
+        axis = {"x": 0, "y": 1}
+        cases = [
+            ([("x", 9000, 4), ("x", 5, 6)], ("x", 4, 9000)),           # first state of a block
+            ([("x", 12, 6), ("y", 3, 7)], ("x", 6, 12)),               # last state of a block
+            ([("y", 100, 5), ("x", scenarios - 1, 5)], ("x", 5, scenarios - 1)),   # x before y
+            ([("y", scenarios - 2, 4), ("x", 0, 5)], ("y", 4, scenarios - 2)),
+            ([("y", 7, 10), ("y", 6, 10), ("x", 8, 11)], ("y", 10, 6)),
+        ]
+        for overflows, expected in cases:
+            noise = base.copy()
+            for component, scenario, state in overflows:
+                noise[scenario, state - 1, axis[component]] = 1e308
+            with pytest.raises(NonFiniteStateError) as strict:
+                rc.simulate_forward_strict(field, idx, xi, 1.0, 1.0, stock, tg, noise=noise)
+            with pytest.raises(NonFiniteStateError) as exc:
+                rc.simulate_forward(field, mu, xi, 1.0, 1.0, stock, tg, noise=noise,
+                                    threads=threads)
+            found = [(e.value.component, e.value.step, e.value.scenario) for e in (strict, exc)]
+            assert found == [expected, expected]
 
 
 class TestSampleCoefficients:
@@ -438,6 +529,16 @@ class TestMomentDiagnostics:
         se = sq.std(ddof=1) / math.sqrt(scenarios)
         assert abs(rep.terminal_moment_y - target) <= 3.0 * se
         assert np.isfinite(rep.sup_moment_y)
+
+    def test_sup_abs_matches_absolute_values(self):
+        # rows of signed zeros (max and -min are then zeros of opposite sign),
+        # mixed signs, an infinity and a NaN, stored step-major as paths are
+        paths = np.asfortranarray([[-0.0, -0.0, -0.0], [0.0, -0.0, 0.0], [0.0, 0.0, 0.0],
+                                   [1.5, -2.5, 2.0], [-3.0, 1.0, np.inf], [1.0, np.nan, -4.0]])
+        got, expected = rc.dynamics._sup_abs(paths), np.abs(paths).max(axis=1)
+        assert np.array_equal(got, expected, equal_nan=True)
+        finite = np.isfinite(expected)
+        assert np.array_equal(np.signbit(got[finite]), np.signbit(expected[finite]))
 
     def test_explosion_flag(self):
         tg = rc.TimeGrid(1.0, 10)
