@@ -3,16 +3,18 @@
 The Hamiltonian is affine in the measure, so its supremum over probability
 measures on the grid is attained at a point mass; the verifier therefore
 reduces the measure supremum to a finite maximum over grid points.  One
-evaluator, ``hamiltonian_slice``, serves the optimizer, the directional
+evaluator, ``_hamiltonian_block``, serves the optimizer, the directional
 derivative and the verifier: H is affine in (p, p x, P, P x) times the
-field's scenario factors, so each step is one matrix product.  Every use is
-one sweep of that evaluator along the paths, accumulating the per-scenario
-shortfall of H at the control against H at a compared measure: the
-direction's measure (the derivative), the pointwise grid maximum (the
+field's scenario factors, so a block of steps is one stacked matrix product,
+and ``hamiltonian_slice`` is its one-step case.  Every use is a sweep of
+block evaluations along the paths, accumulating in step order the
+per-scenario shortfall of H at the control against H at a compared measure:
+the direction's measure (the derivative), the pointwise grid maximum (the
 verifier) or the point mass at the scenario-mean maximizer (the optimizer's
-vertex).  Three statistics are reported: the integrated Hamiltonian gap, the
-minimum of the singular slack ``k + gain_x * px + gain_y * py``, and the
-complementarity mass placed where that slack is strictly positive.
+vertex).  The block size changes no bit of the result.  Three statistics
+are reported: the integrated Hamiltonian gap, the minimum of the singular
+slack ``k + gain_x * px + gain_y * py``, and the complementarity mass placed
+where that slack is strictly positive.
 
 The conditions are almost-sure, pathwise statements.  Controls in this
 package are deterministic time paths, so on problems whose Hamiltonian
@@ -29,8 +31,13 @@ import numpy as np
 
 from .adjoint import AdjointSolution
 from .dynamics import CoefficientField, TrajectoryBundle
-from .measures import integrate_against
+from .measures import integrate_against  # noqa: F401  (perfbench wraps this module attribute)
 from .problems import RunningCost
+
+
+# values per block array: a sweep evaluates max(1, SWEEP_BUDGET // (S * count))
+# steps at a time, so one (steps, S, count) block of H values is 0.5 MB
+SWEEP_BUDGET = 65536
 
 
 @dataclass(frozen=True)
@@ -39,6 +46,55 @@ class HamiltonianSlice:
 
     values: np.ndarray   # (..., count)
     at_mu: np.ndarray    # (...)
+
+
+def _hamiltonian_block(fieldref, start, stop, x, y, p, P, running, weights, times):
+    """Per-point values (m, S, count) and measure values (m, S) of H at the
+    m = stop - start steps start..stop-1, each step bit for bit as if alone.
+
+    H(u) = -p * (level(u) + slope(u) x) - P . (vol_level(u) + vol_slope(u) x)
+           - h(t, x, y, u);  the measure value integrates these against the
+    step's measure row.
+
+    Each feature (p, p x, P, P x) times a term's scenario factor is a row of
+    an (m, f, S) feature stack, multiplied step by step by the terms' (m, f,
+    count) point-table rows in one stacked matrix product.  ``x, y, p`` are
+    (S|1, m), ``P`` is (S|1, m, dim), ``weights`` holds the m measure rows and
+    ``times`` the m step times.
+    """
+    if not all(np.isfinite(a).all() for a in (x, y, p, P)):
+        raise ValueError("non-finite inputs to the Hamiltonian")
+    m = stop - start
+    PT = P.transpose(1, 2, 0)
+    # one feature block (1, dim or S wide) and one table row block per term;
+    # a shared scenario factor is folded into the table rows
+    factors = ((fieldref.drift_level, p.T[:, None]), (fieldref.drift_slope, (p * x).T[:, None]),
+               (fieldref.vol_level, PT), (fieldref.vol_slope, PT * x.T[:, None]))
+    cols, rows = [], []
+    for coeff, g in factors:
+        for A, B in coeff.terms:
+            row = B[start:stop].reshape(m, B.shape[1], -1).transpose(0, 2, 1)
+            cols.append(g if len(A) == 1 else g * A[:, start:stop].T[:, None])
+            rows.append(A[0, start:stop, None, None] * row if len(A) == 1 else row)
+    rows = np.concatenate(rows, axis=1)
+    features = np.empty((m, rows.shape[1], max(col.shape[2] for col in cols)))
+    i = 0
+    for col in cols:
+        features[:, i:i + col.shape[1]] = col
+        i += col.shape[1]
+    values = np.matmul(features.transpose(0, 2, 1), rows)
+    np.negative(values, out=values)
+    if values.shape[1] < max(len(x), len(y)):   # scalar costates: only the running cost spans S
+        values = np.repeat(values, max(len(x), len(y)), axis=1)
+    for j in range(m):
+        values[j] -= running.value(times[j], x[:, j], y[:, j], fieldref.grid.points)
+    return values, _integrate(values, weights)
+
+
+def _integrate(values, weights) -> np.ndarray:
+    """Each step's (S, count) values integrated against its measure row, (m, S):
+    one stacked matrix-vector product, step by step the same as ``values[j] @ weights[j]``."""
+    return np.matmul(values, weights[:, :, None])[..., 0]
 
 
 def hamiltonian_slice(
@@ -52,65 +108,73 @@ def hamiltonian_slice(
     mu_row: np.ndarray,
     t: float,
 ) -> HamiltonianSlice:
-    """Evaluate H per grid point at step k for given states and costates.
+    """Evaluate H per grid point at step k for given states and costates: the
+    one-step case of the block evaluator.
 
-    H(u) = -p * (level(u) + slope(u) x) - P . (vol_level(u) + vol_slope(u) x)
-           - h(t, x, y, u);  the measure value integrates these against mu_row.
-
-    Each feature (p, p x, P, P x) times a term's scenario factor is a column
-    of an (S, f) matrix, multiplied by the terms' (f, count) point-table rows
-    at step k.  ``x, y, p`` may be scalars or (scenarios,); ``P`` is (dim,)
-    or (scenarios, dim).
+    ``x, y, p`` may be scalars or (scenarios,); ``P`` is (dim,) or
+    (scenarios, dim).
     """
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    yv = np.atleast_1d(np.asarray(y, dtype=float))
-    pv = np.atleast_1d(np.asarray(p, dtype=float))
+    xv, yv, pv = (np.atleast_1d(np.asarray(a, dtype=float))[:, None] for a in (x, y, p))
     Pv = np.asarray(P, dtype=float)
-    if Pv.ndim == 1:
-        Pv = Pv[None, :]
-    if not all(np.isfinite(a).all() for a in (xv, yv, pv, Pv)):
-        raise ValueError("non-finite inputs to the Hamiltonian")
-    # one feature row block (length-1 or S columns) and one table row block
-    # per term; a shared scenario factor is folded into the table rows
-    factors = ((fieldref.drift_level, pv[None]), (fieldref.drift_slope, (pv * xv)[None]),
-               (fieldref.vol_level, Pv.T), (fieldref.vol_slope, Pv.T * xv))
-    cols, rows = [], []
-    for coeff, g in factors:
-        for A, B in coeff.terms:
-            row = B[k].reshape(B.shape[1], -1).T
-            cols.append(g if len(A) == 1 else g * A[:, k])
-            rows.append(A[0, k] * row if len(A) == 1 else row)
-    rows = np.concatenate(rows)
-    features = np.empty((len(rows), max(col.shape[1] for col in cols)))
-    i = 0
-    for col in cols:
-        features[i:i + len(col)] = col
-        i += len(col)
-    values = -(features.T @ rows) - running.value(t, xv, yv, fieldref.grid.points)
-    at_mu = integrate_against(values, mu_row, axis=-1)
-    if np.ndim(x) == 0 and values.shape[0] == 1:
-        return HamiltonianSlice(values=values[0], at_mu=np.asarray(at_mu).reshape(()))
-    return HamiltonianSlice(values=values, at_mu=np.atleast_1d(at_mu))
+    Pv = (Pv[None] if Pv.ndim == 1 else Pv)[:, None]
+    values, at_mu = _hamiltonian_block(fieldref, k, k + 1, xv, yv, pv, Pv, running,
+                                       np.asarray(mu_row, dtype=float)[None], (t,))
+    if np.ndim(x) == 0 and values.shape[1] == 1:
+        return HamiltonianSlice(values=values[0, 0], at_mu=at_mu[0].reshape(()))
+    return HamiltonianSlice(values=values[0], at_mu=at_mu[0])
 
 
 def _shortfall(fieldref, bundle, adj, running, compared) -> np.ndarray:
-    """Per-scenario sum over steps of (H(mu[k]) - compared(k, values)) dt.
+    """Per-scenario sum over steps of (H(mu[k]) - compared value) dt.
 
-    One ``hamiltonian_slice`` sweep along the paths; ``compared`` reads the
-    (S,) compared values off step k's (S, count) per-point values.
+    Sweeps the paths ``max(1, SWEEP_BUDGET // (S * count))`` steps at a time;
+    ``compared(start, values)`` reads a block's (m, S) compared values off its
+    (m, S, count) per-point values.  The sum runs in step order.
     """
     times = bundle.tg.times()
     dt = bundle.tg.dt
+    n = bundle.tg.steps
+    block = max(1, SWEEP_BUDGET // (bundle.scenarios * fieldref.grid.count))
     out = np.zeros(bundle.scenarios)
-    for k in range(bundle.tg.steps):
-        slc = hamiltonian_slice(
-            fieldref, k,
-            bundle.x[:, k], bundle.y[:, k],
-            adj.px[:, k], adj.Px[:, k],
-            running, bundle.mu.weights[k], times[k],
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        values, at_mu = _hamiltonian_block(
+            fieldref, start, stop,
+            bundle.x[:, start:stop], bundle.y[:, start:stop],
+            adj.px[:, start:stop], adj.Px[:, start:stop],
+            running, bundle.mu.weights[start:stop], times[start:stop],
         )
-        out += (slc.at_mu - compared(k, slc.values)) * dt
+        for diff in at_mu - compared(start, values):
+            out += diff * dt
     return out
+
+
+def _grid_max(start, values) -> np.ndarray:
+    """The verifier's compared values: the pointwise grid maximum, a running
+    ``np.maximum`` over the point columns (exact, like ``max``)."""
+    top = values[..., 0].copy()
+    for c in range(1, values.shape[-1]):
+        np.maximum(top, values[..., c], out=top)
+    return top
+
+
+def _against(weights: np.ndarray):
+    """The derivative's compared values: H integrated against the direction's
+    measure rows ``weights`` (steps, count)."""
+    return lambda start, values: _integrate(values, weights[start:start + len(values)])
+
+
+def _mean_argmax(q_rows: np.ndarray):
+    """The Frank–Wolfe vertex's compared values: each step's point mass at
+    the first maximizer of the scenario-mean H is written into the zeroed
+    ``q_rows`` (steps, count), and H is integrated against it."""
+
+    def compared(start, values):
+        stop = start + len(values)
+        q_rows[np.arange(start, stop), values.mean(axis=1).argmax(axis=1)] = 1.0
+        return _integrate(values, q_rows[start:stop])
+
+    return compared
 
 
 def slack_paths(fieldref, k_path: np.ndarray, adj: AdjointSolution) -> np.ndarray:
@@ -179,7 +243,7 @@ def variational_derivative(
         raise ValueError("singular direction does not match the control shape")
     slack = slack_paths(fieldref, k_path, adj)
     singular = np.einsum("snd,nd->s", slack, eta.increments - bundle.xi.increments)
-    measure = _shortfall(fieldref, bundle, adj, running, lambda k, values: values @ q.weights[k])
+    measure = _shortfall(fieldref, bundle, adj, running, _against(q.weights))
     return VariationalDerivative.from_samples(singular, measure)
 
 
@@ -259,7 +323,7 @@ def check_max_principle(
     """
     tol = tolerances or MaxPrincipleTolerances()
     # the gap samples are minus the shortfall against the grid maximum
-    shortfall = _shortfall(fieldref, bundle, adj, running, lambda k, values: values.max(axis=-1))
+    shortfall = _shortfall(fieldref, bundle, adj, running, _grid_max)
     gap = -float(shortfall.mean()) + 0.0   # normalize -0.0
     gap_se = float(shortfall.std(ddof=1) / np.sqrt(bundle.scenarios)) if bundle.scenarios > 1 else 0.0
     gap_tol = tol.gap_se_multiplier * gap_se + tol.gap_floor

@@ -18,7 +18,7 @@ import numpy as np
 from .adjoint import _gradient_paths, _path_slopes, solve_adjoint_phi, solve_adjoint_regression
 from .dynamics import CoefficientField, TrajectoryBundle, coefficient_integrals
 from .dynamics import _affine_columns, _dot_last
-from .maxprinciple import VariationalDerivative, _shortfall, slack_paths
+from .maxprinciple import VariationalDerivative, _mean_argmax, _shortfall, slack_paths
 from .maxprinciple import variational_derivative  # noqa: F401  (perfbench wraps this module attribute)
 from .measures import (
     RelaxedControl,
@@ -267,12 +267,7 @@ def frank_wolfe_iterate(
     # one Hamiltonian sweep gives both the vertex q* (per-step point mass at
     # the scenario-mean maximizer) and its shortfall against the control
     q_rows = np.zeros_like(state.mu.weights)
-
-    def vertex(k, values):
-        q_rows[k, np.argmax(values.mean(axis=0))] = 1.0
-        return values @ q_rows[k]
-
-    shortfall = _shortfall(fieldref, state.bundle, adj, problem.running, vertex)
+    shortfall = _shortfall(fieldref, state.bundle, adj, problem.running, _mean_argmax(q_rows))
     q_star = RelaxedControl(q_rows)
     slack = slack_paths(fieldref, problem.k_path, adj)
     eta_star = _singular_direction(slack.mean(axis=0), opts.singular_rate, problem.tg.dt,

@@ -1,11 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import rscontrol as rc
+import rscontrol.maxprinciple as mp
 from rscontrol.maxprinciple import (
     MaxPrincipleTolerances,
+    _against,
+    _grid_max,
+    _mean_argmax,
+    _shortfall,
     check_max_principle,
     hamiltonian_slice,
     slack_paths,
@@ -263,3 +269,100 @@ class TestCheckMaxPrinciple:
         tol = MaxPrincipleTolerances(gap_se_multiplier=1e9)
         report, *_ = self._run(problem, mu, xi, scenarios=200, tolerances=tol)
         assert report.tolerances.gap_se_multiplier == 1e9
+
+
+def _random_paths(field, rng):
+    """A bundle and costates on ``field``'s shape, filled with random values in
+    the solvers' step-major layout, under a random measure control."""
+    scen, n, dim, count = field.scenarios, field.steps, field.dim, field.grid.count
+
+    def paths(*shape):
+        return np.asfortranarray(rng.normal(size=(scen,) + shape))
+
+    mu = RelaxedControl(rng.dirichlet(np.ones(count), size=n))
+    bundle = rc.TrajectoryBundle(rc.TimeGrid(1.0, n), 1.0 + 0.1 * paths(n + 1), paths(n + 1),
+                                 paths(n, dim), mu, SingularControl.zero(n, dim))
+    adj = rc.AdjointSolution(paths(n + 1), paths(n, dim), paths(n + 1), paths(n, dim), "random")
+    return bundle, adj
+
+
+class TestBlockSweep:
+    """The block sweep against the per-step evaluator, with three-step blocks
+    and a step count that is not a multiple of the block."""
+
+    SCENARIOS, STEPS, BLOCK = 7, 10, 3
+    RUNNING = rc.affine_quadratic_running(cx=0.2, cy=0.1, quad=0.5)
+
+    def _blocks_of_three(self, monkeypatch, field):
+        monkeypatch.setattr(mp, "SWEEP_BUDGET", self.BLOCK * field.scenarios * field.grid.count)
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_shortfalls_match_per_step_reference_bitwise(self, monkeypatch, index):
+        rng = np.random.default_rng(20 + index)
+        name, field = coefficient_fields(rng, scenarios=self.SCENARIOS, steps=self.STEPS)[index]
+        self._blocks_of_three(monkeypatch, field)
+        bundle, adj = _random_paths(field, rng)
+        q = RelaxedControl(rng.dirichlet(np.ones(field.grid.count), size=self.STEPS))
+        times, dt = bundle.tg.times(), bundle.tg.dt
+
+        ref_max, ref_vertex, ref_q = (np.zeros(self.SCENARIOS) for _ in range(3))
+        ref_rows = np.zeros_like(bundle.mu.weights)
+        for k in range(self.STEPS):
+            slc = hamiltonian_slice(field, k, bundle.x[:, k], bundle.y[:, k], adj.px[:, k],
+                                    adj.Px[:, k], self.RUNNING, bundle.mu.weights[k], times[k])
+            ref_max += (slc.at_mu - slc.values.max(axis=-1)) * dt
+            ref_rows[k, np.argmax(slc.values.mean(axis=0))] = 1.0
+            ref_vertex += (slc.at_mu - slc.values @ ref_rows[k]) * dt
+            ref_q += (slc.at_mu - slc.values @ q.weights[k]) * dt
+
+        rows = np.zeros_like(bundle.mu.weights)
+        sweep = lambda compared: _shortfall(field, bundle, adj, self.RUNNING, compared)
+        assert np.array_equal(sweep(_grid_max), ref_max), name
+        assert np.array_equal(sweep(_mean_argmax(rows)), ref_vertex), name
+        assert np.array_equal(rows, ref_rows), name
+        assert np.array_equal(rows, mean_argmax_vertex(field, bundle, adj, self.RUNNING).weights)
+        assert np.array_equal(sweep(_against(q.weights)), ref_q), name
+
+    def test_tied_points_choose_the_first_index_in_every_block(self, monkeypatch):
+        # p = -1, no diffusion and no running cost: H is the drift level
+        # (1, 1, 0) in every scenario, exactly, so points 0 and 1 tie
+        field = rc.dense_field(rc.TimeGrid(1.0, self.STEPS), rc.ActionGrid([-1.0, 0.0, 1.0]),
+                               self.SCENARIOS, 2, drift_level=[1.0, 1.0, 0.0])
+        self._blocks_of_three(monkeypatch, field)
+        bundle, adj = _random_paths(field, np.random.default_rng(3))
+        adj.px[...] = -1.0
+        rows = np.zeros_like(bundle.mu.weights)
+        _shortfall(field, bundle, adj, rc.zero_running(), _mean_argmax(rows))
+        assert np.array_equal(rows, RelaxedControl.from_indices(np.zeros(self.STEPS, int), 3).weights)
+
+    @pytest.mark.parametrize("costate, step", [("px", 3), ("Px", 5), ("px", 9)])
+    def test_non_finite_costate_at_a_block_edge_is_rejected(self, monkeypatch, costate, step):
+        # blocks are steps 0-2, 3-5, 6-8 and 9: the first and last step of a block
+        rng = np.random.default_rng(4)
+        name, field = coefficient_fields(rng, scenarios=self.SCENARIOS, steps=self.STEPS)[0]
+        self._blocks_of_three(monkeypatch, field)
+        bundle, adj = _random_paths(field, rng)
+        getattr(adj, costate)[2, step] = np.nan
+        with pytest.raises(ValueError, match="^non-finite inputs to the Hamiltonian$"):
+            check_max_principle(field, bundle, adj, self.RUNNING, np.zeros((self.STEPS, 2)))
+
+    def test_sweep_memory_is_bounded_by_the_block(self, monkeypatch):
+        # 8-step blocks of a shared dense field: f = 6 feature rows (p, p x and
+        # two each of P, P x) beside count = 4 points
+        scen, count, block, f = 100, 4, 8, 6
+        budget = block * scen * count
+        monkeypatch.setattr(mp, "SWEEP_BUDGET", budget)
+        peaks = {}
+        for steps in (40, 160):
+            rng = np.random.default_rng(5)
+            field = coefficient_fields(rng, scenarios=scen, steps=steps, points=count)[0][1]
+            bundle, adj = _random_paths(field, rng)
+            tracemalloc.start()
+            _shortfall(field, bundle, adj, self.RUNNING, _grid_max)
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        # the block's H values and feature stack, twice as much again in
+        # temporaries, and the per-step running cost and the sum: O(S * count)
+        bound = 8 * (3 * budget * (1 + f / count) + 4 * scen * count)
+        assert peaks[40] <= bound and peaks[160] <= bound, (peaks, bound)
+        assert peaks[160] <= 1.05 * peaks[40], peaks
