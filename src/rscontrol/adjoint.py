@@ -23,6 +23,10 @@ regression scheme is preferred for production runs.
 The fundamental flows, both adjoints and the first variation (in
 :mod:`rscontrol.optimizer`) read one per-step linearization of both state
 components, ``_path_slopes``, and carry x and y on one component axis.
+Both backward loops are step-major: every per-step (S, 2) and (S, 2, dim)
+operand, the fits included, has its scenarios contiguous.  The
+fundamental-solution adjoint evaluates each step's slopes once, in its
+forward pass.
 """
 
 from __future__ import annotations
@@ -115,10 +119,17 @@ class Projector:
 
     def fit(self, target: np.ndarray) -> np.ndarray:
         """E[target | x, y] on the sample; ``target`` is (scenarios,) or
-        (scenarios, r), and the result has the same shape."""
+        (scenarios, r), and the result has the same shape.  A 2-D fit is
+        F-ordered (each target's fit contiguous), bit for bit ``design @ coef``."""
         t = np.asarray(target, dtype=float)
-        rhs = self.design.T @ t / self.design.shape[0]
-        return self.design @ np.linalg.solve(self.gram, rhs)
+        if self.degree == 0:
+            # numpy sums a one-column design against the target in the
+            # target's memory order; gemm (wider designs) does not depend on it
+            t = np.ascontiguousarray(t)
+        coef = np.linalg.solve(self.gram, self.design.T @ t / self.design.shape[0])
+        if coef.ndim == 1:
+            return self.design @ coef
+        return (coef.T @ self.design.T).T
 
 
 def _backward_projectors(x: np.ndarray, y: np.ndarray, degree: int, ridge: float):
@@ -248,6 +259,27 @@ def _fundamental_pairs(slopes, bundle):
     return flow, inv
 
 
+def _flows(slopes, bundle, vol):
+    """The flows of ``_fundamental_pairs``, bit for bit, without the inverse
+    SDE; step k's diffusion slopes are written into ``vol[:, :, k]``."""
+    n, dt = bundle.tg.steps, bundle.tg.dt
+    flow = np.empty((bundle.scenarios, 2, n + 1), order="F")
+    flow[:, :, 0] = 1.0
+    for k in range(n):
+        slo, vol[:, :, k] = slopes(k)
+        shock = _dot_last(vol[:, :, k], bundle.noise[:, k, None])
+        flow[:, :, k + 1] = flow[:, :, k] * (1.0 + slo * dt + shock)
+    return flow
+
+
+def _loading_buffer(scen: int, dim: int) -> np.ndarray:
+    """An (S, 2, dim) buffer stored scenarios first, then Brownian axes, then
+    components: its (S, 2 * dim) reshape is an F-ordered view whose column
+    c * dim + i holds component c on axis i, the column order of a C-order
+    reshape."""
+    return np.empty((scen, dim, 2), order="F").transpose(0, 2, 1)
+
+
 def _gradient_paths(field, mu, bundle, running):
     """Measure-integrated running-cost gradients along the paths,
     (S, 2, steps) step-major, with component 0 for x and 1 for y."""
@@ -284,31 +316,33 @@ def solve_adjoint_phi(
     exact gradients.
     """
     slopes = _path_slopes(coefficient_integrals(field, mu), bundle, stock)
-    flow = _fundamental_pairs(slopes, bundle)[0]
-    flow_inv = 1.0 / flow
     n, dt = bundle.tg.steps, bundle.tg.dt
     scen, d = bundle.scenarios, bundle.dim
     xn, yn = bundle.x[:, n], bundle.y[:, n]
+    # step k's diffusion slopes wait in load[:, :, k] until its loading replaces them
+    load = np.empty((scen, 2, n, d), order="F")
+    flow = _flows(slopes, bundle, load)
+    flow_inv = 1.0 / flow
 
     # axis 1 indexes the component: 0 for x, 1 for y
-    grad = np.column_stack([terminal.dx(xn, yn), terminal.dy(xn, yn)])
+    p = np.empty((scen, 2, n + 1), order="F")
+    p[:, 0, n], p[:, 1, n] = terminal.dx(xn, yn), terminal.dy(xn, yn)
     # C order, so that the step sum is numpy's pairwise sum along contiguous rows
     weighted = np.ascontiguousarray(flow[:, :, :n] * _gradient_paths(field, mu, bundle, running) * dt)
-    total = flow[:, :, n] * grad + weighted.sum(axis=2)
+    total = flow[:, :, n] * p[:, :, n]
+    total += weighted.sum(axis=2)
     prefix = np.zeros((scen, 2, n + 1), order="F")
     np.cumsum(weighted, axis=2, out=prefix[:, :, 1:])
-    p = np.empty((scen, 2, n + 1), order="F")
-    p[:, :, n] = grad
-    load = np.empty((scen, 2, n, d), order="F")
     mart_next = total
+    incr = _loading_buffer(scen, d)
     projectors = _backward_projectors(bundle.x, bundle.y, degree, ridge)
     for k, proj in zip(range(n - 1, -1, -1), projectors):
         mart = proj.fit(total)
         p[:, :, k] = (mart - prefix[:, :, k]) * flow_inv[:, :, k]
-        incr = (mart_next - mart)[:, :, None] * bundle.noise[:, k, None] / dt
+        np.multiply((mart_next - mart)[:, :, None], bundle.noise[:, k, None], out=incr)
         mart_next = mart
-        integrand = proj.fit(incr.reshape(scen, 2 * d)).reshape(scen, 2, d)
-        load[:, :, k] = flow_inv[:, :, k, None] * integrand - slopes(k)[1] * p[:, :, k, None]
+        integrand = proj.fit(incr.reshape(scen, 2 * d) / dt).reshape(scen, 2, d)
+        load[:, :, k] = flow_inv[:, :, k, None] * integrand - load[:, :, k] * p[:, :, k, None]
     return AdjointSolution(px=p[:, 0], Px=load[:, 0], py=p[:, 1], Py=load[:, 1],
                            method="phi-construction")
 
@@ -341,16 +375,16 @@ def solve_adjoint_regression(
     slopes = _path_slopes(coefficient_integrals(field, mu), bundle, stock)
     h = _gradient_paths(field, mu, bundle, running)
 
-    # every fit target is a C-contiguous (S, 2 | 2 * dim) block
     p = np.empty((scen, 2, n + 1), order="F")
     load = np.empty((scen, 2, n, d), order="F")
-    nxt = np.column_stack([terminal.dx(x[:, n], y[:, n]), terminal.dy(x[:, n], y[:, n])])
-    p[:, :, n] = nxt
+    p[:, 0, n], p[:, 1, n] = terminal.dx(x[:, n], y[:, n]), terminal.dy(x[:, n], y[:, n])
+    nxt = p[:, :, n]
+    prod = _loading_buffer(scen, d)
     projectors = _backward_projectors(x, y, degree, ridge)
     for k, proj in zip(range(n - 1, -1, -1), projectors):
         resid = nxt - proj.fit(nxt)
-        loads = proj.fit((resid[:, :, None] * dw[:, k, None]).reshape(scen, 2 * d) / dt)
-        loads = loads.reshape(scen, 2, d)
+        np.multiply(resid[:, :, None], dw[:, k, None], out=prod)
+        loads = proj.fit(prod.reshape(scen, 2 * d) / dt).reshape(scen, 2, d)
         slo, vslo = slopes(k)
         nxt = proj.fit(nxt + (slo * nxt + _dot_last(vslo, loads) + h[:, :, k]) * dt)
         p[:, :, k] = nxt

@@ -171,10 +171,20 @@ def _mean_argmax(q_rows: np.ndarray):
 
     def compared(start, values):
         stop = start + len(values)
-        q_rows[np.arange(start, stop), values.mean(axis=1).argmax(axis=1)] = 1.0
+        q_rows[np.arange(start, stop), _scenario_mean(values).argmax(axis=1)] = 1.0
         return _integrate(values, q_rows[start:stop])
 
     return compared
+
+
+def _scenario_mean(values: np.ndarray) -> np.ndarray:
+    """``values.mean(axis=1)`` of an (m, S, count) block, bit for bit when
+    count > 1: the scenario-major copy adds the same rows in the same order,
+    in inner loops m * count long instead of count long.  (At count 1 numpy
+    sums the contiguous scenarios pairwise; the argmax is 0 either way.)"""
+    m, scen, count = values.shape
+    rows = np.ascontiguousarray(values.transpose(1, 0, 2)).reshape(scen, m * count)
+    return (rows.sum(axis=0) / scen).reshape(m, count)
 
 
 def slack_paths(fieldref, k_path: np.ndarray, adj: AdjointSolution) -> np.ndarray:

@@ -5,14 +5,20 @@ import numpy as np
 import pytest
 
 import rscontrol as rc
+import rscontrol.adjoint as adjoint
 from rscontrol.adjoint import (
     CONDITION_LIMIT,
     SETUP_BUDGET,
     Projector,
     _backward_projectors,
+    _flows,
+    _fundamental_pairs,
+    _gradient_paths,
+    _path_slopes,
     fit_conditional,
 )
 from rscontrol.cli import adjoints_to_csv
+from rscontrol.dynamics import coefficient_integrals
 from rscontrol.optimizer import solve_first_variation
 
 from toys import rich_toy, random_admissible_controls
@@ -64,6 +70,74 @@ def _reference_setup(x, y, degree, ridge):
             continue
         break
     return design, gram, deg
+
+
+def _reference_fit(setup, target):
+    design, gram, _ = setup
+    return design @ np.linalg.solve(gram, design.T @ target / design.shape[0])
+
+
+def _reference_adjoints(problem, field, mu, bundle, ridge):
+    """Both solvers' backward loops on C-ordered (S, 2 | 2 * dim) blocks, one
+    step's reference set-up at a time: {method: (p, load)}, p (S, 2, n + 1)
+    and load (S, 2, n, dim) with component 0 for x and 1 for y."""
+    n, dt = bundle.tg.steps, bundle.tg.dt
+    scen, d = bundle.scenarios, bundle.dim
+    x, y, dw = bundle.x, bundle.y, bundle.noise
+    slopes = _path_slopes(coefficient_integrals(field, mu), bundle, problem.stock)
+    h = _gradient_paths(field, mu, bundle, problem.running)
+    setups = [_reference_setup(x[:, k], y[:, k], 2, ridge) for k in range(n)]
+    grad = np.column_stack([problem.terminal.dx(x[:, n], y[:, n]),
+                            problem.terminal.dy(x[:, n], y[:, n])])
+
+    p, load = np.empty((scen, 2, n + 1)), np.empty((scen, 2, n, d))
+    p[:, :, n] = nxt = grad
+    for k in range(n - 1, -1, -1):
+        resid = nxt - _reference_fit(setups[k], nxt)
+        loads = _reference_fit(setups[k], (resid[:, :, None] * dw[:, k, None]).reshape(scen, 2 * d) / dt)
+        loads = loads.reshape(scen, 2, d)
+        slo, vslo = slopes(k)
+        nxt = _reference_fit(setups[k], nxt + (slo * nxt + (vslo * loads).sum(-1) + h[:, :, k]) * dt)
+        p[:, :, k], load[:, :, k] = nxt, loads
+    out = {"regression": (p, load)}
+
+    flow = _fundamental_pairs(slopes, bundle)[0]
+    flow_inv = 1.0 / flow
+    weighted = np.ascontiguousarray(flow[:, :, :n] * h * dt)
+    total = flow[:, :, n] * grad + weighted.sum(axis=2)
+    prefix = np.zeros((scen, 2, n + 1))
+    prefix[:, :, 1:] = np.cumsum(weighted, axis=2)
+    p, load = np.empty((scen, 2, n + 1)), np.empty((scen, 2, n, d))
+    p[:, :, n] = grad
+    mart_next = total
+    for k in range(n - 1, -1, -1):
+        mart = _reference_fit(setups[k], total)
+        p[:, :, k] = (mart - prefix[:, :, k]) * flow_inv[:, :, k]
+        incr = (mart_next - mart)[:, :, None] * dw[:, k, None] / dt
+        mart_next = mart
+        integrand = _reference_fit(setups[k], incr.reshape(scen, 2 * d)).reshape(scen, 2, d)
+        load[:, :, k] = flow_inv[:, :, k, None] * integrand - slopes(k)[1] * p[:, :, k, None]
+    out["phi-construction"] = (p, load)
+    return out
+
+
+def _layout_problem(dim, steps):
+    """Action-dependent drift and diffusion slopes on ``dim`` Brownian axes
+    and a geometric stock, so that every slope of both components is live."""
+    pts = np.linspace(-1.0, 1.0, 3)
+    vol_level = np.zeros((3, dim))
+    vol_level[:, 0] = 0.15 + 0.1 * pts
+    return rc.ControlProblem(
+        tg=rc.TimeGrid(1.0, steps), grid=rc.ActionGrid(pts), dim=dim, x0=1.0, y0=1.0,
+        coefficients={"model": "deterministic-constant", "dim": dim,
+                      "drift_level": 0.3 * pts, "drift_slope": -0.2 + 0.1 * pts,
+                      "vol_level": vol_level,
+                      "vol_slope": np.outer(0.1 + 0.05 * pts, np.linspace(1.0, -0.5, dim))},
+        stock=rc.linear_stock(0.05, 0.2, dim, component=dim - 1),
+        running=rc.affine_quadratic_running(cx=0.2, cy=0.1, quad=0.5),
+        terminal=rc.linear_quadratic_terminal(gx1=0.5, gx2=0.3, gy1=0.3, gy2=0.2),
+        k_path=np.zeros((steps, dim)),
+    )
 
 
 def _state_paths(scenarios, steps, order, seed=0):
@@ -292,6 +366,69 @@ class TestLayout:
         for name in ("alpha_x", "alpha_y", "beta"):
             assert getattr(fv, name)[:, 7].flags.c_contiguous
             assert np.array_equal(getattr(fv, name), getattr(c_fv, name))
+
+
+class TestLayoutContract:
+    """Both solvers' step-major loops against the C-ordered reference loops."""
+
+    STEPS, SCENARIOS, BLOCK = 15, 150, 4
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_solvers_match_c_ordered_reference(self, monkeypatch, dim, order):
+        # four-step set-up blocks (11-14, 7-10, 3-6, 0-2); without the ridge
+        # the common start (step 0) and the constant states of step 5, inside
+        # the block 3-6, fall back to degree 0
+        monkeypatch.setattr(adjoint, "SETUP_BUDGET", self.BLOCK * self.SCENARIOS)
+        problem = _layout_problem(dim, self.STEPS)
+        field, _, bundle = _setup(problem, self.SCENARIOS, 8)
+        mu, xi = random_admissible_controls(np.random.default_rng(dim), self.STEPS,
+                                            problem.grid.count, dim)
+        bundle = problem.simulate(field, mu, xi, bundle.noise)
+        x, y = bundle.x.copy(order="K"), bundle.y.copy(order="K")
+        x[:, 5], y[:, 5] = 1.25, 0.75
+        convert = np.asfortranarray if order == "F" else np.ascontiguousarray
+        bundle = dataclasses.replace(bundle, x=convert(x), y=convert(y), noise=convert(bundle.noise))
+        assert [_reference_setup(x[:, k], y[:, k], 2, 0.0)[2] for k in (0, 4, 5, 6)] == [0, 2, 0, 2]
+        reference = _reference_adjoints(problem, field, mu, bundle, 0.0)
+        args = (field, mu, bundle, problem.running, problem.terminal, problem.stock)
+        for solve in (rc.solve_adjoint_regression, rc.solve_adjoint_phi):
+            with pytest.warns(RuntimeWarning, match="falling back"):
+                adj = solve(*args, ridge=0.0)
+            p, load = reference[adj.method]
+            for c, (costate, loading) in enumerate(((adj.px, adj.Px), (adj.py, adj.Py))):
+                assert np.array_equal(costate, p[:, c]), (adj.method, c)
+                assert np.array_equal(loading, load[:, c]), (adj.method, c)
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("width", [2, 6])
+    def test_projector_fit_is_f_ordered_and_bitwise(self, width, order):
+        x, y = _state_paths(300, 2, "C", seed=3)
+        proj = Projector(x[:, 2], y[:, 2])
+        target = np.random.default_rng(width).normal(size=(300, width))
+        target = np.asfortranarray(target) if order == "F" else target
+        fitted = proj.fit(target)
+        design, gram = proj.design, proj.gram
+        assert fitted.flags.f_contiguous
+        assert np.array_equal(fitted, design @ np.linalg.solve(gram, design.T @ target / 300))
+        one = proj.fit(target[:, 1])
+        assert one.shape == (300,)
+        assert np.array_equal(one, design @ np.linalg.solve(gram, design.T @ target[:, 1] / 300))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_phi_forward_pass_matches_solve_fundamental(self, dim):
+        problem = _layout_problem(dim, self.STEPS)
+        field, mu, bundle = _setup(problem, self.SCENARIOS, 9)
+        slopes = _path_slopes(coefficient_integrals(field, mu), bundle, problem.stock)
+        vol = np.empty((self.SCENARIOS, 2, self.STEPS, dim), order="F")
+        flow = _flows(slopes, bundle, vol)
+        pairs = rc.solve_fundamental(field, mu, bundle, problem.stock)
+        for c, pair in enumerate(pairs):
+            assert np.array_equal(flow[:, c], pair.flow)
+            assert np.array_equal(1.0 / flow[:, c], pair.flow_inv)
+        for k in range(self.STEPS):
+            assert np.array_equal(vol[:, :, k], slopes(k)[1])
+        assert np.ptp(flow[:, 0, -1]) > 0.0 and np.ptp(flow[:, 1, -1]) > 0.0
 
 
 class TestMethodAgreement:

@@ -11,6 +11,7 @@ from rscontrol.maxprinciple import (
     _against,
     _grid_max,
     _mean_argmax,
+    _scenario_mean,
     _shortfall,
     check_max_principle,
     hamiltonian_slice,
@@ -322,6 +323,13 @@ class TestBlockSweep:
         assert np.array_equal(rows, ref_rows), name
         assert np.array_equal(rows, mean_argmax_vertex(field, bundle, adj, self.RUNNING).weights)
         assert np.array_equal(sweep(_against(q.weights)), ref_q), name
+
+    @pytest.mark.parametrize("shape", [(13, 1000, 5), (16, 200, 20), (1, 7, 3), (5, 1, 4)])
+    def test_scenario_mean_is_numpys_mean_bitwise(self, shape):
+        values = np.random.default_rng(6).normal(size=shape)
+        mean = _scenario_mean(values)
+        assert mean.shape == shape[::2]
+        assert mean.tobytes() == values.mean(axis=1).tobytes()
 
     def test_tied_points_choose_the_first_index_in_every_block(self, monkeypatch):
         # p = -1, no diffusion and no running cost: H is the drift level
