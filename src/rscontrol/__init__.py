@@ -50,11 +50,9 @@ from .problems import (
 )
 from .adjoint import (
     AdjointSolution,
-    FundamentalPair,
     fit_conditional,
     solve_adjoint_phi,
     solve_adjoint_regression,
-    solve_fundamental,
 )
 from .maxprinciple import (
     HamiltonianSlice,
@@ -86,5 +84,4 @@ from .finance import (
     integrated_volatility,
     product_grid,
     product_weights,
-    volatility_field,
 )

@@ -20,13 +20,14 @@ with state-dependent diffusion slopes the fundamental-solution method
 acquires a projection bias because the flow itself is an extra state, so the
 regression scheme is preferred for production runs.
 
-The fundamental flows, both adjoints and the first variation (in
-:mod:`rscontrol.optimizer`) read one per-step linearization of both state
-components, ``_path_slopes``, and carry x and y on one component axis.
-Both backward loops are step-major: every per-step (S, 2) and (S, 2, dim)
-operand, the fits included, has its scenarios contiguous.  The
-fundamental-solution adjoint evaluates each step's slopes once, in its
-forward pass.
+Both adjoints and the first variation (in :mod:`rscontrol.optimizer`) read
+one per-step linearization of both state components, ``_path_slopes``, and
+carry x and y on one component axis.  The fundamental flow has one
+recurrence, ``_flows``, which the fundamental-solution adjoint runs as its
+forward pass, evaluating each step's slopes once; the first variation
+shares its Euler step factor, ``_step_factor``.  Both backward loops are
+step-major: every per-step (S, 2) and (S, 2, dim) operand, the fits
+included, has its scenarios contiguous.
 """
 
 from __future__ import annotations
@@ -160,28 +161,6 @@ def fit_conditional(
 
 
 @dataclass(frozen=True)
-class FundamentalPair:
-    """Fundamental solution of the homogeneous linear SDE and its inverse.
-
-    ``flow_inv`` is the exact reciprocal used downstream; ``flow_inv_sde``
-    integrates the inverse's own SDE with the same Euler steps and is kept as
-    a consistency diagnostic: the scenario mean of flow * flow_inv_sde drifts
-    from 1 at O(dt), while the pathwise defect is O(sqrt(dt)).
-    """
-
-    flow: np.ndarray          # (scenarios, steps + 1)
-    flow_inv: np.ndarray
-    flow_inv_sde: np.ndarray
-
-    def __post_init__(self):
-        if not np.isfinite(self.flow).all():
-            k = int(np.argwhere(~np.isfinite(self.flow))[0][1])
-            raise FloatingPointError(f"fundamental solution non-finite at step {k}")
-        if np.any(self.flow[:, 0] != 1.0):
-            raise ValueError("fundamental solution must start at 1")
-
-
-@dataclass(frozen=True)
 class AdjointSolution:
     """Costate paths for both state components.
 
@@ -225,50 +204,24 @@ def _path_slopes(integrals, bundle, stock):
     return at
 
 
-def solve_fundamental(
-    field: CoefficientField,
-    mu: RelaxedControl,
-    bundle: TrajectoryBundle,
-    stock: StockModel,
-):
-    """Forward Euler on the fundamental solutions for both components.
-
-    Reuses the bundle's Brownian increments.  Returns (pair_x, pair_y) where
-    the x-pair uses the measure-integrated drift/diffusion slopes and the
-    y-pair the stock model's derivatives along the simulated y path.
-    """
-    slopes = _path_slopes(coefficient_integrals(field, mu), bundle, stock)
-    flow, inv_sde = _fundamental_pairs(slopes, bundle)
-    return tuple(FundamentalPair(flow=flow[:, c], flow_inv=1.0 / flow[:, c],
-                                 flow_inv_sde=inv_sde[:, c]) for c in (0, 1))
-
-
-def _fundamental_pairs(slopes, bundle):
-    """Flows and SDE-integrated inverse flows of both components, (S, 2,
-    steps + 1) each and step-major, on the per-step ``slopes`` of ``_path_slopes``."""
-    n, dt = bundle.tg.steps, bundle.tg.dt
-    flow = np.empty((bundle.scenarios, 2, n + 1), order="F")
-    inv = np.empty_like(flow)
-    flow[:, :, 0] = inv[:, :, 0] = 1.0
-    for k in range(n):
-        slo, vslo = slopes(k)
-        shock = _dot_last(vslo, bundle.noise[:, k, None])
-        quad = _dot_last(vslo, vslo)
-        flow[:, :, k + 1] = flow[:, :, k] * (1.0 + slo * dt + shock)
-        inv[:, :, k + 1] = inv[:, :, k] * (1.0 + (quad - slo) * dt - shock)
-    return flow, inv
+def _step_factor(slo, vslo, dw, dt):
+    """The Euler factor ``1 + slope dt + vol_slope . dW`` of one step of the
+    homogeneous linear SDE, for step slopes of ``_path_slopes`` and the step's
+    Brownian increments ``dw`` (S, dim)."""
+    return 1.0 + slo * dt + _dot_last(vslo, dw[:, None])
 
 
 def _flows(slopes, bundle, vol):
-    """The flows of ``_fundamental_pairs``, bit for bit, without the inverse
-    SDE; step k's diffusion slopes are written into ``vol[:, :, k]``."""
+    """The fundamental flows of both components, (S, 2, steps + 1) and
+    step-major: products of the ``_step_factor`` of the per-step ``slopes``
+    of ``_path_slopes``.  Step k's diffusion slopes are written into
+    ``vol[:, :, k]``."""
     n, dt = bundle.tg.steps, bundle.tg.dt
     flow = np.empty((bundle.scenarios, 2, n + 1), order="F")
     flow[:, :, 0] = 1.0
     for k in range(n):
         slo, vol[:, :, k] = slopes(k)
-        shock = _dot_last(vol[:, :, k], bundle.noise[:, k, None])
-        flow[:, :, k + 1] = flow[:, :, k] * (1.0 + slo * dt + shock)
+        flow[:, :, k + 1] = flow[:, :, k] * _step_factor(slo, vol[:, :, k], bundle.noise[:, k], dt)
     return flow
 
 
@@ -322,7 +275,7 @@ def solve_adjoint_phi(
     # step k's diffusion slopes wait in load[:, :, k] until its loading replaces them
     load = np.empty((scen, 2, n, d), order="F")
     flow = _flows(slopes, bundle, load)
-    flow_inv = 1.0 / flow
+    deflator = 1.0 / flow
 
     # axis 1 indexes the component: 0 for x, 1 for y
     p = np.empty((scen, 2, n + 1), order="F")
@@ -338,11 +291,11 @@ def solve_adjoint_phi(
     projectors = _backward_projectors(bundle.x, bundle.y, degree, ridge)
     for k, proj in zip(range(n - 1, -1, -1), projectors):
         mart = proj.fit(total)
-        p[:, :, k] = (mart - prefix[:, :, k]) * flow_inv[:, :, k]
+        p[:, :, k] = (mart - prefix[:, :, k]) * deflator[:, :, k]
         np.multiply((mart_next - mart)[:, :, None], bundle.noise[:, k, None], out=incr)
         mart_next = mart
         integrand = proj.fit(incr.reshape(scen, 2 * d) / dt).reshape(scen, 2, d)
-        load[:, :, k] = flow_inv[:, :, k, None] * integrand - load[:, :, k] * p[:, :, k, None]
+        load[:, :, k] = deflator[:, :, k, None] * integrand - load[:, :, k] * p[:, :, k, None]
     return AdjointSolution(px=p[:, 0], Px=load[:, 0], py=p[:, 1], Py=load[:, 1],
                            method="phi-construction")
 

@@ -258,6 +258,8 @@ def _build_controls(cfg: dict, problem: ControlProblem, path: str | None):
             grid, mu, xi, horizon = load_controls(path)
         except FileNotFoundError:
             raise ConfigError(f"controls file not found: {path}")
+        except OSError as exc:
+            raise ConfigError(f"cannot read controls file {path}: {exc}") from exc
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"malformed controls file: {exc}") from exc
         if not math.isfinite(horizon) or abs(horizon - problem.tg.horizon) > 1e-12:
@@ -280,6 +282,8 @@ def _resolve_config(path: str, args) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     _check_keys(cfg, _TOP_KEYS, {"schema", "problem", "time", "scenarios", "seed", "output_dir"},
                 "config")
     if cfg["schema"] != SCENARIO_SCHEMA:
@@ -515,8 +519,11 @@ def cmd_example_bond(args) -> int:
     path = Path(args.out if args.out is not None else "example_bond.json")
     if path.is_dir():
         path = path / "example_bond.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(path, example_bond_config())
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        _write_json(path, example_bond_config())
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc}") from exc
     print(f"example-bond: wrote {path}")
     return 0
 

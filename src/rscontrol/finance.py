@@ -121,16 +121,6 @@ def integrated_volatility(market: MarketModel, maturities) -> np.ndarray:
     return (market.sigma / c) * np.expm1(-c * u)
 
 
-def volatility_field(market: MarketModel, maturities, tg: TimeGrid) -> np.ndarray:
-    """Integrated volatility per (step, maturity), shape (steps, len(maturities)).
-
-    Both supported families are time-invariant; the time axis is kept for
-    interface uniformity with sampled coefficient fields.
-    """
-    row = integrated_volatility(market, maturities)
-    return np.broadcast_to(row, (tg.steps, row.size)).copy()
-
-
 def product_grid(maturities, consumption) -> ActionGrid:
     """Product action grid over (maturity, consumption), lexicographic order."""
     u = np.asarray(maturities, float)
@@ -247,7 +237,8 @@ def build_coefficient_field(
 
     r0, theta, clamp_events = _short_rate_and_mpr(market, tg, scenarios, noise)
     n, m = tg.steps, grid.count
-    v = volatility_field(market, market.maturities, tg)[:, iu]     # (steps, count)
+    # F order: the measure integrals of the table sum its points in memory order
+    v = np.broadcast_to(integrated_volatility(market, market.maturities)[iu], (n, m)).copy(order="F")
     shared = np.ones((1, n))
     vol_slope = np.stack([v, np.zeros_like(v)], axis=-1)    # first noise axis only
     return FinanceCoefficientField(

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adjoint import _gradient_paths, _path_slopes, solve_adjoint_phi, solve_adjoint_regression
+from .adjoint import _gradient_paths, _path_slopes, _step_factor
+from .adjoint import solve_adjoint_phi, solve_adjoint_regression
 from .dynamics import CoefficientField, TrajectoryBundle, coefficient_integrals
 from .dynamics import _affine_columns, _dot_last
 from .maxprinciple import VariationalDerivative, _mean_argmax, _shortfall, slack_paths
@@ -118,7 +119,7 @@ def solve_first_variation(
         dw = bundle.noise[:, k]
         xk = bundle.x[:, k]
         slo, vslo = slopes(k)
-        growth = 1.0 + slo * dt + _dot_last(vslo, dw[:, None])
+        growth = _step_factor(slo, vslo, dw, dt)
         alpha[:, :, k + 1] = alpha[:, :, k] * growth + jump[k]
         drift_diff = d_lev[:, k] + d_slo[:, k] * xk
         vol_diff = _affine_columns(d_vlev[:, k], d_vslo[:, k], xk)

@@ -12,7 +12,6 @@ from rscontrol.adjoint import (
     Projector,
     _backward_projectors,
     _flows,
-    _fundamental_pairs,
     _gradient_paths,
     _path_slopes,
     fit_conditional,
@@ -33,12 +32,12 @@ def _setup(problem, scenarios, seed):
 
 
 def _simple_problem(steps=60, scenarios=200, drift_slope=0.0, vol_slope=0.0,
-                    cx=0.0, gx1=1.0, vol_level=0.2, seed=0):
+                    cx=0.0, gx1=1.0, vol_level=0.2, seed=0, x0=1.0):
     tg = rc.TimeGrid(1.0, steps)
     pts = np.linspace(-1.0, 1.0, 3)
     grid = rc.ActionGrid(pts)
     problem = rc.ControlProblem(
-        tg=tg, grid=grid, dim=1, x0=1.0, y0=1.0,
+        tg=tg, grid=grid, dim=1, x0=x0, y0=1.0,
         coefficients={"model": "deterministic-constant", "dim": 1,
                       "drift_slope": drift_slope, "vol_level": [vol_level],
                       "vol_slope": [vol_slope]},
@@ -48,6 +47,12 @@ def _simple_problem(steps=60, scenarios=200, drift_slope=0.0, vol_slope=0.0,
         k_path=np.zeros((steps, 1)),
     )
     return problem, _setup(problem, scenarios, seed)
+
+
+def _flow_paths(problem, field, mu, bundle):
+    """``_flows`` of the bundle's slopes, the flow that phi runs."""
+    slopes = _path_slopes(coefficient_integrals(field, mu), bundle, problem.stock)
+    return _flows(slopes, bundle, np.empty((bundle.scenarios, 2, bundle.tg.steps, bundle.dim)))
 
 
 def _reference_setup(x, y, degree, ridge):
@@ -101,8 +106,8 @@ def _reference_adjoints(problem, field, mu, bundle, ridge):
         p[:, :, k], load[:, :, k] = nxt, loads
     out = {"regression": (p, load)}
 
-    flow = _fundamental_pairs(slopes, bundle)[0]
-    flow_inv = 1.0 / flow
+    flow = _flows(slopes, bundle, np.empty((scen, 2, n, d)))
+    deflator = 1.0 / flow
     weighted = np.ascontiguousarray(flow[:, :, :n] * h * dt)
     total = flow[:, :, n] * grad + weighted.sum(axis=2)
     prefix = np.zeros((scen, 2, n + 1))
@@ -112,11 +117,11 @@ def _reference_adjoints(problem, field, mu, bundle, ridge):
     mart_next = total
     for k in range(n - 1, -1, -1):
         mart = _reference_fit(setups[k], total)
-        p[:, :, k] = (mart - prefix[:, :, k]) * flow_inv[:, :, k]
+        p[:, :, k] = (mart - prefix[:, :, k]) * deflator[:, :, k]
         incr = (mart_next - mart)[:, :, None] * dw[:, k, None] / dt
         mart_next = mart
         integrand = _reference_fit(setups[k], incr.reshape(scen, 2 * d)).reshape(scen, 2, d)
-        load[:, :, k] = flow_inv[:, :, k, None] * integrand - slopes(k)[1] * p[:, :, k, None]
+        load[:, :, k] = deflator[:, :, k, None] * integrand - slopes(k)[1] * p[:, :, k, None]
     out["phi-construction"] = (p, load)
     return out
 
@@ -220,13 +225,11 @@ class TestFitConditional:
 
 
 class TestSolveFundamental:
+    """Closed forms of the fundamental flows that phi runs (``_flows``)."""
+
     def test_trivial(self):
         problem, (field, mu, bundle) = _simple_problem()
-        fx, fy = rc.solve_fundamental(field, mu, bundle, problem.stock)
-        assert np.all(fx.flow == 1.0)
-        assert np.all(fx.flow_inv == 1.0)
-        assert np.all(fx.flow_inv_sde == 1.0)
-        assert np.all(fy.flow == 1.0)
+        assert np.all(_flow_paths(problem, field, mu, bundle) == 1.0)
 
     def test_linear_stock_y_flow(self):
         # dy = lam y dt + rho y dW_1: the y flow is the product of the Euler
@@ -234,54 +237,19 @@ class TestSolveFundamental:
         lam, rho = 0.3, 0.4
         problem = dataclasses.replace(rich_toy(steps=40), stock=rc.linear_stock(lam, rho, 2))
         field, mu, bundle = _setup(problem, 50, 4)
-        _, fy = rc.solve_fundamental(field, mu, bundle, problem.stock)
+        fy = _flow_paths(problem, field, mu, bundle)[:, 1]
         growth = 1.0 + lam * bundle.tg.dt + rho * bundle.noise[:, :, 1]
         expected = np.concatenate([np.ones((50, 1)), np.cumprod(growth, axis=1)], axis=1)
-        assert np.allclose(fy.flow, expected, rtol=1e-13, atol=0.0)
-        assert np.array_equal(fy.flow_inv, 1.0 / fy.flow)
-        assert np.ptp(fy.flow[:, -1]) > 0.1   # the y flow is genuinely random
+        assert np.allclose(fy, expected, rtol=1e-13, atol=0.0)
+        assert np.ptp(fy[:, -1]) > 0.1   # the y flow is genuinely random
 
     def test_exponential_oracle(self):
         a = 0.8
         problem, (field, mu, bundle) = _simple_problem(steps=500, scenarios=4, drift_slope=a)
-        fx, _ = rc.solve_fundamental(field, mu, bundle, problem.stock)
+        fx = _flow_paths(problem, field, mu, bundle)[:, 0]
         exact = math.exp(a * 1.0)
-        rel = abs(fx.flow[0, -1] - exact) / exact
+        rel = abs(fx[0, -1] - exact) / exact
         assert rel <= 2.0 * bundle.tg.dt * a * a * 1.0 + 1e-12
-
-    def test_inverse_reciprocal_tight(self):
-        problem, (field, mu, bundle) = _simple_problem(drift_slope=0.3, vol_slope=0.2)
-        fx, _ = rc.solve_fundamental(field, mu, bundle, problem.stock)
-        assert np.abs(fx.flow * fx.flow_inv - 1.0).max() <= 1e-8
-
-    def test_non_finite_flow_diagnostic(self):
-        flow = np.ones((2, 5))
-        flow[1, 3] = np.inf
-        with pytest.raises(FloatingPointError, match="step 3"):
-            rc.FundamentalPair(flow=flow, flow_inv=1.0 / flow, flow_inv_sde=1.0 / flow)
-        with pytest.raises(ValueError, match="start at 1"):
-            rc.FundamentalPair(flow=np.full((2, 5), 2.0),
-                               flow_inv=np.full((2, 5), 0.5),
-                               flow_inv_sde=np.full((2, 5), 0.5))
-
-    def test_inverse_sde_weak_rate(self):
-        # One Euler step of the pair multiplies the product by
-        # (1 + a dt + v dW)(1 + (q - a) dt - v dW), q = v^2, whose mean is
-        # 1 + a (q - a) dt^2.  With deterministic coefficients the steps are
-        # independent, so E[flow * flow_inv_sde](T) = (1 + a (q - a) dt^2)^n:
-        # the mean drifts from 1 at O(dt).  The pathwise defect is O(sqrt(dt))
-        # and has no reliable rate at a few dozen paths.
-        a, v = 0.4, 0.25
-        for steps in (50, 100, 200):
-            problem, (field, mu, bundle) = _simple_problem(
-                steps=steps, scenarios=10_000, drift_slope=a, vol_slope=v, seed=5
-            )
-            fx, _ = rc.solve_fundamental(field, mu, bundle, problem.stock)
-            defect = fx.flow[:, -1] * fx.flow_inv_sde[:, -1] - 1.0
-            stderr = defect.std(ddof=1) / math.sqrt(defect.size)
-            expected = (1.0 + a * (v * v - a) * bundle.tg.dt ** 2) ** steps - 1.0
-            assert abs(defect.mean() - expected) <= 4.0 * stderr
-            assert abs(expected) > 4.0 * stderr
 
 
 class TestAdjointPhi:
@@ -309,6 +277,14 @@ class TestAdjointPhi:
                                    problem.terminal, problem.stock)
         gx = problem.terminal.dx(bundle.x[:, -1], bundle.y[:, -1])
         assert np.array_equal(adj.px[:, -1], gx)
+
+    def test_overflowing_flow_is_rejected(self):
+        # from x0 = 0 with zero levels x stays 0, while the huge vol slope
+        # makes the flow overflow: phi reports a non-finite costate
+        problem, (field, mu, bundle) = _simple_problem(vol_slope=1e200, vol_level=0.0, x0=0.0)
+        assert np.all(bundle.x == 0.0)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="px contains non-finite"):
+            rc.solve_adjoint_phi(field, mu, bundle, problem.running, problem.terminal, problem.stock)
 
 
 class TestAdjointRegression:
@@ -356,11 +332,9 @@ class TestLayout:
             assert all(path[:, 7, 0].flags.c_contiguous for path in (adj.Px, adj.Py))
             for name in ("px", "Px", "py", "Py"):
                 assert np.array_equal(getattr(adj, name), getattr(c_adj, name))
-        pairs, c_pairs = (rc.solve_fundamental(field, mu, b, problem.stock) for b in (bundle, c_bundle))
-        for pair, c_pair in zip(pairs, c_pairs):
-            assert pair.flow[:, 7].flags.c_contiguous
-            assert np.array_equal(pair.flow, c_pair.flow)
-            assert np.array_equal(pair.flow_inv_sde, c_pair.flow_inv_sde)
+        flow, c_flow = (_flow_paths(problem, field, mu, b) for b in (bundle, c_bundle))
+        assert flow[:, :, 7].flags.f_contiguous
+        assert np.array_equal(flow, c_flow)
         fv, c_fv = (solve_first_variation(field, mu, b, problem.stock, (q, eta))
                     for b in (bundle, c_bundle))
         for name in ("alpha_x", "alpha_y", "beta"):
@@ -416,16 +390,17 @@ class TestLayoutContract:
         assert np.array_equal(one, design @ np.linalg.solve(gram, design.T @ target[:, 1] / 300))
 
     @pytest.mark.parametrize("dim", [1, 3])
-    def test_phi_forward_pass_matches_solve_fundamental(self, dim):
+    def test_phi_forward_pass_is_the_product_of_step_factors(self, dim):
         problem = _layout_problem(dim, self.STEPS)
         field, mu, bundle = _setup(problem, self.SCENARIOS, 9)
         slopes = _path_slopes(coefficient_integrals(field, mu), bundle, problem.stock)
         vol = np.empty((self.SCENARIOS, 2, self.STEPS, dim), order="F")
         flow = _flows(slopes, bundle, vol)
-        pairs = rc.solve_fundamental(field, mu, bundle, problem.stock)
-        for c, pair in enumerate(pairs):
-            assert np.array_equal(flow[:, c], pair.flow)
-            assert np.array_equal(1.0 / flow[:, c], pair.flow_inv)
+        dt = bundle.tg.dt
+        growth = np.stack([1.0 + slo * dt + (vslo * bundle.noise[:, k, None]).sum(-1)
+                           for k, (slo, vslo) in enumerate(map(slopes, range(self.STEPS)))], axis=2)
+        assert np.all(flow[:, :, 0] == 1.0)
+        assert np.array_equal(flow[:, :, 1:], np.cumprod(growth, axis=2))
         for k in range(self.STEPS):
             assert np.array_equal(vol[:, :, k], slopes(k)[1])
         assert np.ptp(flow[:, 0, -1]) > 0.0 and np.ptp(flow[:, 1, -1]) > 0.0

@@ -212,8 +212,15 @@ class TestValidation:
         path.write_text("{not json")
         assert main(["simulate", "--config", str(path)]) == 2
 
-    def test_missing_file(self, tmp_path):
-        assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 2
+    def test_missing_file(self, tmp_path, capsys):
+        # an absent path, a directory and a file that is not UTF-8
+        (tmp_path / "latin1.json").write_bytes(b'{"schema": "\xe9"}')
+        for name in ("absent.json", ".", "latin1.json"):
+            code = main(["simulate", "--config", str(tmp_path / name), "--out", str(tmp_path / "mf")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and "Traceback" not in err
+            assert not (tmp_path / "mf").exists()
 
     @pytest.mark.parametrize("section, key, value", [
         ("time", "steps", 0),
@@ -563,10 +570,12 @@ class TestVerify:
                    "--controls", str(tmp_path / "absent.json")])
         assert rc == 2
 
-    @pytest.mark.parametrize("case", ["missing", "mismatched"])
+    @pytest.mark.parametrize("case", ["missing", "mismatched", "directory"])
     def test_bad_controls_file_creates_no_output(self, tmp_path, capsys, case):
         cfg = _toy_config(tmp_path / "out")
         controls = tmp_path / "controls.json"
+        if case == "directory":
+            controls.mkdir()
         if case == "mismatched":   # one step more than the scenario's time grid
             grid = rc.ActionGrid(np.asarray(cfg["problem"]["action_grid"]["points"]))
             steps = cfg["time"]["steps"] + 1
@@ -576,7 +585,8 @@ class TestVerify:
         code = main(["verify", "--config", _write(tmp_path / "c.json", cfg),
                      "--controls", str(controls), "--out", str(tmp_path / "mf")])
         assert code == 2
-        assert capsys.readouterr().err.startswith("config error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
         assert not (tmp_path / "mf").exists()
 
 
@@ -590,6 +600,14 @@ class TestExampleBond:
         assert rc == 0
         doc = json.loads((tmp_path / "scen.json").read_text())
         assert doc["schema"] == "rscontrol-scenario/1"
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        # the parent of the output file is a regular file
+        (tmp_path / "f").write_text("")
+        assert main(["example-bond", "--out", str(tmp_path / "f" / "scen.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert (tmp_path / "f").is_file()
 
     @pytest.mark.parametrize("flag", [["--threads", "0"], ["--seed", "3"], ["--no-timestamp"]])
     def test_takes_only_out(self, tmp_path, flag):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rscontrol as rc
+from rscontrol.adjoint import _flows, _path_slopes
 from rscontrol.cli import bundle_to_csv, example_bond_config
 from rscontrol.dynamics import FACTOR_BUDGET, NonFiniteStateError, coefficient_integrals
 from rscontrol.finance import MarketModel, PortfolioParams, build_portfolio_problem
@@ -193,7 +194,9 @@ class TestSimulateForward:
         stock = rc.linear_stock(0.05, 0.2, 2)
         bundle = rc.simulate_forward(field, mu, SingularControl.zero(n, 2), 1.0, 1.0, stock, tg,
                                      seed=3, threads=threads)
-        assert np.array_equal(bundle.x, rc.solve_fundamental(field, mu, bundle, stock)[0].flow)
+        slopes = _path_slopes(coefficient_integrals(field, mu), bundle, stock)
+        flow = _flows(slopes, bundle, np.empty((scenarios, 2, n, 2)))
+        assert np.array_equal(bundle.x, flow[:, 0])
 
     def test_memory_bounded_by_factor_budget(self):
         # beyond its paths, a pass holds the buffers of one block of x's

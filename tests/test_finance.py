@@ -13,7 +13,6 @@ from rscontrol.finance import (
     integrated_volatility,
     product_grid,
     product_weights,
-    volatility_field,
 )
 from rscontrol.maxprinciple import hamiltonian_slice, slack_paths
 from rscontrol.measures import RelaxedControl, SingularControl, dirac, integrate_against
@@ -54,12 +53,11 @@ class TestVolatility:
         assert errors[0] / errors[1] == pytest.approx(2.0, rel=0.1)
         assert errors[1] / errors[2] == pytest.approx(2.0, rel=0.1)
 
-    def test_field_shape_and_values(self):
+    def test_maturity_grid(self):
         market = _market()
-        tg = rc.TimeGrid(1.0, 7)
-        rows = volatility_field(market, market.maturities, tg)
-        assert rows.shape == (7, 4)
-        assert np.allclose(rows, -0.02 * market.maturities[None, :], atol=1e-16)
+        row = integrated_volatility(market, market.maturities)
+        assert row.shape == (4,)
+        assert np.allclose(row, -0.02 * market.maturities, atol=1e-16)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="mean-reversion"):
