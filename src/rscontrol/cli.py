@@ -91,7 +91,8 @@ _PORTFOLIO_KEYS = _FINANCE_KEYS & {f.name for f in dataclasses.fields(PortfolioP
 _CONTROLS_KEYS = {"relaxed", "singular"}
 
 # (path, integer, lowest, highest) of every plain scalar in a config, bounds
-# inclusive.  The horizon's positivity is left to TimeGrid.
+# inclusive.  Other bounds, such as the horizon's positivity, are left to the
+# objects built from the config.
 _SCALARS = (
     ("scenarios", True, 1, math.inf),
     ("seed", True, 0, math.inf),
@@ -111,14 +112,24 @@ _SCALARS = (
     ("tolerances.gap_floor", False, 0.0, math.inf),
     ("tolerances.slack_scale", False, 0.0, math.inf),
     ("tolerances.comp_scale", False, 0.0, math.inf),
-)
+    ("problem.brownian_dim", True, 1, math.inf),
+    ("problem.stock.component", True, 0, math.inf),
+) + tuple((f"problem.{path}", False, -math.inf, math.inf) for path in (
+    "x0", "y0", "stock.drift", "stock.vol", "stock_drift", "stock_vol",
+    *(f"running_cost.{key}" for key in sorted(_RUNNING_KEYS - {"family", "lin"})),
+    *(f"terminal_cost.{key}" for key in sorted(_TERMINAL_KEYS - {"family"}))))
 _INTEGER_SCALARS = {path for path, integer, _, _ in _SCALARS if integer}
 
 
 def _check_scalars(cfg: dict) -> None:
     for path, integer, low, high in _SCALARS:
-        section, _, key = path.rpartition(".")
-        value = (cfg.get(section, {}) if section else cfg).get(key, low)  # absent passes
+        *sections, key = path.split(".")
+        block = cfg
+        for section in sections:   # a block that is not an object fails its own check
+            block = block.get(section) if isinstance(block, dict) else None
+        if not isinstance(block, dict) or key not in block:   # absent passes
+            continue
+        value = block[key]
         if value is None and path == "optimizer.gap_tol":
             continue
         number = not isinstance(value, bool) and (isinstance(value, int) or (
@@ -156,23 +167,18 @@ def _build_terminal(spec: dict):
     raise ConfigError(f"problem.terminal_cost: unknown family {family!r}")
 
 
-def _build_singular_cost(spec: dict | None, steps: int, dim: int) -> np.ndarray:
+def _build_singular_cost(spec: dict | None):
+    """The ``constant`` or ``values`` as given, 0 when absent; ``ControlProblem`` checks it."""
     if spec is None:
-        return np.zeros((steps, dim))
+        return 0.0
     _check_keys(spec, _SINGULAR_COST_KEYS, set(), "problem.singular_cost")
-    if "constant" in spec:
-        row = np.asarray(spec["constant"], float)
-        if row.shape != (dim,):
-            raise ConfigError(f"problem.singular_cost.constant must have {dim} entries")
-        return np.broadcast_to(row, (steps, dim)).copy()
-    values = np.asarray(spec.get("values"), float)
-    if values.shape != (steps, dim):
-        raise ConfigError(f"problem.singular_cost.values must have shape ({steps}, {dim})")
-    return values
+    return spec["constant"] if "constant" in spec else spec.get("values")
 
 
 def _build_problem(cfg: dict, tg: TimeGrid) -> ControlProblem:
     spec = cfg["problem"]
+    if not isinstance(spec, dict):
+        raise ConfigError("problem: expected an object")
     kind = spec.get("kind")
     if kind == "canonical":
         _check_keys(spec, _CANONICAL_KEYS,
@@ -207,14 +213,20 @@ def _build_problem(cfg: dict, tg: TimeGrid) -> ControlProblem:
             sample_coefficients(coefficients, tg, grid, int(cfg["scenarios"]), int(cfg["seed"]))
         except ValueError as exc:
             raise ConfigError(f"problem.coefficients: {exc}") from exc
+        running = _build_running(spec["running_cost"])
+        try:   # and malformed running-cost parameters, on the action grid
+            if not np.isfinite(running.value(0.0, np.zeros(1), np.zeros(1), grid.points)).all():
+                raise ValueError("not finite on the action grid")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"problem.running_cost: {exc}") from exc
         return ControlProblem(
             tg=tg, grid=grid, dim=dim,
             x0=float(spec["x0"]), y0=float(spec["y0"]),
             coefficients=coefficients,
             stock=stock,
-            running=_build_running(spec["running_cost"]),
+            running=running,
             terminal=_build_terminal(spec["terminal_cost"]),
-            k_path=_build_singular_cost(spec.get("singular_cost"), tg.steps, dim),
+            k_path=_build_singular_cost(spec.get("singular_cost")),
             tv_cap=float(spec.get("tv_cap", 10.0)),
         )
     if kind == "finance":
@@ -224,14 +236,9 @@ def _build_problem(cfg: dict, tg: TimeGrid) -> ControlProblem:
         market = MarketModel.from_dict(spec["market"])
         market.check_tables(tg.steps, int(cfg["scenarios"]))
         terminal = _build_terminal(spec["terminal_cost"]) if "terminal_cost" in spec else None
-        terminal_spec = spec.get("terminal_cost", {})
-        params = PortfolioParams(
-            **{key: float(spec[key]) if key in ("x0", "y0", "tv_cap") else spec[key]
-               for key in _PORTFOLIO_KEYS & spec.keys()},
-            **{f"terminal_{key}": terminal_spec[key]
-               for key in ("weight", "scale") if key in terminal_spec},
-        )
-        k_path = _build_singular_cost(spec.get("singular_cost"), tg.steps, 2)
+        params = PortfolioParams(**{key: float(spec[key]) if key in ("x0", "y0", "tv_cap")
+                                    else spec[key] for key in _PORTFOLIO_KEYS & spec.keys()})
+        k_path = _build_singular_cost(spec.get("singular_cost"))
         return build_portfolio_problem(market, params, tg, terminal=terminal, k_path=k_path).problem
     raise ConfigError(f"problem.kind must be 'canonical' or 'finance', got {kind!r}")
 
@@ -314,39 +321,20 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _write_paths(path, tg: TimeGrid, states, groups) -> None:
-    """CSV with one row per (scenario, step): ``scenario, step, t``, then the
-    ``(name, (S, n+1))`` state columns, then the ``(name, (S, n, d))`` per-step
-    groups as ``name0 .. name{d-1}``, blank on the terminal row.
-
-    The rows are the bytes ``csv.writer`` writes in its default excel dialect
-    (comma separator, CRLF line ends, no quoting: numbers and the fixed header
-    names never need it), built directly from each float's ``repr``.  The
-    ``step, t`` text is formatted once per table; scenarios are converted one
-    at a time, so the table is never held whole as Python objects or text.
-    """
-    header = ["scenario", "step", "t"] + [name for name, _ in states]
-    header += [f"{name}{i}" for name, arr in groups for i in range(arr.shape[2])]
-    blank = "," * (len(header) - 3 - len(states))
-    stamp = [f"{k},{t!r}" for k, t in enumerate(tg.times().tolist())]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for s in range(states[0][1].shape[0]):
-            head = np.column_stack([arr[s] for _, arr in states])
-            rows = np.concatenate([head[:-1]] + [arr[s] for _, arr in groups], axis=1).tolist()
-            lines = [f"{s},{at},{','.join(map(repr, row))}\r\n" for at, row in zip(stamp, rows)]
-            lines.append(f"{s},{stamp[-1]},{','.join(map(repr, head[-1].tolist()))}{blank}\r\n")
-            fh.writelines(lines)
-
-
-def bundle_to_csv(bundle, path) -> None:
-    """``trajectories.csv``: x, y, then the Brownian increments dW."""
-    _write_paths(path, bundle.tg, (("x", bundle.x), ("y", bundle.y)), (("dW", bundle.noise),))
-
-
 def adjoints_to_csv(adj, tg: TimeGrid, path) -> None:
-    """``adjoints.csv``: px, py, then the diffusion loadings Px and Py."""
-    _write_paths(path, tg, (("px", adj.px), ("py", adj.py)), (("Px", adj.Px), ("Py", adj.Py)))
+    """``adjoints.csv``, one row per (scenario, step): ``scenario, step, t``,
+    px, py, then the diffusion loadings Px and Py, blank on the terminal row."""
+    dim = adj.Px.shape[2]
+    times = tg.times().tolist()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["scenario", "step", "t", "px", "py"]
+                        + [f"{name}{i}" for name in ("Px", "Py") for i in range(dim)])
+        for s in range(adj.px.shape[0]):
+            loads = np.concatenate([adj.Px[s], adj.Py[s]], axis=1).tolist() + [[""] * (2 * dim)]
+            rows = zip(times, adj.px[s].tolist(), adj.py[s].tolist(), loads)
+            for k, (t, px, py, load) in enumerate(rows):
+                writer.writerow([s, k, t, px, py, *load])
 
 
 def _write_npz(path: Path, tg: TimeGrid, **tables) -> None:

@@ -185,40 +185,36 @@ class CoefficientField:
         return self.vol_slope.at(k)
 
 
+def _broadcast_tail(values, shape: tuple, name: str, scenarios: int | None = None) -> np.ndarray:
+    """``values`` as a read-only view of ``shape``, repeated over the leading
+    axes it lacks: it may be any trailing part of ``shape``, from a scalar to
+    the whole.  With ``scenarios`` the view has a leading scenario axis, of 1
+    unless ``values`` is the whole shape under a scenario axis of 1 or
+    ``scenarios`` rows.  Raises ValueError naming the input for any other
+    shape, an entry that is not a number, or a non-finite entry."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    rows = () if scenarios is None else (1,)
+    if scenarios is not None and arr.ndim == len(shape) + 1 and arr.shape[1:] == shape:
+        rows = arr.shape[:1]
+        if rows[0] not in (1, scenarios):
+            raise ValueError(f"{name}: scenario axis {rows[0]} is neither 1 nor {scenarios}")
+    elif arr.ndim > len(shape) or arr.shape != shape[len(shape) - arr.ndim:]:
+        raise ValueError(f"{name}: shape {arr.shape} is not a trailing part of {shape}"
+                         + ("" if scenarios is None else " under an optional scenario axis"))
+    out = np.broadcast_to(arr, rows + shape)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name}: non-finite entries")
+    return out
+
+
 def _span(values, scenarios: int, steps: int, count: int, dim: int | None, name: str) -> np.ndarray:
     """Broadcast scalar/per-point/per-step input to (scenarios|1, steps, count[, dim])."""
-    arr = np.asarray(values, dtype=float)
-    target = (1, steps, count) if dim is None else (1, steps, count, dim)
-    if arr.ndim == 0:
-        if dim is not None and dim != 1:
-            raise ValueError(f"{name}: scalar input is ambiguous for dim={dim}; pass a vector")
-        arr = arr.reshape((1,) * len(target))
-    elif dim is None:
-        if arr.shape == (count,):
-            arr = arr[None, None, :]
-        elif arr.shape == (steps, count):
-            arr = arr[None]
-        elif arr.shape[-2:] == (steps, count) and arr.ndim == 3:
-            target = (arr.shape[0], steps, count)
-        else:
-            raise ValueError(f"{name}: cannot broadcast shape {arr.shape} to {target}")
-    else:
-        if arr.shape == (dim,):
-            arr = arr[None, None, None, :]
-        elif arr.shape == (count, dim):
-            arr = arr[None, None]
-        elif arr.shape == (steps, count, dim):
-            arr = arr[None]
-        elif arr.ndim == 4 and arr.shape[1:] == (steps, count, dim):
-            target = (arr.shape[0], steps, count, dim)
-        else:
-            raise ValueError(f"{name}: cannot broadcast shape {arr.shape} to {target}")
-    if arr.shape[0] not in (1, scenarios):
-        raise ValueError(f"{name}: scenario axis {arr.shape[0]} != {scenarios}")
-    out = np.broadcast_to(arr, (arr.shape[0],) + target[1:])
-    if not np.isfinite(out).all():
-        raise ValueError(f"{name}: non-finite coefficient samples")
-    return out
+    if dim is not None and dim != 1 and np.ndim(values) == 0:
+        raise ValueError(f"{name}: scalar input is ambiguous for dim={dim}; pass a vector")
+    return _broadcast_tail(values, (steps, count) + (() if dim is None else (dim,)), name, scenarios)
 
 
 def dense_field(
@@ -241,8 +237,8 @@ def dense_field(
         vol_level = np.zeros(dim)
     if vol_slope is None:
         vol_slope = np.zeros(dim)
-    gx = np.zeros((n, dim)) if jump_gain_x is None else _gain_table(jump_gain_x, n, dim)
-    gy = np.zeros((n, dim)) if jump_gain_y is None else _gain_table(jump_gain_y, n, dim)
+    gx, gy = (_broadcast_tail(0.0 if gain is None else gain, (n, dim), name).copy()
+              for gain, name in ((jump_gain_x, "jump_gain_x"), (jump_gain_y, "jump_gain_y")))
     return CoefficientField(
         grid=grid,
         steps=n,
@@ -266,15 +262,6 @@ def coefficient_integrals(field: CoefficientField, mu: RelaxedControl):
     w = mu.weights
     return tuple(c.integral(w) for c in
                  (field.drift_level, field.drift_slope, field.vol_level, field.vol_slope))
-
-
-def _gain_table(values, steps: int, dim: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.shape == (dim,):
-        arr = np.broadcast_to(arr, (steps, dim)).copy()
-    if arr.shape != (steps, dim):
-        raise ValueError(f"jump gain must have shape ({dim},) or ({steps}, {dim})")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -346,9 +333,6 @@ def sample_coefficients(
         jump_gain_y=model.get("jump_gain_y"),
     )
     if name in ("deterministic-constant", "tabulated"):
-        for key in ("vol_level", "vol_slope", "jump_gain_x", "jump_gain_y"):
-            if common[key] is not None:
-                common[key] = np.asarray(common[key], float)
         return dense_field(tg, grid, scenarios, dim, **common)
     if name == "finance":
         from . import finance

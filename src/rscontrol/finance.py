@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .dynamics import CoefficientField, Factored, TimeGrid, brownian_increments, linear_stock
+from .dynamics import (CoefficientField, Factored, TimeGrid, _broadcast_tail, brownian_increments,
+                       linear_stock)
 from .measures import ActionGrid
 from .problems import (
     ControlProblem,
@@ -99,13 +100,7 @@ def _check_number(value, name: str) -> None:
 
 def _table(spec: dict, name: str, steps: int, scenarios: int) -> np.ndarray:
     """The (scenarios | 1, steps) path of a tabulated generator."""
-    values = np.asarray(spec.get("values"), float)
-    table = np.atleast_2d(values)
-    if (table.ndim != 2 or table.shape[1] != steps or not np.isfinite(table).all()
-            or table.shape[0] not in (1, scenarios)):
-        raise ValueError(f"tabulated {name} must be a finite ({steps},) or (scenarios, {steps}) "
-                         f"table, got shape {values.shape}")
-    return table
+    return _broadcast_tail(spec.get("values"), (steps,), f"tabulated {name}", scenarios).copy()
 
 
 def integrated_volatility(market: MarketModel, maturities) -> np.ndarray:
@@ -290,7 +285,7 @@ def build_portfolio_problem(
     params: PortfolioParams,
     tg: TimeGrid,
     terminal: TerminalCost | None = None,
-    k_path=None,
+    k_path=0.0,
 ) -> PortfolioProblem:
     """Assemble the bond/stock/consumption problem in canonical form.
 
@@ -309,8 +304,6 @@ def build_portfolio_problem(
             raise ValueError(f"{params.utility} utility is not finite at every consumption rate")
     if terminal is None:
         terminal = tanh_wealth_terminal(params.terminal_weight, params.terminal_scale)
-    if k_path is None:
-        k_path = np.zeros((tg.steps, 2))
     coefficients = {
         "model": "finance",
         "market": market.to_dict(),
@@ -348,21 +341,15 @@ def bond_price_path(
     dP = P (short_rate - forward_rate(u) - v(u) * price_of_risk) dt
          + P v(u) dW  on the first noise axis.
 
-    ``forward_rate`` may be an array of shape (steps,) or (scenarios, steps);
-    by default the curve is flat at the short rate.  Returns (paths,
-    negative_price_count); with ``log_euler`` prices stay positive by
-    construction.
+    ``forward_rate`` may be a scalar or a table of shape (steps,) or
+    (1 | scenarios, steps); by default the curve is flat at the short rate.
+    Returns (paths, negative_price_count); with ``log_euler`` prices stay
+    positive by construction.
     """
     noise = brownian_increments(seed, scenarios, tg.steps, 2, tg.dt)
     r0, theta, _ = _short_rate_and_mpr(market, tg, scenarios, noise)
-    if forward_rate is None:
-        r_u = r0
-    else:
-        r_u = np.asarray(forward_rate, float)
-        if r_u.ndim == 1:
-            r_u = r_u[None, :]
-        if r_u.shape[1] != tg.steps:
-            raise ValueError("forward rate must provide one value per step")
+    r_u = r0 if forward_rate is None else _broadcast_tail(forward_rate, (tg.steps,),
+                                                         "forward_rate", scenarios)
     v = float(integrated_volatility(market, [maturity])[0])
     n, dt = tg.steps, tg.dt
     prices = np.empty((scenarios, n + 1), order="F")

@@ -271,9 +271,6 @@ class MaxPrincipleTolerances:
     slack_scale: float = 1e-6
     comp_scale: float = 1e-6
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class OptimalityReport:

@@ -12,6 +12,7 @@ from .dynamics import (
     StockModel,
     TimeGrid,
     TrajectoryBundle,
+    _broadcast_tail,
     brownian_increments,
     sample_coefficients,
     simulate_forward,
@@ -142,18 +143,14 @@ class ControlProblem:
     stock: StockModel
     running: RunningCost
     terminal: TerminalCost
-    k_path: np.ndarray            # (steps, dim)
+    k_path: np.ndarray            # (steps, dim); any trailing part of it is repeated
     tv_cap: float = DEFAULT_TV_CAP
 
     def __post_init__(self):
         if not (np.isfinite(self.x0) and np.isfinite(self.y0)):
             raise ValueError(f"initial state must be finite, got x0={self.x0!r}, y0={self.y0!r}")
-        k = np.asarray(self.k_path, dtype=float)
-        if k.shape == (self.dim,):
-            k = np.broadcast_to(k, (self.tg.steps, self.dim)).copy()
-        if k.shape != (self.tg.steps, self.dim):
-            raise ValueError("singular cost path must have shape (steps, dim)")
-        object.__setattr__(self, "k_path", k)
+        k = _broadcast_tail(self.k_path, (self.tg.steps, self.dim), "singular cost k_path")
+        object.__setattr__(self, "k_path", k.copy())
 
     def noise(self, scenarios: int, seed: int) -> np.ndarray:
         return brownian_increments(seed, scenarios, self.tg.steps, self.dim, self.tg.dt)

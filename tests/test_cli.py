@@ -10,7 +10,6 @@ from rscontrol.cli import (
     _build_problem,
     _write_npz,
     adjoints_to_csv,
-    bundle_to_csv,
     example_bond_config,
     main,
 )
@@ -68,25 +67,6 @@ class TestPathTables:
     with values whose shortest round-trip text is easy to get wrong."""
 
     tg = rc.TimeGrid(0.2, 2)   # times 0.0, 0.1, 0.2
-
-    def test_trajectories_bytes(self, tmp_path):
-        bundle = rc.TrajectoryBundle(
-            tg=self.tg,
-            x=np.array([[0.1, 1e-05, -2.5], [1e16, 0.30000000000000004, 0.0]]),
-            y=np.array([[-2.5, 0.1, 1e16], [1e-05, 0.30000000000000004, 0.1]]),
-            noise=np.array([[[1e-05], [1e16]], [[0.30000000000000004], [-2.5]]]),
-            mu=RelaxedControl.uniform(2, 3), xi=SingularControl.zero(2, 1),
-        )
-        bundle_to_csv(bundle, tmp_path / "trajectories.csv")
-        assert (tmp_path / "trajectories.csv").read_bytes() == (
-            b"scenario,step,t,x,y,dW0\r\n"
-            b"0,0,0.0,0.1,-2.5,1e-05\r\n"
-            b"0,1,0.1,1e-05,0.1,1e+16\r\n"
-            b"0,2,0.2,-2.5,1e+16,\r\n"
-            b"1,0,0.0,1e+16,1e-05,0.30000000000000004\r\n"
-            b"1,1,0.1,0.30000000000000004,0.30000000000000004,-2.5\r\n"
-            b"1,2,0.2,0.0,0.1,\r\n"
-        )
 
     def test_adjoints_bytes(self, tmp_path):
         adj = rc.AdjointSolution(
@@ -171,15 +151,8 @@ class TestPathTables:
     def test_matches_csv_module_reference(self, tmp_path, scenarios, steps, dim, horizon):
         rng = np.random.default_rng(1000 * steps + dim)
         tg = rc.TimeGrid(horizon, steps)
-        paths = {name: self._values(rng, (scenarios, steps + 1)) for name in ("x", "y", "px", "py")}
-        loads = {name: self._values(rng, (scenarios, steps, dim)) for name in ("dW", "Px", "Py")}
-        bundle = rc.TrajectoryBundle(
-            tg=tg, x=paths["x"], y=paths["y"], noise=loads["dW"],
-            mu=RelaxedControl.uniform(steps, 3), xi=SingularControl.zero(steps, dim),
-        )
-        bundle_to_csv(bundle, tmp_path / "trajectories.csv")
-        assert (tmp_path / "trajectories.csv").read_bytes() == self._reference(
-            tg, (("x", paths["x"]), ("y", paths["y"])), (("dW", loads["dW"]),))
+        paths = {name: self._values(rng, (scenarios, steps + 1)) for name in ("px", "py")}
+        loads = {name: self._values(rng, (scenarios, steps, dim)) for name in ("Px", "Py")}
         adj = rc.AdjointSolution(px=paths["px"], Px=loads["Px"], py=paths["py"], Py=loads["Py"],
                                  method="regression")
         adjoints_to_csv(adj, tg, tmp_path / "adjoints.csv")
@@ -348,6 +321,32 @@ class TestValidation:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind, path, value", [
+        ("canonical", "stock.drift", "abc"), ("canonical", "stock.vol", [1, 2]),
+        ("canonical", "running_cost.cx", "a"), ("canonical", "running_cost.quad", None),
+        ("canonical", "running_cost.lin", [1, 2]), ("canonical", "terminal_cost.gx1", [1, 2]),
+        ("canonical", "brownian_dim", 1.5), ("canonical", "brownian_dim", "1"),
+        ("canonical", "stock.component", "0"), ("canonical", "stock.component", 0.5),
+        ("canonical", "x0", True), ("finance", "stock_drift", "a"),
+        ("finance", "terminal_cost.weight", "a"), ("finance", "stock_vol", [1]),
+        ("canonical", "", []),
+    ])
+    def test_malformed_problem(self, tmp_path, capsys, kind, path, value):
+        # each exits 2 before the output directory is made, without a traceback
+        cfg = _toy_config(tmp_path / "out")
+        cfg["problem"]["stock"] = {"drift": 0.05, "vol": 0.2}
+        if kind == "finance":
+            cfg = {**example_bond_config(), "scenarios": 20, "output_dir": str(tmp_path / "out")}
+        *sections, key = ["problem", *filter(None, path.split("."))]
+        block = cfg
+        for section in sections:
+            block = block[section]
+        block[key] = value
+        assert main(["simulate", "--config", _write(tmp_path / "c.json", cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_grid(self, tmp_path):
         cfg = _toy_config(tmp_path / "out")
         cfg["problem"]["action_grid"]["points"] = [1.0, 1.0]
@@ -482,11 +481,16 @@ class TestOptimize:
     def test_large_singular_cost_keeps_xi_zero(self, tmp_path):
         out = tmp_path / "out"
         cfg = _toy_config(out, scenarios=200, k_const=100.0)
-        rc = main(["optimize", "--config", _write(tmp_path / "c.json", cfg),
-                   "--no-timestamp"])
-        assert rc == 0
+        assert main(["optimize", "--config", _write(tmp_path / "c.json", cfg),
+                     "--no-timestamp"]) == 0
         controls = json.loads((out / "controls.json").read_text())
         assert np.all(np.asarray(controls["singular_increments"]) == 0.0)
+        # a scalar `constant` and a (dim,) `values` row build the same cost path
+        tg = rc.TimeGrid(cfg["time"]["horizon"], cfg["time"]["steps"])
+        k_path = _build_problem(cfg, tg).k_path
+        for spec in ({"constant": 100.0}, {"values": [100.0]}):
+            cfg["problem"]["singular_cost"] = spec
+            assert np.array_equal(_build_problem(cfg, tg).k_path, k_path)
 
     def test_large_singular_cost_finance_instance(self, tmp_path):
         out = tmp_path / "out"

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 
 import rscontrol as rc
 from rscontrol.adjoint import _flows, _path_slopes
-from rscontrol.cli import bundle_to_csv, example_bond_config
-from rscontrol.dynamics import FACTOR_BUDGET, NonFiniteStateError, coefficient_integrals
+from rscontrol.cli import example_bond_config
+from rscontrol.dynamics import (FACTOR_BUDGET, NonFiniteStateError, _broadcast_tail,
+                                coefficient_integrals)
 from rscontrol.finance import MarketModel, PortfolioParams, build_portfolio_problem
 from rscontrol.measures import RelaxedControl, SingularControl
 
@@ -124,6 +126,9 @@ class TestSimulateForward:
         b = rc.simulate_forward(field, mu, xi, 0.0, 0.0, rc.inert_stock(1), tg, seed=0)
         assert np.all(b.x[:, :6] == 0.0)
         assert np.all(b.x[:, 6:] == 1.0)
+        # a scalar gain is the same (steps, dim) table
+        scalar = rc.dense_field(tg, grid, scenarios=3, dim=1, jump_gain_x=1.0)
+        assert np.array_equal(scalar.jump_gain_x, field.jump_gain_x)
 
     def test_gbm_mean_oracle(self):
         lam, rho, y0, scenarios = 0.08, 0.25, 1.0, 4000
@@ -476,6 +481,32 @@ class TestSampleCoefficients:
         with pytest.raises(ValueError, match="unknown coefficient model"):
             rc.sample_coefficients({"model": "nope"}, rc.TimeGrid(1.0, 2), _grid(), 1, 0)
 
+    # the one broadcasting rule of every tabulated input, on a (4, 3, 2) target:
+    # any trailing part repeats, and with scenarios a scenario axis of 1 or S
+    @pytest.mark.parametrize("shape, scenarios, error", [
+        ((), None, None), ((2,), None, None), ((3, 2), None, None), ((4, 3, 2), None, None),
+        ((), 5, None), ((3, 2), 5, None), ((1, 4, 3, 2), 5, None), ((5, 4, 3, 2), 5, None),
+        ((3,), None, "shape (3,) is not a trailing part of (4, 3, 2)"),
+        ((4, 1, 2), None, "shape (4, 1, 2) is not a trailing part"),
+        ((1, 4, 3, 2), None, "shape (1, 4, 3, 2) is not a trailing part"),
+        ((2, 3, 2), 5, "shape (2, 3, 2) is not a trailing part"),
+        ((3, 4, 3, 2), 5, "scenario axis 3 is neither 1 nor 5"),
+        ((3, 2), None, "non-finite entries"),
+        ((5, 4, 3, 2), 5, "non-finite entries"),
+    ])
+    def test_broadcast_tail(self, shape, scenarios, error):
+        values = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+        if error == "non-finite entries":
+            values.flat[-1] = np.nan
+        if error is not None:
+            with pytest.raises(ValueError, match="^" + re.escape(f"vol_slope: {error}")):
+                _broadcast_tail(values.tolist(), (4, 3, 2), "vol_slope", scenarios)
+            return
+        lead = () if scenarios is None else shape[:1] if len(shape) == 4 else (1,)
+        got = _broadcast_tail(values.tolist(), (4, 3, 2), "vol_slope", scenarios)
+        assert got.shape == lead + (4, 3, 2)
+        assert np.array_equal(got, np.broadcast_to(values, lead + (4, 3, 2)))
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             rc.dense_field(rc.TimeGrid(1.0, 2), _grid(), 1, 1, drift_level=np.nan)
@@ -553,16 +584,3 @@ class TestMomentDiagnostics:
         rep = rc.moment_diagnostics(b, field, p=2.0)
         assert rep.exploded
 
-
-class TestExports:
-    def test_csv(self, tmp_path):
-        tg = rc.TimeGrid(1.0, 3)
-        grid = _grid()
-        field = rc.dense_field(tg, grid, scenarios=2, dim=1, vol_level=[0.1])
-        mu, xi = _zero_controls(3, 4, 1)
-        b = rc.simulate_forward(field, mu, xi, 1.0, 0.0, rc.inert_stock(1), tg, seed=0)
-        path = tmp_path / "traj.csv"
-        bundle_to_csv(b, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "scenario,step,t,x,y,dW0"
-        assert len(lines) == 1 + 2 * 4

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -150,6 +151,10 @@ class TestPortfolioProblem:
         b = problem.simulate(field, mu, xi, noise)
         exact = 2.0 * math.exp(r * 1.0)
         assert abs(b.x[0, -1] - exact) / exact <= 2.0 * tg.dt * r * 1.0 + 1e-9
+        # a scalar rate is the same per-step table
+        scalar = dataclasses.replace(market, short_rate={"kind": "tabulated", "values": r})
+        field2 = build_portfolio_problem(scalar, params, tg).problem.sample_field(3, 0, noise)
+        assert np.array_equal(field2.short_rate, field.short_rate)
 
     def test_stock_independent_of_measure(self):
         market = _market()
@@ -343,6 +348,8 @@ class TestBondPricePath:
         # independent left-point quadrature of the integrated drift
         target = math.exp(float(np.sum(rate) * tg.dt))
         assert paths[0, -1] == pytest.approx(target, rel=3.0 * tg.dt * 0.07)
+        # a scalar forward rate is the same flat curve
+        assert np.array_equal(bond_price_path(market, 2.0, tg, seed=0, forward_rate=0.0)[0], paths)
 
     def test_log_euler_agreement(self):
         market = _market(sigma=0.02)
