@@ -1,7 +1,7 @@
 """Command-line front end: simulate, optimize and verify scenario configs.
 
-Configs are strict JSON documents (unknown keys rejected, versioned schema
-field); every run writes a manifest echoing the fully resolved config.  With
+Configs are strict JSON documents, checked against ``_SCHEMA`` before anything
+is built; every run writes a manifest echoing the fully resolved config.  With
 ``--no-timestamp`` repeated runs produce byte-identical outputs.
 
 Exit codes: 0 success (verify: conditions pass), 1 verify failure, 2 invalid
@@ -17,6 +17,7 @@ import datetime
 import json
 import math
 import sys
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from .dynamics import (
 from .finance import MarketModel, PortfolioParams, build_portfolio_problem
 from .maxprinciple import MaxPrincipleTolerances, check_max_principle
 from .measures import (
+    DEFAULT_TV_CAP,
     ActionGrid,
     RelaxedControl,
     SingularControl,
@@ -57,207 +59,197 @@ class ConfigError(ValueError):
     pass
 
 
-def _check_keys(obj: dict, allowed: set, required: set, path: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise ConfigError(f"{path}: missing required keys {sorted(missing)}")
+@dataclass(frozen=True)
+class _Number:
+    """A JSON number in [low, high] (inclusive), integral if ``integer``, null if ``nullable``."""
+
+    low: float = -math.inf
+    high: float = math.inf
+    integer: bool = False
+    nullable: bool = False
 
 
-_TOP_KEYS = {"schema", "problem", "time", "scenarios", "seed", "controls",
-             "optimizer", "tolerances", "output_dir", "moment_order"}
-_TIME_KEYS = {"horizon", "steps"}
-_CANONICAL_KEYS = {"kind", "x0", "y0", "brownian_dim", "action_grid", "coefficients",
-                   "stock", "running_cost", "terminal_cost", "singular_cost", "tv_cap"}
-_FINANCE_KEYS = {"kind", "x0", "y0", "market", "stock_drift", "stock_vol", "cost_buy",
-                 "cost_sell", "discount", "utility", "utility_sign", "terminal_cost",
-                 "singular_cost", "tv_cap"}
-_GRID_KEYS = {"points", "box_lo", "box_hi"}
-_COEFF_KEYS = {"model", "dim", "drift_level", "drift_slope", "vol_level", "vol_slope",
-               "jump_gain_x", "jump_gain_y"}
-_STOCK_KEYS = {"drift", "vol", "component", "inert"}
-_RUNNING_KEYS = {"family", "cx", "cy", "quad", "lin"}
-_TERMINAL_KEYS = {"family", "gx1", "gx2", "gy1", "gy2", "gxy", "weight", "scale"}
-_SINGULAR_COST_KEYS = {"constant", "values"}
-_MARKET_KEYS = {"volatility", "sigma", "mean_reversion", "maturities", "consumption",
-                "short_rate", "market_price_of_risk", "clamp_quantile"}
-_OPTIMIZER_KEYS = {f.name for f in dataclasses.fields(OptimizerOptions)}
-_TOLERANCE_KEYS = {f.name for f in dataclasses.fields(MaxPrincipleTolerances)}
-_PORTFOLIO_KEYS = _FINANCE_KEYS & {f.name for f in dataclasses.fields(PortfolioParams)}
-_CONTROLS_KEYS = {"relaxed", "singular"}
-
-# (path, integer, lowest, highest) of every plain scalar in a config, bounds
-# inclusive.  Other bounds, such as the horizon's positivity, are left to the
-# objects built from the config.
-_SCALARS = (
-    ("scenarios", True, 1, math.inf),
-    ("seed", True, 0, math.inf),
-    ("moment_order", False, 1.0, math.inf),
-    ("time.horizon", False, 0.0, math.inf),
-    ("time.steps", True, 1, math.inf),
-    ("optimizer.max_iter", True, 0, math.inf),
-    ("optimizer.max_halvings", True, 0, math.inf),
-    ("optimizer.adjoint_degree", True, 0, 2),
-    ("optimizer.phi_check_every", True, 0, math.inf),
-    ("optimizer.singular_rate", False, 0.0, math.inf),
-    ("optimizer.armijo_c1", False, 0.0, math.inf),
-    ("optimizer.gap_tol", False, 0.0, math.inf),
-    ("optimizer.gap_floor", False, 0.0, math.inf),
-    ("optimizer.ridge", False, 0.0, math.inf),
-    ("tolerances.gap_se_multiplier", False, 0.0, math.inf),
-    ("tolerances.gap_floor", False, 0.0, math.inf),
-    ("tolerances.slack_scale", False, 0.0, math.inf),
-    ("tolerances.comp_scale", False, 0.0, math.inf),
-    ("problem.brownian_dim", True, 1, math.inf),
-    ("problem.stock.component", True, 0, math.inf),
-) + tuple((f"problem.{path}", False, -math.inf, math.inf) for path in (
-    "x0", "y0", "stock.drift", "stock.vol", "stock_drift", "stock_vol",
-    *(f"running_cost.{key}" for key in sorted(_RUNNING_KEYS - {"family", "lin"})),
-    *(f"terminal_cost.{key}" for key in sorted(_TERMINAL_KEYS - {"family"}))))
-_INTEGER_SCALARS = {path for path, integer, _, _ in _SCALARS if integer}
+@dataclass(frozen=True)
+class _Required:
+    spec: object
 
 
-def _check_scalars(cfg: dict) -> None:
-    for path, integer, low, high in _SCALARS:
-        *sections, key = path.split(".")
-        block = cfg
-        for section in sections:   # a block that is not an object fails its own check
-            block = block.get(section) if isinstance(block, dict) else None
-        if not isinstance(block, dict) or key not in block:   # absent passes
-            continue
-        value = block[key]
-        if value is None and path == "optimizer.gap_tol":
-            continue
+@dataclass(frozen=True)
+class _ByKind:
+    """An object whose ``kind`` names the block of ``blocks`` it must match."""
+
+    blocks: dict
+
+
+# The config schema, walked by ``_validate`` before anything is built.  A
+# block is a dict of key -> spec, its required keys wrapped in ``_Required``.
+# A spec is a block, a ``_ByKind``, a ``_Number``, ``bool`` or ``str`` (that
+# JSON type), a tuple (one of its strings, or an object matching the block
+# among them), or None: checked by the object built from it (tables, point
+# lists, market generators).
+_REAL = _Number()
+_TERMINAL = {"family": _Required(("linear_quadratic", "tanh_wealth")),
+             **dict.fromkeys(("gx1", "gx2", "gy1", "gy2", "gxy", "weight", "scale"), _REAL)}
+_PROBLEM = {"kind": _Required(str), "x0": _Required(_REAL), "y0": _Required(_REAL),
+            "singular_cost": {"constant": None, "values": None}, "tv_cap": _Number(0.0)}
+_SCHEMA = {
+    "schema": _Required((SCENARIO_SCHEMA,)),
+    "problem": _Required(_ByKind({
+        "canonical": {
+            **_PROBLEM,
+            "brownian_dim": _Required(_Number(1, integer=True)),
+            "action_grid": _Required({"points": _Required(None), "box_lo": None, "box_hi": None}),
+            "coefficients": _Required({
+                "model": _Required(("deterministic-constant", "tabulated")),
+                "dim": _Number(1, integer=True),
+                **dict.fromkeys(("drift_level", "drift_slope", "vol_level", "vol_slope",
+                                 "jump_gain_x", "jump_gain_y"))}),
+            "stock": {"drift": _REAL, "vol": _REAL, "component": _Number(0, integer=True),
+                      "inert": bool},
+            "running_cost": _Required({"family": _Required(("zero", "affine_quadratic")),
+                                       "cx": _REAL, "cy": _REAL, "quad": _REAL, "lin": None}),
+            "terminal_cost": _Required(_TERMINAL),
+        },
+        "finance": {
+            **_PROBLEM,
+            "market": _Required({  # required: the fields of MarketModel without a default
+                field.name: _Required(None) if field.default is field.default_factory is MISSING
+                else None for field in dataclasses.fields(MarketModel)}),
+            "stock_drift": _REAL, "stock_vol": _REAL,
+            "cost_buy": _Number(0.0, 1.0), "cost_sell": _Number(0.0, 1.0),
+            "discount": _REAL, "utility": str, "utility_sign": _REAL,
+            "terminal_cost": _TERMINAL,
+        },
+    })),
+    "time": _Required({"horizon": _Required(_Number(0.0)),
+                       "steps": _Required(_Number(1, integer=True))}),
+    "scenarios": _Required(_Number(1, integer=True)),
+    "seed": _Required(_Number(0, integer=True)),
+    "controls": {"relaxed": ("uniform", {"weights": _Required(None)}),
+                 "singular": ("zero", {"increments": _Required(None)})},
+    "optimizer": {
+        **dict.fromkeys(("max_iter", "max_halvings", "phi_check_every"), _Number(0, integer=True)),
+        **dict.fromkeys(("singular_rate", "armijo_c1", "gap_floor", "ridge"), _Number(0.0)),
+        "gap_tol": _Number(0.0, nullable=True), "adjoint_degree": _Number(0, 2, integer=True),
+    },
+    "tolerances": dict.fromkeys(("gap_se_multiplier", "gap_floor", "slack_scale", "comp_scale"),
+                                _Number(0.0)),
+    "output_dir": _Required(str),
+    "moment_order": _Number(1.0),
+}
+
+
+def _validate(value, spec, path: str) -> None:
+    """Raise ConfigError, naming the dotted path of the fault, unless ``value``
+    matches ``spec`` (see ``_SCHEMA``); ``path`` is empty for the whole config."""
+    if isinstance(spec, _Number):
         number = not isinstance(value, bool) and (isinstance(value, int) or (
             isinstance(value, float) and math.isfinite(value)
-            and (value.is_integer() or not integer)))
-        if not (number and low <= value <= high):
-            kind = "an integer" if integer else "a number"
-            raise ConfigError(f"{path} must be {kind} in [{low}, {high}], got {value!r}")
+            and (value.is_integer() or not spec.integer)))
+        if not (number and spec.low <= value <= spec.high or value is None and spec.nullable):
+            kind = "an integer" if spec.integer else "a number"
+            raise ConfigError(f"{path} must be {kind} in [{spec.low}, {spec.high}], got {value!r}")
+    elif spec is bool or spec is str:
+        if not isinstance(value, spec):
+            kind = "true or false" if spec is bool else "a string"
+            raise ConfigError(f"{path} must be {kind}, got {value!r}")
+    elif isinstance(spec, tuple):
+        block = next((alt for alt in spec if isinstance(alt, dict)), None)
+        if isinstance(value, dict) and block is not None:
+            _validate(value, block, path)
+        elif not (isinstance(value, str) and value in spec):
+            choices = " or ".join(repr(alt) if isinstance(alt, str) else "an object" for alt in spec)
+            raise ConfigError(f"{path} must be {choices}, got {value!r}")
+    elif spec is not None:   # a block, or a _ByKind
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path or 'config'} must be an object, got {value!r}")
+        if isinstance(spec, _ByKind):
+            _validate(value.get("kind"), tuple(spec.blocks), f"{path}.kind")
+            spec = spec.blocks[value["kind"]]
+        unknown = sorted(set(value) - set(spec))
+        if unknown:
+            raise ConfigError(f"{path or 'config'}: unknown keys {unknown}")
+        missing = sorted(key for key, entry in spec.items()
+                         if isinstance(entry, _Required) and key not in value)
+        if missing:
+            raise ConfigError(f"{path or 'config'}: missing required keys {missing}")
+        for key, item in value.items():
+            entry = spec[key]
+            _validate(item, entry.spec if isinstance(entry, _Required) else entry,
+                      f"{path}.{key}" if path else key)
 
 
 def _build_running(spec: dict):
-    _check_keys(spec, _RUNNING_KEYS, {"family"}, "problem.running_cost")
-    family = spec["family"]
-    if family == "zero":
+    if spec["family"] == "zero":
         return zero_running()
-    if family == "affine_quadratic":
-        return affine_quadratic_running(
-            cx=spec.get("cx", 0.0), cy=spec.get("cy", 0.0),
-            quad=spec.get("quad", 0.0), lin=spec.get("lin"),
-        )
-    raise ConfigError(f"problem.running_cost: unknown family {family!r}")
+    return affine_quadratic_running(**{key: spec[key] for key in spec.keys() - {"family"}})
 
 
 def _build_terminal(spec: dict):
-    _check_keys(spec, _TERMINAL_KEYS, {"family"}, "problem.terminal_cost")
-    family = spec["family"]
-    if family == "linear_quadratic":
-        return linear_quadratic_terminal(
-            gx1=spec.get("gx1", 0.0), gx2=spec.get("gx2", 0.0),
-            gy1=spec.get("gy1", 0.0), gy2=spec.get("gy2", 0.0),
-            gxy=spec.get("gxy", 0.0),
-        )
-    if family == "tanh_wealth":
+    if spec["family"] == "tanh_wealth":
         return tanh_wealth_terminal(spec.get("weight", 1.0), spec.get("scale", 1.0))
-    raise ConfigError(f"problem.terminal_cost: unknown family {family!r}")
-
-
-def _build_singular_cost(spec: dict | None):
-    """The ``constant`` or ``values`` as given, 0 when absent; ``ControlProblem`` checks it."""
-    if spec is None:
-        return 0.0
-    _check_keys(spec, _SINGULAR_COST_KEYS, set(), "problem.singular_cost")
-    return spec["constant"] if "constant" in spec else spec.get("values")
+    return linear_quadratic_terminal(**{key: spec[key] for key in
+                                        spec.keys() & {"gx1", "gx2", "gy1", "gy2", "gxy"}})
 
 
 def _build_problem(cfg: dict, tg: TimeGrid) -> ControlProblem:
+    """The config's problem; ``cfg`` has passed ``_validate``."""
     spec = cfg["problem"]
-    if not isinstance(spec, dict):
-        raise ConfigError("problem: expected an object")
-    kind = spec.get("kind")
-    if kind == "canonical":
-        _check_keys(spec, _CANONICAL_KEYS,
-                    {"kind", "x0", "y0", "brownian_dim", "action_grid", "coefficients",
-                     "running_cost", "terminal_cost"}, "problem")
-        _check_keys(spec["action_grid"], _GRID_KEYS, {"points"}, "problem.action_grid")
-        _check_keys(spec["coefficients"], _COEFF_KEYS, {"model"}, "problem.coefficients")
-        dim = int(spec["brownian_dim"])
-        grid = ActionGrid(
-            np.asarray(spec["action_grid"]["points"], float),
-            box_lo=spec["action_grid"].get("box_lo"),
-            box_hi=spec["action_grid"].get("box_hi"),
-        )
-        stock_spec = spec.get("stock", {"inert": True})
-        _check_keys(stock_spec, _STOCK_KEYS, set(), "problem.stock")
-        if stock_spec.get("inert"):
-            stock = inert_stock(dim)
-        else:
-            stock = linear_stock(
-                stock_spec.get("drift", 0.0), stock_spec.get("vol", 0.0),
-                dim, component=int(stock_spec.get("component", dim - 1)),
-            )
-        coefficients = dict(spec["coefficients"])
-        model = coefficients["model"]
-        if model not in ("deterministic-constant", "tabulated"):
-            raise ConfigError("problem.coefficients.model must be 'deterministic-constant' or "
-                              f"'tabulated', got {model!r}")
-        if coefficients.setdefault("dim", dim) != dim:
-            raise ConfigError(f"problem.coefficients.dim must equal brownian_dim {dim}, "
-                              f"got {coefficients['dim']!r}")
-        try:   # tables of the wrong shape or with non-finite entries fail here, not mid-run
-            sample_coefficients(coefficients, tg, grid, int(cfg["scenarios"]), int(cfg["seed"]))
-        except ValueError as exc:
-            raise ConfigError(f"problem.coefficients: {exc}") from exc
-        running = _build_running(spec["running_cost"])
-        try:   # and malformed running-cost parameters, on the action grid
-            if not np.isfinite(running.value(0.0, np.zeros(1), np.zeros(1), grid.points)).all():
-                raise ValueError("not finite on the action grid")
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"problem.running_cost: {exc}") from exc
-        return ControlProblem(
-            tg=tg, grid=grid, dim=dim,
-            x0=float(spec["x0"]), y0=float(spec["y0"]),
-            coefficients=coefficients,
-            stock=stock,
-            running=running,
-            terminal=_build_terminal(spec["terminal_cost"]),
-            k_path=_build_singular_cost(spec.get("singular_cost")),
-            tv_cap=float(spec.get("tv_cap", 10.0)),
-        )
-    if kind == "finance":
-        _check_keys(spec, _FINANCE_KEYS, {"kind", "x0", "y0", "market"}, "problem")
-        _check_keys(spec["market"], _MARKET_KEYS,
-                    {"volatility", "sigma", "maturities", "consumption"}, "problem.market")
+    costs = spec.get("singular_cost", {})   # ControlProblem checks them; 0 when absent
+    k_path = costs["constant"] if "constant" in costs else costs.get("values", 0.0)
+    if spec["kind"] == "finance":
         market = MarketModel.from_dict(spec["market"])
         market.check_tables(tg.steps, int(cfg["scenarios"]))
         terminal = _build_terminal(spec["terminal_cost"]) if "terminal_cost" in spec else None
-        params = PortfolioParams(**{key: float(spec[key]) if key in ("x0", "y0", "tv_cap")
-                                    else spec[key] for key in _PORTFOLIO_KEYS & spec.keys()})
-        k_path = _build_singular_cost(spec.get("singular_cost"))
+        params = PortfolioParams(**{
+            key: float(spec[key]) if key in ("x0", "y0", "tv_cap") else spec[key]
+            for key in spec.keys() & {field.name for field in dataclasses.fields(PortfolioParams)}})
         return build_portfolio_problem(market, params, tg, terminal=terminal, k_path=k_path).problem
-    raise ConfigError(f"problem.kind must be 'canonical' or 'finance', got {kind!r}")
+    dim = int(spec["brownian_dim"])
+    grid = ActionGrid(**spec["action_grid"])
+    stock_spec = spec.get("stock", {"inert": True})
+    if stock_spec.get("inert"):
+        stock = inert_stock(dim)
+    else:
+        stock = linear_stock(
+            stock_spec.get("drift", 0.0), stock_spec.get("vol", 0.0),
+            dim, component=int(stock_spec.get("component", dim - 1)),
+        )
+    coefficients = dict(spec["coefficients"])
+    if coefficients.setdefault("dim", dim) != dim:
+        raise ConfigError(f"problem.coefficients.dim must equal brownian_dim {dim}, "
+                          f"got {coefficients['dim']!r}")
+    try:   # tables of the wrong shape or with non-finite entries fail here, not mid-run
+        sample_coefficients(coefficients, tg, grid, int(cfg["scenarios"]), int(cfg["seed"]))
+    except ValueError as exc:
+        raise ConfigError(f"problem.coefficients: {exc}") from exc
+    running = _build_running(spec["running_cost"])
+    try:   # and malformed running-cost parameters, on the action grid
+        if not np.isfinite(running.value(0.0, np.zeros(1), np.zeros(1), grid.points)).all():
+            raise ValueError("not finite on the action grid")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"problem.running_cost: {exc}") from exc
+    return ControlProblem(
+        tg=tg, grid=grid, dim=dim,
+        x0=float(spec["x0"]), y0=float(spec["y0"]),
+        coefficients=coefficients,
+        stock=stock,
+        running=running,
+        terminal=_build_terminal(spec["terminal_cost"]),
+        k_path=k_path,
+        tv_cap=float(spec.get("tv_cap", DEFAULT_TV_CAP)),
+    )
 
 
 def _build_controls(cfg: dict, problem: ControlProblem, path: str | None):
     """The controls of the controls file at ``path`` if given, else of the
-    config's ``controls`` block (validated either way), else the defaults."""
+    config's ``controls`` block, else the defaults."""
     mu, xi = problem.default_controls()
-    spec = cfg.get("controls")
-    if spec is not None:
-        _check_keys(spec, _CONTROLS_KEYS, set(), "controls")
-        relaxed = spec.get("relaxed", "uniform")
-        if relaxed != "uniform":
-            mu = RelaxedControl(np.asarray(relaxed["weights"], float))
-        singular = spec.get("singular", "zero")
-        if singular != "zero":
-            xi = SingularControl(
-                np.asarray(singular["increments"], float), tv_cap=problem.tv_cap
-            )
+    spec = cfg.get("controls", {})
+    if spec.get("relaxed", "uniform") != "uniform":
+        mu = RelaxedControl(**spec["relaxed"])
+    if spec.get("singular", "zero") != "zero":
+        xi = SingularControl(**spec["singular"], tv_cap=problem.tv_cap)
     source = "controls"
     if path is not None:
         source = "controls file"
@@ -291,20 +283,11 @@ def _resolve_config(path: str, args) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    _check_keys(cfg, _TOP_KEYS, {"schema", "problem", "time", "scenarios", "seed", "output_dir"},
-                "config")
-    if cfg["schema"] != SCENARIO_SCHEMA:
-        raise ConfigError(f"unsupported schema {cfg['schema']!r}; expected {SCENARIO_SCHEMA!r}")
-    _check_keys(cfg["time"], _TIME_KEYS, _TIME_KEYS, "time")
-    if "optimizer" in cfg:
-        _check_keys(cfg["optimizer"], _OPTIMIZER_KEYS, set(), "optimizer")
-    if "tolerances" in cfg:
-        _check_keys(cfg["tolerances"], _TOLERANCE_KEYS, set(), "tolerances")
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        cfg["output_dir"] = args.out
-    _check_scalars(cfg)
+    _validate(cfg, _SCHEMA, "")
+    for key, value in (("seed", args.seed), ("output_dir", args.out)):
+        if value is not None:   # an override passes the check of the value it replaces
+            _validate(value, _SCHEMA[key].spec, key)
+            cfg[key] = value
     return cfg
 
 
@@ -313,7 +296,7 @@ def _from_block(cfg: dict, section: str, cls):
 
     Integer keys may arrive as integral floats (``3.0``), so they are cast.
     """
-    return cls(**{key: int(value) if f"{section}.{key}" in _INTEGER_SCALARS else value
+    return cls(**{key: int(value) if _SCHEMA[section][key].integer else value
                   for key, value in cfg.get(section, {}).items()})
 
 
@@ -366,8 +349,6 @@ def _prepare(args, command: str):
         mu, xi = _build_controls(cfg, problem, getattr(args, "controls", None))
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    if not isinstance(cfg["output_dir"], str):
-        raise ConfigError(f"output_dir must be a string, got {cfg['output_dir']!r}")
     outdir = Path(cfg["output_dir"])
     try:
         outdir.mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import (CoefficientField, Factored, TimeGrid, _broadcast_tail, brownian_increments,
                        linear_stock)
-from .measures import ActionGrid
+from .measures import ActionGrid, _float_array
 from .problems import (
     ControlProblem,
     TerminalCost,
@@ -54,9 +54,10 @@ class MarketModel:
         if not 0.0 <= clamp < 0.5:   # else the lower quantile is not below the upper one
             raise ValueError(f"clamp_quantile must lie in [0, 0.5), got {clamp!r}")
         for name in ("maturities", "consumption"):
-            grid = np.asarray(getattr(self, name), float)
+            message = "{} must be a nonempty increasing list of finite numbers"
+            grid = _float_array(getattr(self, name), name, message)
             if grid.ndim != 1 or not grid.size or not np.isfinite(grid).all() or any(np.diff(grid) <= 0):
-                raise ValueError(f"{name} must be a nonempty increasing list of finite numbers")
+                raise ValueError(message.format(name))
             object.__setattr__(self, name, grid)
         if self.maturities[0] < 0.0:
             raise ValueError("maturities must be nonnegative times to maturity")

@@ -9,6 +9,7 @@ Both are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +27,14 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return out
 
 
+def _float_array(values, name: str, message: str = "{} must be numbers") -> np.ndarray:
+    """``values`` as a float array; a ValueError naming ``name`` if they are not numbers."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(message.format(name)) from None
+
+
 @dataclass(frozen=True)
 class ActionGrid:
     """Finite grid on the compact action space.
@@ -41,7 +50,7 @@ class ActionGrid:
     box_hi: np.ndarray | None = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = _float_array(self.points, "grid points")
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] < 1:
@@ -54,8 +63,8 @@ class ActionGrid:
                     f"grid points must be strictly increasing (lexicographic); "
                     f"violated at rows {i}, {i + 1}"
                 )
-        lo = np.min(pts, axis=0) if self.box_lo is None else np.asarray(self.box_lo, float)
-        hi = np.max(pts, axis=0) if self.box_hi is None else np.asarray(self.box_hi, float)
+        lo = np.min(pts, axis=0) if self.box_lo is None else _float_array(self.box_lo, "box_lo")
+        hi = np.max(pts, axis=0) if self.box_hi is None else _float_array(self.box_hi, "box_hi")
         if lo.shape != (pts.shape[1],) or hi.shape != (pts.shape[1],):
             raise ValueError("bounding box must match the action dimension")
         if not (np.all(pts >= lo) and np.all(pts <= hi)):   # a NaN bound fails too
@@ -88,7 +97,7 @@ class RelaxedControl:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = _float_array(self.weights, "weights")
         if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
             raise ValueError("weights must be a (steps, count) matrix")
         if not np.isfinite(w).all():
@@ -139,7 +148,7 @@ class SingularControl:
     tv_cap: float = DEFAULT_TV_CAP
 
     def __post_init__(self):
-        inc = np.asarray(self.increments, dtype=float)
+        inc = _float_array(self.increments, "increments")
         if inc.ndim != 2 or inc.shape[0] < 1 or inc.shape[1] < 1:
             raise ValueError("increments must be a (steps, dim) matrix")
         if np.any(inc < 0.0):
@@ -279,14 +288,16 @@ def controls_from_json(doc: dict):
         raise ValueError(f"unsupported controls schema: {doc.get('schema')!r}")
     if not isinstance(doc.get("grid"), dict):
         raise ValueError("controls grid must be a JSON object")
-    grid = ActionGrid(
-        np.asarray(doc["grid"]["points"], float),
-        box_lo=doc["grid"].get("box_lo"),
-        box_hi=doc["grid"].get("box_hi"),
-    )
-    mu = RelaxedControl(np.asarray(doc["relaxed_weights"], float))
+    missing = sorted({"horizon", "steps", "relaxed_weights", "singular_increments"} - doc.keys())
+    if missing:
+        raise ValueError(f"controls document lacks {missing}")
+    for name in ("horizon", "tv_cap"):
+        if name in doc and (isinstance(doc[name], bool) or not isinstance(doc[name], numbers.Real)):
+            raise ValueError(f"controls {name} must be a number, got {doc[name]!r}")
+    grid = ActionGrid(**doc["grid"])
+    mu = RelaxedControl(_float_array(doc["relaxed_weights"], "relaxed_weights"))
     xi = SingularControl(
-        np.asarray(doc["singular_increments"], float),
+        _float_array(doc["singular_increments"], "singular_increments"),
         tv_cap=float(doc.get("tv_cap", DEFAULT_TV_CAP)),
     )
     if mu.steps != doc["steps"] or xi.steps != doc["steps"]:

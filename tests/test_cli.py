@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -7,13 +8,19 @@ import numpy as np
 import pytest
 import rscontrol as rc
 from rscontrol.cli import (
+    _SCHEMA,
     _build_problem,
+    _Number,
+    _Required,
+    _validate,
     _write_npz,
     adjoints_to_csv,
     example_bond_config,
     main,
 )
 from rscontrol.measures import RelaxedControl, SingularControl, controls_to_json, load_controls
+from rscontrol.finance import PortfolioParams
+from rscontrol.maxprinciple import MaxPrincipleTolerances
 from rscontrol.optimizer import OptimizerOptions
 
 
@@ -218,12 +225,15 @@ class TestValidation:
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
-    @pytest.mark.parametrize("mutate", [
-        lambda doc: [],
-        lambda doc: {**doc, "grid": None},
-        lambda doc: {**doc, "horizon": None},
-    ], ids=["top-level-list", "null-grid", "null-horizon"])
-    def test_malformed_controls_document(self, tmp_path, capsys, mutate):
+    @pytest.mark.parametrize("mutate, member", [
+        (lambda doc: [], "object"),
+        (lambda doc: {**doc, "grid": None}, "grid"),
+        (lambda doc: {**doc, "horizon": None}, "horizon"),
+        (lambda doc: {key: value for key, value in doc.items() if key != "relaxed_weights"},
+         "relaxed_weights"),
+        (lambda doc: {**doc, "tv_cap": "x"}, "tv_cap"),
+    ], ids=["top-level-list", "null-grid", "null-horizon", "no-relaxed-weights", "text-tv-cap"])
+    def test_malformed_controls_document(self, tmp_path, capsys, mutate, member):
         cfg = _toy_config(tmp_path / "out")
         problem_grid = rc.ActionGrid(np.asarray(cfg["problem"]["action_grid"]["points"]))
         steps = cfg["time"]["steps"]
@@ -233,7 +243,8 @@ class TestValidation:
         code = main(["verify", "--config", _write(tmp_path / "c.json", cfg),
                      "--controls", controls])
         assert code == 2
-        assert "config error: malformed controls file" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error: malformed controls file" in err and member in err
 
     @pytest.mark.parametrize("target, key", [
         ("controls", "horizon"),
@@ -281,9 +292,10 @@ class TestValidation:
         ("maturities", [-1.0, 2.0, 5.0]),
         ("maturities", [5.0, 2.0, 1.0]),
         ("consumption", [-0.05, 0.0, 0.1]),
+        ("maturities", "a"),
     ], ids=["rate-kind", "ou-speed", "rate-table-length", "rate-table-rows", "mpr-kind",
             "clamp-text", "clamp-above-half", "negative-maturity", "unsorted-maturities",
-            "negative-consumption-sqrt"])
+            "negative-consumption-sqrt", "text-maturities"])
     def test_malformed_market(self, tmp_path, capsys, command, key, value):
         cfg = example_bond_config()
         cfg.update(scenarios=20, output_dir=str(tmp_path / "out"), optimizer={"max_iter": 1})
@@ -291,7 +303,7 @@ class TestValidation:
         cfg["problem"]["market"][key] = value
         assert main([command, "--config", _write(tmp_path / "c.json", cfg)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ")
+        assert err.startswith("config error: ") and key in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("case", ["controls-file-weight", "controls-block-weight",
@@ -329,7 +341,7 @@ class TestValidation:
         ("canonical", "stock.component", "0"), ("canonical", "stock.component", 0.5),
         ("canonical", "x0", True), ("finance", "stock_drift", "a"),
         ("finance", "terminal_cost.weight", "a"), ("finance", "stock_vol", [1]),
-        ("canonical", "", []),
+        ("canonical", "", []), ("canonical", "action_grid.box_lo", "a"),
     ])
     def test_malformed_problem(self, tmp_path, capsys, kind, path, value):
         # each exits 2 before the output directory is made, without a traceback
@@ -345,6 +357,7 @@ class TestValidation:
         assert main(["simulate", "--config", _write(tmp_path / "c.json", cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
+        assert ("running_cost" if key == "lin" else key) in err   # lin: evaluated with its block
         assert not (tmp_path / "out").exists()
 
     def test_invalid_grid(self, tmp_path):
@@ -375,6 +388,59 @@ class TestValidation:
         assert err.startswith("config error: ")
         assert "output" in err
         assert "Traceback" not in err
+
+
+def _schema_cases():
+    """(kind, dotted path, wrong value) for each typed leaf and each block of
+    the config schema, under both problem kinds; top-level paths once."""
+    def walk(entry, path):
+        spec = entry.spec if isinstance(entry, _Required) else entry
+        if isinstance(spec, dict):
+            if path:
+                yield path, []
+            for key, item in spec.items():
+                yield from walk(item, f"{path}.{key}" if path else key)
+        elif isinstance(spec, tuple):
+            yield path, []
+        elif isinstance(spec, _Number):
+            yield path, "a"
+        elif spec is not None:
+            yield path, {bool: "yes", str: 1}[spec]
+
+    for kind, block in _SCHEMA["problem"].spec.blocks.items():
+        for path, value in walk({**_SCHEMA, "problem": block}, ""):
+            if kind == "canonical" or path.split(".")[0] == "problem":
+                yield kind, path, value
+
+
+class TestSchema:
+    @pytest.mark.parametrize("kind, path, value", list(_schema_cases()), ids=str)
+    def test_wrong_type_names_its_path(self, tmp_path, capsys, kind, path, value):
+        cfg = _toy_config(tmp_path / "out")
+        if kind == "finance":
+            cfg = {**example_bond_config(), "scenarios": 20, "output_dir": str(tmp_path / "out")}
+        *sections, key = path.split(".")
+        block = cfg
+        for section in sections:
+            block = block.setdefault(section, {})
+        block[key] = value
+        assert main(["simulate", "--config", _write(tmp_path / "c.json", cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and path in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_schema_declares_every_option(self, tmp_path):
+        def fields(cls):
+            return {field.name for field in dataclasses.fields(cls)}
+
+        finance = _SCHEMA["problem"].spec.blocks["finance"]
+        assert set(_SCHEMA["optimizer"]) == fields(OptimizerOptions)
+        assert set(_SCHEMA["tolerances"]) == fields(MaxPrincipleTolerances)
+        assert (set(finance) - {"kind", "market", "terminal_cost", "singular_cost"}
+                == fields(PortfolioParams) - {"terminal_weight", "terminal_scale"})
+        for cfg in (json.loads(Path("scenarios/example_bond.json").read_text()),
+                    _toy_config(tmp_path / "out")):
+            _validate(cfg, _SCHEMA, "")
 
 
 class TestSimulate:
