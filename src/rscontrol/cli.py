@@ -5,7 +5,8 @@ is built; every run writes a manifest echoing the fully resolved config.  With
 ``--no-timestamp`` repeated runs produce byte-identical outputs.
 
 Exit codes: 0 success (verify: conditions pass), 1 verify failure, 2 invalid
-config or controls, 3 numeric explosion during simulation.
+config or controls, 3 numeric overflow (a simulated path, the adjoint or
+every cost sample non-finite).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 from . import __version__
 from .adjoint import solve_adjoint_regression
 from .dynamics import (
+    COEFFICIENT_TABLES,
     NonFiniteStateError,
     TimeGrid,
     inert_stock,
@@ -42,7 +44,7 @@ from .measures import (
     load_controls,
     save_controls,
 )
-from .optimizer import OptimizerOptions, evaluate_cost, optimize_problem
+from .optimizer import IterationRecord, OptimizerOptions, evaluate_cost, optimize_problem
 from .problems import (
     ControlProblem,
     affine_quadratic_running,
@@ -101,9 +103,7 @@ _SCHEMA = {
             "action_grid": _Required({"points": _Required(None), "box_lo": None, "box_hi": None}),
             "coefficients": _Required({
                 "model": _Required(("deterministic-constant", "tabulated")),
-                "dim": _Number(1, integer=True),
-                **dict.fromkeys(("drift_level", "drift_slope", "vol_level", "vol_slope",
-                                 "jump_gain_x", "jump_gain_y"))}),
+                "dim": _Number(1, integer=True), **dict.fromkeys(COEFFICIENT_TABLES)}),
             "stock": {"drift": _REAL, "vol": _REAL, "component": _Number(0, integer=True),
                       "inert": bool},
             "running_cost": _Required({"family": _Required(("zero", "affine_quadratic")),
@@ -128,7 +128,7 @@ _SCHEMA = {
     "controls": {"relaxed": ("uniform", {"weights": _Required(None)}),
                  "singular": ("zero", {"increments": _Required(None)})},
     "optimizer": {
-        **dict.fromkeys(("max_iter", "max_halvings", "phi_check_every"), _Number(0, integer=True)),
+        **dict.fromkeys(("max_iter", "max_halvings"), _Number(0, integer=True)),
         **dict.fromkeys(("singular_rate", "armijo_c1", "gap_floor", "ridge"), _Number(0.0)),
         "gap_tol": _Number(0.0, nullable=True), "adjoint_degree": _Number(0, 2, integer=True),
     },
@@ -301,6 +301,9 @@ def _from_block(cfg: dict, section: str, cls):
 
 
 def _write_json(path: Path, doc: dict) -> None:
+    """``doc`` as strict JSON: a top-level non-finite number is written as null."""
+    doc = {key: None if isinstance(value, float) and not math.isfinite(value) else value
+           for key, value in doc.items()}
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -409,15 +412,9 @@ def cmd_optimize(args) -> int:
 
     with open(outdir / "iterations.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "cost", "cost_stderr", "gap", "gap_stderr",
-                         "theta", "accepted", "phi_check_rms", "halvings"])
-        for rec in result.records:
-            writer.writerow([
-                rec.iteration, repr(rec.cost), repr(rec.cost_stderr), repr(rec.gap),
-                repr(rec.gap_stderr), repr(rec.theta), int(rec.accepted),
-                "" if rec.phi_check_rms is None else repr(rec.phi_check_rms),
-                rec.halvings,
-            ])
+        writer.writerow(field.name for field in dataclasses.fields(IterationRecord))
+        for rec in result.records:   # booleans as 0/1
+            writer.writerow(int(v) if isinstance(v, bool) else v for v in dataclasses.astuple(rec))
 
     save_controls(outdir / "controls.json", problem.grid, state.mu, state.xi,
                   problem.tg.horizon)
@@ -428,7 +425,7 @@ def cmd_optimize(args) -> int:
     doc["iterations"] = state.iteration
     doc["final_cost"] = state.cost
     doc["final_cost_stderr"] = state.cost_stderr
-    doc["final_gap"] = state.gap if np.isfinite(state.gap) else None
+    doc["final_gap"] = state.gap
     doc["clamp_events"] = int(getattr(result.fieldref, "clamp_events", 0))
     _write_json(outdir / "report.json", doc)
     print(f"optimize: {state.reason} after {state.iteration} iterations, "
@@ -538,8 +535,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NonFiniteStateError as exc:
-        print(f"simulation error: {exc}", file=sys.stderr)
+    except (NonFiniteStateError, FloatingPointError) as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -41,6 +41,9 @@ from .measures import integrate_against  # noqa: F401  (perfbench wraps this mod
 
 NOISE_BLOCK = 256   # scenarios per generator call in ``brownian_increments``
 FACTOR_BUDGET = 65536   # scenario-steps of x's step factors set up at once in ``simulate_forward``
+# the tables of a canonical coefficient model, ``dense_field``'s keyword inputs
+COEFFICIENT_TABLES = ("drift_level", "drift_slope", "vol_level", "vol_slope",
+                      "jump_gain_x", "jump_gain_y")
 
 
 class NonFiniteStateError(RuntimeError):
@@ -323,17 +326,12 @@ def sample_coefficients(
     adapted to the driving noise.
     """
     name = model.get("model")
-    dim = int(model.get("dim", 1))
-    common = dict(
-        drift_level=model.get("drift_level", 0.0),
-        drift_slope=model.get("drift_slope", 0.0),
-        vol_level=model.get("vol_level"),
-        vol_slope=model.get("vol_slope"),
-        jump_gain_x=model.get("jump_gain_x"),
-        jump_gain_y=model.get("jump_gain_y"),
-    )
     if name in ("deterministic-constant", "tabulated"):
-        return dense_field(tg, grid, scenarios, dim, **common)
+        unknown = sorted(set(model) - {"model", "dim", *COEFFICIENT_TABLES})
+        if unknown:
+            raise ValueError(f"unknown coefficient keys {unknown}")
+        tables = {key: model[key] for key in COEFFICIENT_TABLES if key in model}
+        return dense_field(tg, grid, scenarios, int(model.get("dim", 1)), **tables)
     if name == "finance":
         from . import finance
 
@@ -608,20 +606,21 @@ def _sup_abs(path: np.ndarray) -> np.ndarray:
 
 def moment_diagnostics(bundle: TrajectoryBundle, field: CoefficientField, p: float = 2.0) -> MomentReport:
     """Sample sup/terminal moments of the paths and the exponential moment
-    of the integrated drift slope (worst grid point).  Flags non-finite or
-    exploding estimates instead of raising."""
+    of the integrated drift slope (worst grid point).  Flags non-finite
+    paths, and infinite or exploding estimates, instead of raising."""
     if p < 1.0:
         raise ValueError("moment order must be >= 1")
+    sups = [_sup_abs(path) for path in (bundle.x, bundle.y)]
+    non_finite = not all(np.isfinite(sup).all() for sup in sups)
     with np.errstate(over="ignore"):
-        sup_x, sup_y = (float(np.mean(_sup_abs(path) ** p)) for path in (bundle.x, bundle.y))
+        sup_x, sup_y = (float(np.mean(sup ** p)) for sup in sups)
         term_x = float(np.mean(np.abs(bundle.x[:, -1]) ** p))
         term_y = float(np.mean(np.abs(bundle.y[:, -1]) ** p))
         slope = field.drift_slope
         acc = slope.combine(A @ B for A, B in slope.terms) * bundle.tg.dt
         exp_moment = float(np.exp(p * acc).mean(axis=0).max())
     values = (sup_x, sup_y, term_x, term_y, exp_moment)
-    non_finite = any(not np.isfinite(v) for v in values)
-    exploded = non_finite or any(v > MomentReport.EXPLOSION_THRESHOLD for v in values)
+    exploded = non_finite or not all(v <= MomentReport.EXPLOSION_THRESHOLD for v in values)
     return MomentReport(
         order=p,
         sup_moment_x=sup_x,

@@ -198,6 +198,12 @@ def slack_paths(fieldref, k_path: np.ndarray, adj: AdjointSolution) -> np.ndarra
     return slack
 
 
+def _mean_stderr(samples: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error (0 for a single sample)."""
+    n = samples.shape[0]
+    return float(samples.mean()), (float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0)
+
+
 @dataclass(frozen=True)
 class VariationalDerivative:
     """Monte Carlo directional-derivative estimate with its two addends.
@@ -216,15 +222,22 @@ class VariationalDerivative:
     @staticmethod
     def from_samples(singular, measure) -> "VariationalDerivative":
         samples = singular + measure
-        n = samples.shape[0]
-        se = float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        total, se = _mean_stderr(samples)
         return VariationalDerivative(
-            total=float(samples.mean()),
+            total=total,
             singular_term=float(singular.mean()),
             measure_term=float(measure.mean()),
             stderr=se,
             samples=samples,
         )
+
+
+def _derivative(fieldref, bundle, adj, running, slack, increments, compared) -> VariationalDerivative:
+    """The slack against the singular direction's ``increments`` less xi's, plus
+    the shortfall of H at the control against ``compared`` (see ``_shortfall``)."""
+    singular = np.einsum("snd,nd->s", slack, increments - bundle.xi.increments)
+    measure = _shortfall(fieldref, bundle, adj, running, compared)
+    return VariationalDerivative.from_samples(singular, measure)
 
 
 def variational_derivative(
@@ -251,10 +264,8 @@ def variational_derivative(
         raise ValueError("measure direction does not match the control shape")
     if eta.increments.shape != bundle.xi.increments.shape:
         raise ValueError("singular direction does not match the control shape")
-    slack = slack_paths(fieldref, k_path, adj)
-    singular = np.einsum("snd,nd->s", slack, eta.increments - bundle.xi.increments)
-    measure = _shortfall(fieldref, bundle, adj, running, _against(q.weights))
-    return VariationalDerivative.from_samples(singular, measure)
+    return _derivative(fieldref, bundle, adj, running, slack_paths(fieldref, k_path, adj),
+                       eta.increments, _against(q.weights))
 
 
 @dataclass(frozen=True)
@@ -330,9 +341,8 @@ def check_max_principle(
     """
     tol = tolerances or MaxPrincipleTolerances()
     # the gap samples are minus the shortfall against the grid maximum
-    shortfall = _shortfall(fieldref, bundle, adj, running, _grid_max)
-    gap = -float(shortfall.mean()) + 0.0   # normalize -0.0
-    gap_se = float(shortfall.std(ddof=1) / np.sqrt(bundle.scenarios)) if bundle.scenarios > 1 else 0.0
+    mean, gap_se = _mean_stderr(_shortfall(fieldref, bundle, adj, running, _grid_max))
+    gap = -mean + 0.0   # normalize -0.0
     gap_tol = tol.gap_se_multiplier * gap_se + tol.gap_floor
 
     slack = slack_paths(fieldref, k_path, adj)

@@ -16,10 +16,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .adjoint import _gradient_paths, _path_slopes, _step_factor
-from .adjoint import solve_adjoint_phi, solve_adjoint_regression
+from .adjoint import solve_adjoint_regression
+from .adjoint import solve_adjoint_phi  # noqa: F401  (perfbench wraps this module attribute)
 from .dynamics import CoefficientField, TrajectoryBundle, coefficient_integrals
 from .dynamics import _affine_columns, _dot_last
-from .maxprinciple import VariationalDerivative, _mean_argmax, _shortfall, slack_paths
+from .maxprinciple import VariationalDerivative, _derivative, _mean_argmax, _mean_stderr
+from .maxprinciple import slack_paths
 from .maxprinciple import variational_derivative  # noqa: F401  (perfbench wraps this module attribute)
 from .measures import (
     RelaxedControl,
@@ -68,9 +70,8 @@ def evaluate_cost(
     excluded = int(bundle.scenarios - finite.sum())
     if excluded == bundle.scenarios:
         raise FloatingPointError("every cost sample is non-finite")
-    kept = samples[finite]
-    se = float(kept.std(ddof=1) / np.sqrt(kept.size)) if kept.size > 1 else 0.0
-    return CostEstimate(value=float(kept.mean()), stderr=se, excluded=excluded, samples=samples)
+    value, se = _mean_stderr(samples[finite])
+    return CostEstimate(value=value, stderr=se, excluded=excluded, samples=samples)
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,6 @@ class OptimizerOptions:
     gap_floor: float = 1e-10
     adjoint_degree: int = 2
     ridge: float = 1e-8
-    phi_check_every: int = 0       # 0 disables the construction-method drift check
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,6 @@ class IterationRecord:
     gap_stderr: float
     theta: float
     accepted: bool
-    phi_check_rms: float | None = None
     halvings: int = 0         # Armijo trial steps rejected in this iteration
 
 
@@ -255,26 +254,15 @@ def frank_wolfe_iterate(
         fieldref, state.mu, state.bundle, problem.running, problem.terminal,
         problem.stock, opts.adjoint_degree, opts.ridge,
     )
-    phi_rms = None
-    if opts.phi_check_every and state.iteration % opts.phi_check_every == 0:
-        ref = solve_adjoint_phi(
-            fieldref, state.mu, state.bundle, problem.running, problem.terminal,
-            problem.stock, opts.adjoint_degree, opts.ridge,
-        )
-        # C-order squares: numpy sums whole arrays in memory order
-        denom = float(np.sqrt(np.mean(np.square(adj.px, order="C")))) or 1.0
-        phi_rms = float(np.sqrt(np.mean(np.square(ref.px - adj.px, order="C")))) / denom
-
-    # one Hamiltonian sweep gives both the vertex q* (per-step point mass at
-    # the scenario-mean maximizer) and its shortfall against the control
-    q_rows = np.zeros_like(state.mu.weights)
-    shortfall = _shortfall(fieldref, state.bundle, adj, problem.running, _mean_argmax(q_rows))
-    q_star = RelaxedControl(q_rows)
     slack = slack_paths(fieldref, problem.k_path, adj)
     eta_star = _singular_direction(slack.mean(axis=0), opts.singular_rate, problem.tg.dt,
                                    problem.tv_cap)
-    singular = np.einsum("snd,nd->s", slack, eta_star.increments - state.bundle.xi.increments)
-    deriv = VariationalDerivative.from_samples(singular, shortfall)
+    # one Hamiltonian sweep gives both the vertex q* (per-step point mass at
+    # the scenario-mean maximizer) and its shortfall against the control
+    q_rows = np.zeros_like(state.mu.weights)
+    deriv = _derivative(fieldref, state.bundle, adj, problem.running, slack,
+                        eta_star.increments, _mean_argmax(q_rows))
+    q_star = RelaxedControl(q_rows)
     gap = -deriv.total + 0.0   # normalize -0.0
     gap_se = deriv.stderr
     tol = opts.gap_tol if opts.gap_tol is not None else (3.0 * gap_se + opts.gap_floor)
@@ -309,7 +297,7 @@ def frank_wolfe_iterate(
     return new, IterationRecord(
         iteration=new.iteration, cost=new.cost, cost_stderr=new.cost_stderr,
         gap=gap, gap_stderr=gap_se, theta=theta, accepted=not new.reason,
-        phi_check_rms=phi_rms, halvings=halvings,
+        halvings=halvings,
     )
 
 

@@ -52,7 +52,10 @@ def affine_quadratic_running(cx=0.0, cy=0.0, quad=0.0, lin=None) -> RunningCost:
     def _u_part(pts):
         part = 0.5 * quad * (pts * pts).sum(axis=1)
         if lin is not None:
-            part = part + pts @ np.asarray(lin, float)
+            coeffs = np.asarray(lin, float)
+            if coeffs.shape != pts.shape[1:]:
+                raise ValueError(f"lin needs one entry per action coordinate, got {lin!r}")
+            part = part + pts @ coeffs
         return part
 
     def value(t, x, y, pts):

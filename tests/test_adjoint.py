@@ -20,7 +20,7 @@ from rscontrol.cli import adjoints_to_csv
 from rscontrol.dynamics import coefficient_integrals
 from rscontrol.optimizer import solve_first_variation
 
-from toys import rich_toy, random_admissible_controls
+from toys import drift_control_toy, rich_toy, random_admissible_controls
 
 
 def _setup(problem, scenarios, seed):
@@ -417,6 +417,17 @@ class TestMethodAgreement:
         per_step_rms = np.sqrt(np.mean((reg.px - phi.px) ** 2, axis=0))
         signal = np.sqrt(np.mean(reg.px ** 2))
         assert per_step_rms.max() <= 0.05 * signal
+
+    def test_cross_validation_drift_control_toy(self):
+        # the relative RMS of the two methods' px over all scenarios and steps
+        problem = drift_control_toy()
+        field, mu, bundle = _setup(problem, 300, 2)
+        reg = rc.solve_adjoint_regression(field, mu, bundle, problem.running,
+                                          problem.terminal, problem.stock)
+        phi = rc.solve_adjoint_phi(field, mu, bundle, problem.running,
+                                   problem.terminal, problem.stock)
+        rms = np.sqrt(np.mean(np.square(phi.px - reg.px))) / np.sqrt(np.mean(np.square(reg.px)))
+        assert rms < 0.05
 
     def test_duality_identity(self):
         # E[px_T * beta_T] equals the integrated pairing of the costate with

@@ -21,7 +21,7 @@ from rscontrol.cli import (
 from rscontrol.measures import RelaxedControl, SingularControl, controls_to_json, load_controls
 from rscontrol.finance import PortfolioParams
 from rscontrol.maxprinciple import MaxPrincipleTolerances
-from rscontrol.optimizer import OptimizerOptions
+from rscontrol.optimizer import IterationRecord, OptimizerOptions
 
 
 def _write(path: Path, doc: dict) -> str:
@@ -209,13 +209,15 @@ class TestValidation:
         ("optimizer", "max_iter", "x"),
         (None, "seed", -3),
         ("tolerances", "gap_se_multiplier", -1),
+        ("optimizer", "phi_check_every", 1),
     ])
     def test_malformed_scalar(self, tmp_path, capsys, section, key, value):
         cfg = _toy_config(tmp_path / "out")
         (cfg.setdefault(section, {}) if section else cfg)[key] = value
         rc = main(["optimize", "--config", _write(tmp_path / "c.json", cfg)])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("config error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one(self, tmp_path, capsys, threads):
@@ -357,7 +359,7 @@ class TestValidation:
         assert main(["simulate", "--config", _write(tmp_path / "c.json", cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
-        assert ("running_cost" if key == "lin" else key) in err   # lin: evaluated with its block
+        assert key in err
         assert not (tmp_path / "out").exists()
 
     def test_invalid_grid(self, tmp_path):
@@ -468,6 +470,27 @@ class TestSimulate:
         rc = main(["simulate", "--config", _write(tmp_path / "c.json", cfg)])
         assert rc == 3
 
+    def test_overflowing_moment_is_not_a_non_finite_path(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = _toy_config(out)
+        cfg["moment_order"] = 1e308
+        assert main(["simulate", "--config", _write(tmp_path / "c.json", cfg)]) == 0
+        moments = json.loads((out / "moments.json").read_text())
+        assert moments["non_finite"] is False and moments["exploded"] is True
+
+    def test_overflowing_cost_is_strict_json(self, tmp_path):
+        # every cost sample is finite but their mean overflows
+        out = tmp_path / "out"
+        cfg = _toy_config(out)
+        cfg["problem"]["terminal_cost"]["gx2"] = 1e308
+        assert main(["simulate", "--config", _write(tmp_path / "c.json", cfg)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"cost.json holds {constant}")
+
+        cost = json.loads((out / "cost.json").read_text(), parse_constant=refuse)
+        assert cost["value"] is None and cost["excluded"] == 0
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = _toy_config(tmp_path / "out")
         path = _write(tmp_path / "c.json", cfg)
@@ -495,6 +518,7 @@ class TestOptimize:
         with open(out / "iterations.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert rows and all(int(row["halvings"]) >= 0 for row in rows)
+        assert list(rows[0]) == [field.name for field in dataclasses.fields(IterationRecord)]
         assert (out / "adjoints.npz").exists()
 
     def test_adjoints_npz_round_trips_to_csv(self, tmp_path):
@@ -533,6 +557,13 @@ class TestOptimize:
         line = capsys.readouterr().out.strip().splitlines()[-1]
         assert line.startswith(f"optimize: {report['convergence_reason']} after "
                                f"{report['iterations']} iterations")
+
+    def test_adjoint_overflow_exit_code(self, tmp_path, capsys):
+        cfg = _toy_config(tmp_path / "out")
+        cfg["problem"]["terminal_cost"]["gx2"] = 1e308
+        assert main(["optimize", "--config", _write(tmp_path / "c.json", cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ") and "Traceback" not in err
 
     def test_max_iter_zero_reports_initial_state(self, tmp_path):
         out = tmp_path / "out"

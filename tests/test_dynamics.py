@@ -480,6 +480,10 @@ class TestSampleCoefficients:
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown coefficient model"):
             rc.sample_coefficients({"model": "nope"}, rc.TimeGrid(1.0, 2), _grid(), 1, 0)
+        # a misspelled table is refused by name, not built as a zero table
+        with pytest.raises(ValueError, match="unknown coefficient keys \\['drift_levle'\\]"):
+            rc.sample_coefficients({"model": "tabulated", "drift_levle": 1.0},
+                                   rc.TimeGrid(1.0, 2), _grid(), 1, 0)
 
     # the one broadcasting rule of every tabulated input, on a (4, 3, 2) target:
     # any trailing part repeats, and with scenarios a scenario axis of 1 or S

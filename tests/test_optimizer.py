@@ -315,10 +315,3 @@ class TestFrankWolfe:
         assert record.gap > 0.0
         assert record.gap == -deriv.total
         assert record.gap_stderr == deriv.stderr
-
-    def test_phi_check_recorded(self):
-        problem = drift_control_toy()
-        result = optimize_problem(problem, 300, 2,
-                                  options=OptimizerOptions(max_iter=2, phi_check_every=1))
-        assert result.records[0].phi_check_rms is not None
-        assert result.records[0].phi_check_rms < 0.05
