@@ -56,7 +56,6 @@ from .adjoint import (
 )
 from .maxprinciple import (
     HamiltonianSlice,
-    MaxPrincipleTolerances,
     OptimalityReport,
     VariationalDerivative,
     check_max_principle,

@@ -1,8 +1,9 @@
 """Command-line front end: simulate, optimize and verify scenario configs.
 
 Configs are strict JSON documents, checked against ``_SCHEMA`` before anything
-is built; every run writes a manifest echoing the fully resolved config.  With
-``--no-timestamp`` repeated runs produce byte-identical outputs.
+is built; every run that exits 0 or 1 writes, as its last file, a manifest
+echoing the fully resolved config.  With ``--no-timestamp`` repeated runs
+produce byte-identical outputs.
 
 Exit codes: 0 success (verify: conditions pass), 1 verify failure, 2 invalid
 config or controls, 3 numeric overflow (a simulated path, the adjoint or
@@ -35,7 +36,7 @@ from .dynamics import (
     sample_coefficients,
 )
 from .finance import MarketModel, PortfolioParams, build_portfolio_problem
-from .maxprinciple import MaxPrincipleTolerances, check_max_principle
+from .maxprinciple import check_max_principle
 from .measures import (
     DEFAULT_TV_CAP,
     ActionGrid,
@@ -63,12 +64,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class _Number:
-    """A JSON number in [low, high] (inclusive), integral if ``integer``, null if ``nullable``."""
+    """A JSON number in [low, high] (inclusive), integral if ``integer``."""
 
     low: float = -math.inf
     high: float = math.inf
     integer: bool = False
-    nullable: bool = False
 
 
 @dataclass(frozen=True)
@@ -127,15 +127,9 @@ _SCHEMA = {
     "seed": _Required(_Number(0, integer=True)),
     "controls": {"relaxed": ("uniform", {"weights": _Required(None)}),
                  "singular": ("zero", {"increments": _Required(None)})},
-    "optimizer": {
-        **dict.fromkeys(("max_iter", "max_halvings"), _Number(0, integer=True)),
-        **dict.fromkeys(("singular_rate", "armijo_c1", "gap_floor", "ridge"), _Number(0.0)),
-        "gap_tol": _Number(0.0, nullable=True), "adjoint_degree": _Number(0, 2, integer=True),
-    },
-    "tolerances": dict.fromkeys(("gap_se_multiplier", "gap_floor", "slack_scale", "comp_scale"),
-                                _Number(0.0)),
+    "optimizer": {**dict.fromkeys(("max_iter", "max_halvings"), _Number(0, integer=True)),
+                  "adjoint_degree": _Number(0, 2, integer=True), "ridge": _Number(0.0)},
     "output_dir": _Required(str),
-    "moment_order": _Number(1.0),
 }
 
 
@@ -146,7 +140,7 @@ def _validate(value, spec, path: str) -> None:
         number = not isinstance(value, bool) and (isinstance(value, int) or (
             isinstance(value, float) and math.isfinite(value)
             and (value.is_integer() or not spec.integer)))
-        if not (number and spec.low <= value <= spec.high or value is None and spec.nullable):
+        if not (number and spec.low <= value <= spec.high):
             kind = "an integer" if spec.integer else "a number"
             raise ConfigError(f"{path} must be {kind} in [{spec.low}, {spec.high}], got {value!r}")
     elif spec is bool or spec is str:
@@ -291,13 +285,13 @@ def _resolve_config(path: str, args) -> dict:
     return cfg
 
 
-def _from_block(cfg: dict, section: str, cls):
-    """``cls`` built from a config block; absent keys keep the class defaults.
+def _optimizer_options(cfg: dict) -> OptimizerOptions:
+    """The config's optimizer block; absent keys keep the class defaults.
 
     Integer keys may arrive as integral floats (``3.0``), so they are cast.
     """
-    return cls(**{key: int(value) if _SCHEMA[section][key].integer else value
-                  for key, value in cfg.get(section, {}).items()})
+    return OptimizerOptions(**{key: int(value) if _SCHEMA["optimizer"][key].integer else value
+                               for key, value in cfg.get("optimizer", {}).items()})
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -329,10 +323,10 @@ def _write_npz(path: Path, tg: TimeGrid, **tables) -> None:
     np.savez(path, t=tg.times(), **tables)
 
 
-def _write_manifest(outdir: Path, command: str, cfg: dict, args) -> None:
+def _write_manifest(outdir: Path, cfg: dict, args) -> None:
     manifest = {
         "schema": MANIFEST_SCHEMA,
-        "command": command,
+        "command": args.command,
         "config": cfg,
         "package_version": __version__,
         "threads": args.threads,
@@ -342,7 +336,7 @@ def _write_manifest(outdir: Path, command: str, cfg: dict, args) -> None:
     _write_json(outdir / "manifest.json", manifest)
 
 
-def _prepare(args, command: str):
+def _prepare(args):
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     cfg = _resolve_config(args.config, args)
@@ -357,7 +351,6 @@ def _prepare(args, command: str):
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {str(outdir)!r}: {exc}") from exc
-    _write_manifest(outdir, command, cfg, args)
     return cfg, problem, mu, xi, outdir
 
 
@@ -372,39 +365,38 @@ def _simulate(cfg: dict, problem: ControlProblem, mu, xi, threads: int):
 
 def _check(cfg: dict, problem: ControlProblem, field, bundle, outdir: Path):
     """Regression adjoint on the configured degree and ridge, written to
-    ``adjoints.npz``, then the max-principle report on the configured
-    tolerances."""
-    options = _from_block(cfg, "optimizer", OptimizerOptions)
+    ``adjoints.npz``, then the max-principle report."""
+    options = _optimizer_options(cfg)
     adj = solve_adjoint_regression(
         field, bundle.mu, bundle, problem.running, problem.terminal, problem.stock,
         options.adjoint_degree, options.ridge,
     )
     _write_npz(outdir / "adjoints.npz", problem.tg, px=adj.px, py=adj.py, Px=adj.Px, Py=adj.Py)
-    return check_max_principle(field, bundle, adj, problem.running, problem.k_path,
-                               _from_block(cfg, "tolerances", MaxPrincipleTolerances))
+    return check_max_principle(field, bundle, adj, problem.running, problem.k_path)
 
 
 def cmd_simulate(args) -> int:
-    cfg, problem, mu, xi, outdir = _prepare(args, "simulate")
+    cfg, problem, mu, xi, outdir = _prepare(args)
     field, bundle = _simulate(cfg, problem, mu, xi, args.threads)
     _write_npz(outdir / "trajectories.npz", problem.tg, x=bundle.x, y=bundle.y, dW=bundle.noise)
-    report = moment_diagnostics(bundle, field, p=float(cfg.get("moment_order", 2.0)))
+    report = moment_diagnostics(bundle, field)
     doc = report.to_json()
     doc["clamp_events"] = int(getattr(field, "clamp_events", 0))
     _write_json(outdir / "moments.json", doc)
     cost = evaluate_cost(bundle, problem.running, problem.k_path, problem.terminal, fieldref=field)
     _write_json(outdir / "cost.json",
                 {"value": cost.value, "stderr": cost.stderr, "excluded": cost.excluded})
+    _write_manifest(outdir, cfg, args)
     print(f"simulate: wrote {outdir / 'trajectories.npz'} "
           f"({bundle.scenarios} scenarios x {problem.tg.steps} steps)")
     return 0
 
 
 def cmd_optimize(args) -> int:
-    cfg, problem, mu, xi, outdir = _prepare(args, "optimize")
+    cfg, problem, mu, xi, outdir = _prepare(args)
     scenarios = int(cfg["scenarios"])
     seed = int(cfg["seed"])
-    options = _from_block(cfg, "optimizer", OptimizerOptions)
+    options = _optimizer_options(cfg)
     result = optimize_problem(
         problem, scenarios, seed, mu0=mu, xi0=xi, options=options, threads=args.threads
     )
@@ -428,18 +420,20 @@ def cmd_optimize(args) -> int:
     doc["final_gap"] = state.gap
     doc["clamp_events"] = int(getattr(result.fieldref, "clamp_events", 0))
     _write_json(outdir / "report.json", doc)
+    _write_manifest(outdir, cfg, args)
     print(f"optimize: {state.reason} after {state.iteration} iterations, "
           f"cost {state.cost:.6g} (gap {state.gap:.3g})")
     return 0
 
 
 def cmd_verify(args) -> int:
-    cfg, problem, mu, xi, outdir = _prepare(args, "verify")
+    cfg, problem, mu, xi, outdir = _prepare(args)
     field, bundle = _simulate(cfg, problem, mu, xi, args.threads)
     report = _check(cfg, problem, field, bundle, outdir)
     doc = report.to_json()
     doc["clamp_events"] = int(getattr(field, "clamp_events", 0))
     _write_json(outdir / "report.json", doc)
+    _write_manifest(outdir, cfg, args)
     print(report.render_table())
     return 0 if report.passed else 1
 
@@ -530,8 +524,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
+    try:   # overflow is reported by exit code 3 or as null, not by numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

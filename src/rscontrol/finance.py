@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import (CoefficientField, Factored, TimeGrid, _broadcast_tail, brownian_increments,
                        linear_stock)
-from .measures import ActionGrid, _float_array
+from .measures import DEFAULT_TV_CAP, ActionGrid, _float_array
 from .problems import (
     ControlProblem,
     TerminalCost,
@@ -265,7 +265,7 @@ class PortfolioParams:
     utility_sign: float = -1.0    # -1: maximize utility via minimized cost
     terminal_weight: float = 1.0
     terminal_scale: float = 4.0
-    tv_cap: float = 10.0
+    tv_cap: float = DEFAULT_TV_CAP
 
     def __post_init__(self):
         if not (0.0 <= self.cost_buy < 1.0 and 0.0 <= self.cost_sell < 1.0):

@@ -35,6 +35,15 @@ from .measures import integrate_against  # noqa: F401  (perfbench wraps this mod
 from .problems import RunningCost
 
 
+# The statistical tolerances of the three optimality conditions: the gap's is
+# GAP_SE_MULTIPLIER standard errors of its estimate plus a numerical floor;
+# slack's and complementarity's are relative to the costate scale and to the
+# total variation of xi.
+GAP_SE_MULTIPLIER = 3.0
+GAP_FLOOR = 1e-10
+SLACK_SCALE = 1e-6
+COMP_SCALE = 1e-6
+
 # values per block array: a sweep evaluates max(1, SWEEP_BUDGET // (S * count))
 # steps at a time, so one (steps, S, count) block of H values is 0.5 MB
 SWEEP_BUDGET = 65536
@@ -198,6 +207,12 @@ def slack_paths(fieldref, k_path: np.ndarray, adj: AdjointSolution) -> np.ndarra
     return slack
 
 
+def gap_tolerance(stderr: float) -> float:
+    """The largest duality or Hamiltonian gap that passes, given the standard
+    error of its estimate: the Frank–Wolfe stop test and the verifier's."""
+    return GAP_SE_MULTIPLIER * stderr + GAP_FLOOR
+
+
 def _mean_stderr(samples: np.ndarray) -> tuple[float, float]:
     """Sample mean and its standard error (0 for a single sample)."""
     n = samples.shape[0]
@@ -269,21 +284,6 @@ def variational_derivative(
 
 
 @dataclass(frozen=True)
-class MaxPrincipleTolerances:
-    """Statistical tolerances for the three optimality conditions.
-
-    The gap tolerance is ``gap_se_multiplier`` standard errors of the gap
-    estimate plus a numerical floor; slack and complementarity tolerances are
-    relative to the costate scale and to the total variation of xi.
-    """
-
-    gap_se_multiplier: float = 3.0
-    gap_floor: float = 1e-10
-    slack_scale: float = 1e-6
-    comp_scale: float = 1e-6
-
-
-@dataclass(frozen=True)
 class OptimalityReport:
     """Pass/fail verdict for the pointwise maximum condition, slack
     nonnegativity and complementarity, with the underlying statistics."""
@@ -300,7 +300,6 @@ class OptimalityReport:
     pass_hamiltonian: bool
     pass_slack: bool
     pass_complementarity: bool
-    tolerances: MaxPrincipleTolerances
 
     @property
     def passed(self) -> bool:
@@ -331,7 +330,6 @@ def check_max_principle(
     adj: AdjointSolution,
     running: RunningCost,
     k_path: np.ndarray,
-    tolerances: MaxPrincipleTolerances | None = None,
 ) -> OptimalityReport:
     """Evaluate the three necessary optimality conditions on a solved state.
 
@@ -339,22 +337,21 @@ def check_max_principle(
     Hamiltonian is affine in the measure), and the almost-sure conditions are
     verified up to statistical tolerances derived from the sample.
     """
-    tol = tolerances or MaxPrincipleTolerances()
     # the gap samples are minus the shortfall against the grid maximum
     mean, gap_se = _mean_stderr(_shortfall(fieldref, bundle, adj, running, _grid_max))
     gap = -mean + 0.0   # normalize -0.0
-    gap_tol = tol.gap_se_multiplier * gap_se + tol.gap_floor
+    gap_tol = gap_tolerance(gap_se)
 
     slack = slack_paths(fieldref, k_path, adj)
     slack_min = float(slack.min())
     px2, py2 = (np.square(p, order="C") for p in (adj.px, adj.py))   # summed in memory order
     scale = float(np.sqrt(np.mean(px2) + np.mean(py2)))
-    slack_tol = tol.slack_scale * scale
+    slack_tol = SLACK_SCALE * scale
 
     over = slack > slack_tol
     comp_samples = np.einsum("snd,nd->s", over.astype(float), bundle.xi.increments)
     violation = float(comp_samples.mean())
-    comp_tol = tol.comp_scale * bundle.xi.total_variation
+    comp_tol = COMP_SCALE * bundle.xi.total_variation
 
     return OptimalityReport(
         hamiltonian_gap=gap,
@@ -369,5 +366,4 @@ def check_max_principle(
         pass_hamiltonian=gap <= gap_tol,
         pass_slack=slack_min >= -slack_tol,
         pass_complementarity=violation <= comp_tol,
-        tolerances=tol,
     )

@@ -21,7 +21,7 @@ from .adjoint import solve_adjoint_phi  # noqa: F401  (perfbench wraps this modu
 from .dynamics import CoefficientField, TrajectoryBundle, coefficient_integrals
 from .dynamics import _affine_columns, _dot_last
 from .maxprinciple import VariationalDerivative, _derivative, _mean_argmax, _mean_stderr
-from .maxprinciple import slack_paths
+from .maxprinciple import gap_tolerance, slack_paths
 from .maxprinciple import variational_derivative  # noqa: F401  (perfbench wraps this module attribute)
 from .measures import (
     RelaxedControl,
@@ -32,6 +32,10 @@ from .measures import (
     stieltjes_integral,
 )
 from .problems import ControlProblem, RunningCost, TerminalCost
+
+
+SINGULAR_RATE = 1.0   # the singular direction's max increment per unit time and component
+ARMIJO_C1 = 1e-4      # sufficient-decrease fraction of the linearized decrease theta * gap
 
 
 @dataclass(frozen=True)
@@ -169,14 +173,11 @@ def first_variation_derivative(
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Knobs for the conditional-gradient loop."""
+    """Knobs for the conditional-gradient loop: the iteration and halving
+    budgets, and the regression adjoint's basis degree and ridge."""
 
     max_iter: int = 50
-    singular_rate: float = 1.0     # max increment per unit time and component
-    armijo_c1: float = 1e-4
     max_halvings: int = 12
-    gap_tol: float | None = None   # None: 3 stderr of the gap estimate + floor
-    gap_floor: float = 1e-10
     adjoint_degree: int = 2
     ridge: float = 1e-8
 
@@ -245,9 +246,9 @@ def frank_wolfe_iterate(
     Computes regression adjoints for the current pair, builds the extreme
     descent direction, and steps with the 2/(n+2) schedule backed off by
     Armijo halving on the fixed-noise cost.  Returns (state, record); the
-    state's ``reason`` is set when the loop should stop (gap within tolerance,
-    which also sets ``converged``, or no halving produces descent).  Each
-    Armijo trial re-simulates over ``threads`` scenario chunks.
+    state's ``reason`` is set when the loop should stop (gap within
+    ``gap_tolerance``, which also sets ``converged``, or no halving produces
+    descent).  Each Armijo trial re-simulates over ``threads`` scenario chunks.
     """
     opts = options or OptimizerOptions()
     adj = solve_adjoint_regression(
@@ -255,7 +256,7 @@ def frank_wolfe_iterate(
         problem.stock, opts.adjoint_degree, opts.ridge,
     )
     slack = slack_paths(fieldref, problem.k_path, adj)
-    eta_star = _singular_direction(slack.mean(axis=0), opts.singular_rate, problem.tg.dt,
+    eta_star = _singular_direction(slack.mean(axis=0), SINGULAR_RATE, problem.tg.dt,
                                    problem.tv_cap)
     # one Hamiltonian sweep gives both the vertex q* (per-step point mass at
     # the scenario-mean maximizer) and its shortfall against the control
@@ -265,10 +266,9 @@ def frank_wolfe_iterate(
     q_star = RelaxedControl(q_rows)
     gap = -deriv.total + 0.0   # normalize -0.0
     gap_se = deriv.stderr
-    tol = opts.gap_tol if opts.gap_tol is not None else (3.0 * gap_se + opts.gap_floor)
 
     theta, halvings = 0.0, 0
-    if gap <= tol:
+    if gap <= gap_tolerance(gap_se):
         new = replace(state, gap=gap, gap_stderr=gap_se, converged=True,
                       reason="duality gap within tolerance")
     else:
@@ -280,7 +280,7 @@ def frank_wolfe_iterate(
             cost_new = evaluate_cost(
                 bundle_new, problem.running, problem.k_path, problem.terminal, fieldref=fieldref
             )
-            bound = state.cost - opts.armijo_c1 * theta * gap + 1e-12 * (1.0 + abs(state.cost))
+            bound = state.cost - ARMIJO_C1 * theta * gap + 1e-12 * (1.0 + abs(state.cost))
             if cost_new.value <= bound:
                 new = IterationState(
                     mu=mu_new, xi=xi_new, bundle=bundle_new,

@@ -588,3 +588,12 @@ class TestMomentDiagnostics:
         rep = rc.moment_diagnostics(b, field, p=2.0)
         assert rep.exploded
 
+    def test_overflowing_moment_is_not_a_non_finite_path(self):
+        # finite paths whose moment of a huge order overflows: exploded, not non-finite
+        tg = rc.TimeGrid(1.0, 10)
+        field = rc.dense_field(tg, _grid(), scenarios=3, dim=1)
+        mu, xi = _zero_controls(10, 4, 1)
+        b = rc.simulate_forward(field, mu, xi, 2.0, 1.0, rc.inert_stock(1), tg, seed=0)
+        rep = rc.moment_diagnostics(b, field, p=1e308)
+        assert rep.non_finite is False and rep.exploded is True
+

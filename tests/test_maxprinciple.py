@@ -7,13 +7,13 @@ import pytest
 import rscontrol as rc
 import rscontrol.maxprinciple as mp
 from rscontrol.maxprinciple import (
-    MaxPrincipleTolerances,
     _against,
     _grid_max,
     _mean_argmax,
     _scenario_mean,
     _shortfall,
     check_max_principle,
+    gap_tolerance,
     hamiltonian_slice,
     slack_paths,
     variational_derivative,
@@ -204,14 +204,14 @@ class TestVariationalDerivative:
 
 
 class TestCheckMaxPrinciple:
-    def _run(self, problem, mu, xi, scenarios=2000, seed=5, tolerances=None):
+    def _run(self, problem, mu, xi, scenarios=2000, seed=5):
         noise = problem.noise(scenarios, seed)
         field = problem.sample_field(scenarios, seed, noise)
         bundle = problem.simulate(field, mu, xi, noise)
         adj = rc.solve_adjoint_regression(field, mu, bundle, problem.running,
                                           problem.terminal, problem.stock)
         return check_max_principle(field, bundle, adj, problem.running,
-                                   problem.k_path, tolerances), field, bundle, adj
+                                   problem.k_path), field, bundle, adj
 
     def test_passes_at_enumerated_optimum(self):
         problem = drift_control_toy()
@@ -264,12 +264,12 @@ class TestCheckMaxPrinciple:
         assert "hamiltonian gap" in table
         assert ("PASS" in table) or ("FAIL" in table)
 
-    def test_custom_tolerances(self):
+    def test_gap_tolerance_is_the_shared_rule(self):
         problem = drift_control_toy()
         mu, xi = problem.default_controls()
-        tol = MaxPrincipleTolerances(gap_se_multiplier=1e9)
-        report, *_ = self._run(problem, mu, xi, scenarios=200, tolerances=tol)
-        assert report.tolerances.gap_se_multiplier == 1e9
+        report, *_ = self._run(problem, mu, xi, scenarios=200)
+        assert report.gap_stderr > 0.0
+        assert report.gap_tolerance == gap_tolerance(report.gap_stderr)
 
 
 def _random_paths(field, rng):
