@@ -32,6 +32,7 @@ included, has its scenarios contiguous.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -39,11 +40,11 @@ import numpy as np
 
 from .dynamics import CoefficientField, StockModel, TrajectoryBundle, coefficient_integrals
 from .dynamics import _dot_last
-from .measures import RelaxedControl, integrate_against
-from .problems import RunningCost, TerminalCost
+from .measures import RelaxedControl, integrate_against  # noqa: F401  (perfbench wraps integrate_against)
+from .problems import RunningCost, TerminalCost, _running_rows
 
 CONDITION_LIMIT = 1e12
-SETUP_BUDGET = 16384   # scenario-steps per block in ``_backward_projectors``
+SETUP_BUDGET = 16384   # scenario-steps per block of projector set-ups, slopes and gradients
 
 
 def _set_up(x: np.ndarray, y: np.ndarray, degree: int, ridge: float) -> list:
@@ -188,20 +189,24 @@ def _path_slopes(integrals, bundle, stock):
     ``integrals`` is ``coefficient_integrals(field, mu)``.  Returns ``at(k)``,
     giving step k's drift slopes (S, 2) and diffusion slopes (S, 2, dim):
     component 0 is x, with the measure-integrated slopes, and component 1 is
-    y, with the stock model's derivatives at ``bundle.y[:, k]``.
+    y, with the stock model's derivatives at ``bundle.y[:, k]``.  Both are
+    F-contiguous views into an aligned block of ``max(1, SETUP_BUDGET // S)``
+    steps, filled by one call of each stock derivative.
     """
     _, slope, _, vol_slope = integrals
-    times = bundle.tg.times()
-    shape = (bundle.scenarios, 2)
+    times, size = bundle.tg.times(), max(1, SETUP_BUDGET // bundle.scenarios)
 
-    def at(k):
-        yk = bundle.y[:, k]
-        drift, vol = np.empty(shape, order="F"), np.empty(shape + (bundle.dim,), order="F")
-        drift[:, 0], drift[:, 1] = slope[:, k], stock.drift_dy(times[k], yk)
-        vol[:, 0], vol[:, 1] = vol_slope[:, k], stock.diffusion_dy(times[k], yk)
+    @functools.lru_cache(maxsize=1)
+    def block(start):   # F-ordered (S, 2, m) drift and (S, 2, dim, m) diffusion slopes
+        s = slice(start, min(start + size, bundle.tg.steps))
+        t, y = times[s], bundle.y[:, s]
+        drift, vol = np.empty((len(t), 2, len(y))).T, np.empty((len(t), bundle.dim, 2, len(y))).T
+        drift[:, 0], drift[:, 1] = slope[:, s], stock.drift_dy(t, y)
+        vol[:, 0] = vol_slope[:, s].transpose(0, 2, 1)
+        vol[:, 1] = np.moveaxis(stock.diffusion_dy(t, y), -1, 1)
         return drift, vol
 
-    return at
+    return lambda k: tuple(a[..., k % size] for a in block(k - k % size))
 
 
 def _step_factor(slo, vslo, dw, dt):
@@ -235,16 +240,14 @@ def _loading_buffer(scen: int, dim: int) -> np.ndarray:
 
 def _gradient_paths(field, mu, bundle, running):
     """Measure-integrated running-cost gradients along the paths,
-    (S, 2, steps) step-major, with component 0 for x and 1 for y."""
-    tg = bundle.tg
-    times = tg.times()
-    pts = field.grid.points
-    h = np.empty((bundle.scenarios, 2, tg.steps), order="F")
-    for k in range(tg.steps):
-        w = mu.weights[k]
-        xk, yk = bundle.x[:, k], bundle.y[:, k]
-        h[:, 0, k] = integrate_against(running.dx(times[k], xk, yk, pts), w, axis=-1)
-        h[:, 1, k] = integrate_against(running.dy(times[k], xk, yk, pts), w, axis=-1)
+    (S, 2, steps) step-major, with component 0 for x and 1 for y, integrated
+    ``max(1, SETUP_BUDGET // S)`` steps at a time; a ``None`` gradient is +0.0."""
+    h = np.zeros((bundle.scenarios, 2, bundle.tg.steps), order="F")
+    steps = max(1, SETUP_BUDGET // bundle.scenarios)
+    for c, grad in enumerate((running.dx, running.dy)):
+        if grad is not None:
+            for start, rows in _running_rows(grad, bundle, field.grid.points, mu.weights, steps):
+                h[:, c, start:start + len(rows)] = rows.T
     return h
 
 

@@ -219,7 +219,7 @@ def _build_problem(cfg: dict, tg: TimeGrid) -> ControlProblem:
         raise ConfigError(f"problem.coefficients: {exc}") from exc
     running = _build_running(spec["running_cost"])
     try:   # and malformed running-cost parameters, on the action grid
-        if not np.isfinite(running.value(0.0, np.zeros(1), np.zeros(1), grid.points)).all():
+        if not np.isfinite(running.value(np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)), grid.points)).all():
             raise ValueError("not finite on the action grid")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"problem.running_cost: {exc}") from exc

@@ -271,9 +271,9 @@ def coefficient_integrals(field: CoefficientField, mu: RelaxedControl):
 class StockModel:
     """Drift/diffusion callbacks for the second state component.
 
-    Each callable maps (t, y_array) to (scenarios,) for the drift and its
-    y-derivative, and to (scenarios, dim) for the diffusion and its
-    y-derivative.
+    Each callable maps (t, y) to y's shape for the drift and its y-derivative,
+    and to y's shape + (dim,) for the diffusion and its y-derivative.  y is
+    (scenarios,), or for the derivatives also an (S, m) block with (m,) times.
     """
 
     drift: callable
@@ -293,7 +293,7 @@ def linear_stock(lam: float, rho: float, dim: int, component: int = 1) -> StockM
         drift=lambda t, y: lam * y,
         drift_dy=lambda t, y: np.full_like(y, lam),
         diffusion=lambda t, y: np.multiply((rho * y)[:, None], unit, order="F"),
-        diffusion_dy=lambda t, y: np.broadcast_to(rho * unit, (y.shape[0], dim)),
+        diffusion_dy=lambda t, y: np.broadcast_to(rho * unit, y.shape + (dim,)),
     )
 
 
@@ -303,7 +303,7 @@ def inert_stock(dim: int) -> StockModel:
         drift=lambda t, y: np.zeros_like(y),
         drift_dy=lambda t, y: np.zeros_like(y),
         diffusion=lambda t, y: np.zeros((y.shape[0], dim)),
-        diffusion_dy=lambda t, y: np.zeros((y.shape[0], dim)),
+        diffusion_dy=lambda t, y: np.zeros(y.shape + (dim,)),
     )
 
 

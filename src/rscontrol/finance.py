@@ -301,7 +301,7 @@ def build_portfolio_problem(
         params.discount, params.utility, params.utility_sign, component=1
     )
     with np.errstate(invalid="ignore", divide="ignore"):
-        if not np.isfinite(running.value(0.0, np.zeros(1), np.zeros(1), grid.points)).all():
+        if not np.isfinite(running.value(np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)), grid.points)).all():
             raise ValueError(f"{params.utility} utility is not finite at every consumption rate")
     if terminal is None:
         terminal = tanh_wealth_terminal(params.terminal_weight, params.terminal_scale)

@@ -31,8 +31,8 @@ import numpy as np
 
 from .adjoint import AdjointSolution
 from .dynamics import CoefficientField, TrajectoryBundle
-from .measures import integrate_against  # noqa: F401  (perfbench wraps this module attribute)
-from .problems import RunningCost
+from .measures import _integrate, integrate_against  # noqa: F401  (perfbench wraps integrate_against)
+from .problems import RunningCost, _running_table
 
 
 # The statistical tolerances of the three optimality conditions: the gap's is
@@ -44,8 +44,8 @@ GAP_FLOOR = 1e-10
 SLACK_SCALE = 1e-6
 COMP_SCALE = 1e-6
 
-# values per block array: a sweep evaluates max(1, SWEEP_BUDGET // (S * count))
-# steps at a time, so one (steps, S, count) block of H values is 0.5 MB
+# values per block array: sweeps and running-cost integrals take ``_sweep_steps``
+# steps at a time, so one (steps, S, count) block of H or running costs is 0.5 MB
 SWEEP_BUDGET = 65536
 
 
@@ -95,15 +95,8 @@ def _hamiltonian_block(fieldref, start, stop, x, y, p, P, running, weights, time
     np.negative(values, out=values)
     if values.shape[1] < max(len(x), len(y)):   # scalar costates: only the running cost spans S
         values = np.repeat(values, max(len(x), len(y)), axis=1)
-    for j in range(m):
-        values[j] -= running.value(times[j], x[:, j], y[:, j], fieldref.grid.points)
+    values -= _running_table(running.value, times, x, y, fieldref.grid.points)
     return values, _integrate(values, weights)
-
-
-def _integrate(values, weights) -> np.ndarray:
-    """Each step's (S, count) values integrated against its measure row, (m, S):
-    one stacked matrix-vector product, step by step the same as ``values[j] @ weights[j]``."""
-    return np.matmul(values, weights[:, :, None])[..., 0]
 
 
 def hamiltonian_slice(
@@ -127,7 +120,7 @@ def hamiltonian_slice(
     Pv = np.asarray(P, dtype=float)
     Pv = (Pv[None] if Pv.ndim == 1 else Pv)[:, None]
     values, at_mu = _hamiltonian_block(fieldref, k, k + 1, xv, yv, pv, Pv, running,
-                                       np.asarray(mu_row, dtype=float)[None], (t,))
+                                       np.asarray(mu_row, dtype=float)[None], np.array([t], float))
     if np.ndim(x) == 0 and values.shape[1] == 1:
         return HamiltonianSlice(values=values[0, 0], at_mu=at_mu[0].reshape(()))
     return HamiltonianSlice(values=values[0], at_mu=at_mu[0])
@@ -136,14 +129,14 @@ def hamiltonian_slice(
 def _shortfall(fieldref, bundle, adj, running, compared) -> np.ndarray:
     """Per-scenario sum over steps of (H(mu[k]) - compared value) dt.
 
-    Sweeps the paths ``max(1, SWEEP_BUDGET // (S * count))`` steps at a time;
+    Sweeps the paths ``_sweep_steps`` steps at a time;
     ``compared(start, values)`` reads a block's (m, S) compared values off its
     (m, S, count) per-point values.  The sum runs in step order.
     """
     times = bundle.tg.times()
     dt = bundle.tg.dt
     n = bundle.tg.steps
-    block = max(1, SWEEP_BUDGET // (bundle.scenarios * fieldref.grid.count))
+    block = _sweep_steps(bundle.scenarios, fieldref.grid.count)
     out = np.zeros(bundle.scenarios)
     for start in range(0, n, block):
         stop = min(start + block, n)
@@ -156,6 +149,11 @@ def _shortfall(fieldref, bundle, adj, running, compared) -> np.ndarray:
         for diff in at_mu - compared(start, values):
             out += diff * dt
     return out
+
+
+def _sweep_steps(scenarios: int, count: int) -> int:
+    """Steps per block of sweeps and running-cost integrals: ``max(1, SWEEP_BUDGET // (S * count))``."""
+    return max(1, SWEEP_BUDGET // (scenarios * count))
 
 
 def _grid_max(start, values) -> np.ndarray:

@@ -214,6 +214,12 @@ def integrate_against(values, weights, axis: int = 0):
     return float(out) if out.ndim == 0 else out
 
 
+def _integrate(values, weights) -> np.ndarray:
+    """Each step's (S, count) values integrated against its measure row, (m, S): one
+    stacked matrix-vector product, step by step the same as ``values[j] @ weights[j]``."""
+    return np.matmul(values, weights[:, :, None])[..., 0]
+
+
 def convex_combine(mu: RelaxedControl, q: RelaxedControl, theta: float) -> RelaxedControl:
     """Rowwise mixture mu + theta * (q - mu) for theta in [0, 1]."""
     if not 0.0 <= theta <= 1.0:

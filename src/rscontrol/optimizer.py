@@ -21,17 +21,11 @@ from .adjoint import solve_adjoint_phi  # noqa: F401  (perfbench wraps this modu
 from .dynamics import CoefficientField, TrajectoryBundle, coefficient_integrals
 from .dynamics import _affine_columns, _dot_last
 from .maxprinciple import VariationalDerivative, _derivative, _mean_argmax, _mean_stderr
-from .maxprinciple import gap_tolerance, slack_paths
+from .maxprinciple import _sweep_steps, gap_tolerance, slack_paths
 from .maxprinciple import variational_derivative  # noqa: F401  (perfbench wraps this module attribute)
-from .measures import (
-    RelaxedControl,
-    SingularControl,
-    combine_singular,
-    convex_combine,
-    integrate_against,
-    stieltjes_integral,
-)
-from .problems import ControlProblem, RunningCost, TerminalCost
+from .measures import RelaxedControl, SingularControl, combine_singular, convex_combine
+from .measures import integrate_against, stieltjes_integral  # noqa: F401  (perfbench wraps integrate_against)
+from .problems import ControlProblem, RunningCost, TerminalCost, _running_rows
 
 
 SINGULAR_RATE = 1.0   # the singular direction's max increment per unit time and component
@@ -61,12 +55,12 @@ def evaluate_cost(
     control on the field's grid points, plus the singular cost against the
     jump increments, plus the terminal cost.
     """
-    tg = bundle.tg
-    times = tg.times()
+    pts = fieldref.grid.points
     run = np.zeros(bundle.scenarios)
-    for k in range(tg.steps):
-        h_pt = running.value(times[k], bundle.x[:, k], bundle.y[:, k], fieldref.grid.points)
-        run += integrate_against(h_pt, bundle.mu.weights[k], axis=-1) * tg.dt
+    steps = _sweep_steps(bundle.scenarios, len(pts))
+    for _, rows in _running_rows(running.value, bundle, pts, bundle.mu.weights, steps):
+        for row in rows:
+            run += row * bundle.tg.dt
     samples = run + stieltjes_integral(k_path, bundle.xi) + terminal.value(
         bundle.x[:, -1], bundle.y[:, -1]
     )
@@ -150,8 +144,7 @@ def first_variation_derivative(
     :func:`rscontrol.maxprinciple.variational_derivative`.
     """
     q, eta = direction
-    tg = bundle.tg
-    times = tg.times()
+    dt = bundle.tg.dt
     pts = fieldref.grid.points
     xn, yn = bundle.x[:, -1], bundle.y[:, -1]
     gx = terminal.dx(xn, yn)
@@ -160,12 +153,11 @@ def first_variation_derivative(
 
     singular = gx * fv.alpha_x[:, -1] + gy * fv.alpha_y[:, -1]
     measure = gx * fv.beta[:, -1]
-    for k in range(tg.steps):
-        xk, yk = bundle.x[:, k], bundle.y[:, k]
-        singular += (h[:, 0, k] * fv.alpha_x[:, k] + h[:, 1, k] * fv.alpha_y[:, k]) * tg.dt
-        h_pt = running.value(times[k], xk, yk, pts)
-        dq = q.weights[k] - bundle.mu.weights[k]
-        measure += (h[:, 0, k] * fv.beta[:, k] + integrate_against(h_pt, dq, axis=-1)) * tg.dt
+    steps = _sweep_steps(bundle.scenarios, len(pts))
+    for start, rows in _running_rows(running.value, bundle, pts, q.weights - bundle.mu.weights, steps):
+        for k, h_dq in enumerate(rows, start):
+            singular += (h[:, 0, k] * fv.alpha_x[:, k] + h[:, 1, k] * fv.alpha_y[:, k]) * dt
+            measure += (h[:, 0, k] * fv.beta[:, k] + h_dq) * dt
     delta = eta.increments - bundle.xi.increments
     singular = singular + float(np.sum(k_path * delta))
     return VariationalDerivative.from_samples(singular, measure)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import ActionGrid, RelaxedControl, SingularControl, DEFAULT_TV_CAP
+from .measures import ActionGrid, RelaxedControl, SingularControl, DEFAULT_TV_CAP, _integrate
 from .dynamics import (
     CoefficientField,
     StockModel,
@@ -23,13 +23,39 @@ from .dynamics import (
 class RunningCost:
     """Running cost sampled per grid point; the measure enters by integration.
 
-    ``value``, ``dx``, ``dy`` map (t, x, y, points) with x, y of shape
-    (scenarios,) and points (count, action_dim) to (scenarios, count).
+    ``value``, ``dx``, ``dy`` map a block of m steps (t, x, y, points), with t
+    (m,), x and y (S|1, m) column slices of the step-major paths and points
+    (count, action_dim), to a C-ordered (m, S|1, count) table; one scenario
+    row holds for all.  An identically zero ``dx`` or ``dy`` is ``None``.
     """
 
     value: callable
-    dx: callable
-    dy: callable
+    dx: callable | None
+    dy: callable | None
+
+
+def _running_table(fn, t, x, y, points) -> np.ndarray:
+    """``fn(t, x, y, points)``, checked to be an (m, S, count) or (m, 1, count) table."""
+    table = fn(t, x, y, points)
+    m, scen, count = len(t), max(len(x), len(y)), len(points)
+    if np.shape(table) not in ((m, scen, count), (m, 1, count)):
+        raise ValueError(f"running cost block must have shape {(m, scen, count)} or "
+                         f"{(m, 1, count)}, got {np.shape(table)}")
+    return table
+
+
+def _running_rows(fn, bundle, points, weights, steps):
+    """Yield (start, rows): ``fn``'s table on each block of ``steps`` steps integrated
+    against its rows of ``weights``, (m, S).  A one-row table is repeated over the
+    scenarios first: BLAS sums a row in an order set by its place in the matrix."""
+    times, n = bundle.tg.times(), bundle.tg.steps
+    for start in range(0, n, steps):
+        stop = min(start + steps, n)
+        table = _running_table(fn, times[start:stop], bundle.x[:, start:stop],
+                               bundle.y[:, start:stop], points)
+        if table.shape[1] < bundle.scenarios:
+            table = np.repeat(table, bundle.scenarios, axis=1)
+        yield start, _integrate(table, weights[start:stop])
 
 
 @dataclass(frozen=True)
@@ -42,8 +68,7 @@ class TerminalCost:
 
 
 def zero_running() -> RunningCost:
-    zero = lambda t, x, y, pts: np.zeros((x.shape[0], pts.shape[0]))
-    return RunningCost(value=zero, dx=zero, dy=zero)
+    return RunningCost(value=lambda t, x, y, pts: np.zeros((len(t), 1, len(pts))), dx=None, dy=None)
 
 
 def affine_quadratic_running(cx=0.0, cy=0.0, quad=0.0, lin=None) -> RunningCost:
@@ -59,17 +84,17 @@ def affine_quadratic_running(cx=0.0, cy=0.0, quad=0.0, lin=None) -> RunningCost:
         return part
 
     def value(t, x, y, pts):
-        state = cx * x + cy * y
-        table = np.empty((state.shape[0], pts.shape[0]))
+        state = (cx * x + cy * y).T   # (m, S), C-ordered for the step-major paths
+        table = np.empty(state.shape + (len(pts),))
         for j, part in enumerate(_u_part(pts).tolist()):   # one column per point
-            np.add(state, part, out=table[:, j])
+            np.add(state, part, out=table[:, :, j])
         return table
 
     def dx(t, x, y, pts):
-        return np.full((x.shape[0], pts.shape[0]), cx)
+        return np.full((len(t), 1, len(pts)), cx)
 
     def dy(t, x, y, pts):
-        return np.full((x.shape[0], pts.shape[0]), cy)
+        return np.full((len(t), 1, len(pts)), cy)
 
     return RunningCost(value=value, dx=dx, dy=dy)
 
@@ -95,13 +120,9 @@ def discounted_utility_running(
         raise ValueError(f"unknown utility {utility!r}")
 
     def value(t, x, y, pts):
-        c = pts[:, component]
-        return np.broadcast_to(sign * np.exp(-beta * t) * f(c), (x.shape[0], pts.shape[0])).copy()
+        return (sign * np.exp(-beta * t))[:, None, None] * f(pts[:, component])
 
-    def dzero(t, x, y, pts):
-        return np.zeros((x.shape[0], pts.shape[0]))
-
-    return RunningCost(value=value, dx=dzero, dy=dzero)
+    return RunningCost(value=value, dx=None, dy=None)
 
 
 def linear_quadratic_terminal(gx1=0.0, gx2=0.0, gy1=0.0, gy2=0.0, gxy=0.0) -> TerminalCost:

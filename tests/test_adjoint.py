@@ -461,7 +461,8 @@ class TestMethodAgreement:
             lev_q, slo_q, vlev_q, vslo_q = (a[:, k] for a in at_q)
             drift_diff = (lev_q - lev) + (slo_q - slo) * xk
             vol_diff = (vlev_q - vlev) + (vslo_q - vslo) * xk[:, None]
-            hx = rc.integrate_against(problem.running.dx(times[k], xk, yk, pts), w, axis=-1)
+            dx = problem.running.dx(times[k:k + 1], xk[:, None], yk[:, None], pts)[0]
+            hx = rc.integrate_against(dx, w, axis=-1)
             rhs += (adj.px[:, k] * drift_diff
                     + (adj.Px[:, k] * vol_diff).sum(-1)
                     - hx * fv.beta[:, k]) * dt

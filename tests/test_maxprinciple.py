@@ -1,11 +1,15 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import rscontrol as rc
+import rscontrol.adjoint as adjoint
 import rscontrol.maxprinciple as mp
+from rscontrol.adjoint import _gradient_paths, _path_slopes
+from rscontrol.dynamics import coefficient_integrals
 from rscontrol.maxprinciple import (
     _against,
     _grid_max,
@@ -20,6 +24,7 @@ from rscontrol.maxprinciple import (
 )
 from rscontrol.measures import RelaxedControl, SingularControl, convex_combine, dirac
 from rscontrol.optimizer import (
+    FirstVariation,
     evaluate_cost,
     first_variation_derivative,
     solve_first_variation,
@@ -111,7 +116,8 @@ class TestHamiltonianSlice:
                 drift = field.drift_level_at(k) + field.drift_slope_at(k) * x[:, None]
                 vol = field.vol_level_at(k) + field.vol_slope_at(k) * x[:, None, None]
                 want = (-p[:, None] * drift - (vol * P[:, None, :]).sum(axis=-1)
-                        - running.value(0.3, x, y, field.grid.points))
+                        - running.value(np.array([0.3]), x[:, None], y[:, None],
+                                        field.grid.points)[0])
                 np.testing.assert_allclose(h1.values, want, rtol=1e-12, err_msg=name)
 
 
@@ -370,7 +376,120 @@ class TestBlockSweep:
             peaks[steps] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         # the block's H values and feature stack, twice as much again in
-        # temporaries, and the per-step running cost and the sum: O(S * count)
+        # temporaries (the block's running-cost table among them), and the
+        # sum: O(S * count)
         bound = 8 * (3 * budget * (1 + f / count) + 4 * scen * count)
         assert peaks[40] <= bound and peaks[160] <= bound, (peaks, bound)
         assert peaks[160] <= 1.05 * peaks[40], peaks
+
+
+def _bond_problem(steps):
+    market = rc.MarketModel(volatility="hull-white", sigma=0.02, mean_reversion=0.1,
+                            maturities=[1.0, 2.0, 4.0], consumption=[0.01, 0.05, 0.15])
+    return rc.build_portfolio_problem(market, rc.PortfolioParams(), rc.TimeGrid(1.0, steps)).problem
+
+
+class TestBlockInvariance:
+    """Every block loop along the paths gives the same bits with blocks of one
+    step, of three steps and of the whole horizon: the running-cost integrals
+    of ``evaluate_cost``, ``_gradient_paths`` and the first variation, the
+    slopes of ``_path_slopes`` read backward and forward, and the three sweeps."""
+
+    SCENARIOS, STEPS = 7, 10
+
+    def _cases(self):
+        rng = np.random.default_rng(31)
+        running = rc.affine_quadratic_running(cx=0.2, cy=0.1, quad=0.5)
+        stock = rc.linear_stock(0.05, 0.2, 2)
+        cases = [(name, field, running, stock) for name, field in
+                 coefficient_fields(rng, scenarios=self.SCENARIOS, steps=self.STEPS)]
+        bond = _bond_problem(self.STEPS)
+        field = bond.sample_field(self.SCENARIOS, 5)
+        return cases + [("bond problem", field, bond.running, bond.stock)]
+
+    def _outputs(self, field, running, stock, seed):
+        rng = np.random.default_rng(seed)
+        scen, n, dim, count = field.scenarios, field.steps, field.dim, field.grid.count
+        bundle, adj = _random_paths(field, rng)
+        q = RelaxedControl(rng.dirichlet(np.ones(count), size=n))
+        eta = SingularControl(rng.uniform(0.0, 0.1, size=(n, dim)))
+        fv = FirstVariation(*(np.asfortranarray(rng.normal(size=(scen, n + 1))) for _ in range(3)))
+        terminal, k_path = rc.linear_quadratic_terminal(gx1=0.5, gy2=0.3), np.full((n, dim), 0.1)
+        at = _path_slopes(coefficient_integrals(field, bundle.mu), bundle, stock)
+        slopes = [at(k) for k in [*range(n - 1, -1, -1), *range(n)]]
+        assert all(a.flags.f_contiguous for pair in slopes for a in pair)
+        rows = np.zeros_like(bundle.mu.weights)
+        return [
+            evaluate_cost(bundle, running, k_path, terminal, fieldref=field).samples,
+            _gradient_paths(field, bundle.mu, bundle, running),
+            *(a.copy() for pair in slopes for a in pair),
+            first_variation_derivative(field, bundle, fv, running, terminal, k_path,
+                                       (q, eta)).samples,
+            _shortfall(field, bundle, adj, running, _grid_max),
+            _shortfall(field, bundle, adj, running, _mean_argmax(rows)), rows,
+            _shortfall(field, bundle, adj, running, _against(q.weights)),
+        ]
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_one_step_three_steps_and_whole_horizon_agree_bitwise(self, monkeypatch, index):
+        name, field, running, stock = self._cases()[index]
+        outputs = []
+        for block in (1, 3, self.STEPS):
+            monkeypatch.setattr(mp, "SWEEP_BUDGET", block * field.scenarios * field.grid.count)
+            monkeypatch.setattr(adjoint, "SETUP_BUDGET", block * field.scenarios)
+            outputs.append(self._outputs(field, running, stock, 40 + index))
+        for other in outputs[1:]:
+            for a, b in zip(outputs[0], other):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    def test_one_row_table_integrates_as_its_full_table(self):
+        # BLAS sums a row of a matrix in an order that depends on the row's
+        # place in it, so a one-row table must be integrated as the full table
+        bond = _bond_problem(self.STEPS)
+        field = bond.sample_field(self.SCENARIOS, 5)
+        bundle, _ = _random_paths(field, np.random.default_rng(12))
+        full = rc.RunningCost(value=lambda t, x, y, pts: np.repeat(
+            bond.running.value(t, x, y, pts), max(len(x), len(y)), axis=1), dx=None, dy=None)
+        assert bond.running.value(np.zeros(2), bundle.x[:, :2], bundle.y[:, :2],
+                                  field.grid.points).shape == (2, 1, field.grid.count)
+        costs = [evaluate_cost(bundle, running, bond.k_path, bond.terminal, fieldref=field).samples
+                 for running in (bond.running, full)]
+        assert costs[0].tobytes() == costs[1].tobytes()
+
+    @pytest.mark.parametrize("running", [rc.zero_running(), _bond_problem(4).running])
+    def test_zero_gradient_is_exact_positive_zero(self, running):
+        field = coefficient_fields(np.random.default_rng(8), scenarios=6, steps=4)[0][1]
+        bundle, _ = _random_paths(field, np.random.default_rng(9))
+        assert running.dx is None and running.dy is None
+        h = _gradient_paths(field, bundle.mu, bundle, running)
+        zeros = lambda t, x, y, pts: np.zeros((len(t), 1, len(pts)))
+        integrated = _gradient_paths(field, bundle.mu, bundle,
+                                     rc.RunningCost(value=running.value, dx=zeros, dy=zeros))
+        assert np.all(h == 0.0) and not np.signbit(h).any()
+        assert h.tobytes() == integrated.tobytes()
+
+
+class TestRunningBlockShape:
+    """A running-cost table that is not (m, S, count) or (m, 1, count) is
+    rejected in every block loop.  With S == m, a per-step (S, count) table
+    would broadcast against the block and give wrong numbers silently."""
+
+    @pytest.mark.parametrize("loop", ["cost", "gradient", "sweep", "first variation"])
+    def test_per_step_table_is_rejected(self, loop):
+        field = coefficient_fields(np.random.default_rng(2), scenarios=10, steps=10)[0][1]
+        bundle, adj = _random_paths(field, np.random.default_rng(3))
+        per_step = lambda t, x, y, pts: np.ones((x.shape[0], len(pts)))
+        running = rc.RunningCost(value=per_step, dx=per_step, dy=None)
+        terminal, k_path = rc.linear_quadratic_terminal(gx1=0.5), np.zeros((10, 2))
+        fv = FirstVariation(*(np.zeros((10, 11), order="F") for _ in range(3)))
+        calls = {
+            "cost": lambda: evaluate_cost(bundle, running, k_path, terminal, fieldref=field),
+            "gradient": lambda: _gradient_paths(field, bundle.mu, bundle, running),
+            "sweep": lambda: _shortfall(field, bundle, adj, running, _grid_max),
+            "first variation": lambda: first_variation_derivative(
+                field, bundle, fv, rc.RunningCost(per_step, None, None), terminal, k_path,
+                (bundle.mu, bundle.xi)),
+        }
+        message = "running cost block must have shape (10, 10, 4) or (10, 1, 4), got (10, 4)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            calls[loop]()

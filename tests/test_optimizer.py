@@ -46,9 +46,9 @@ class TestEvaluateCost:
         problem = drift_control_toy(steps=37)
         field, noise, bundle = _setup(problem, 10, 2)
         unit = rc.RunningCost(
-            value=lambda t, x, y, pts: np.ones((x.shape[0], pts.shape[0])),
-            dx=lambda t, x, y, pts: np.zeros((x.shape[0], pts.shape[0])),
-            dy=lambda t, x, y, pts: np.zeros((x.shape[0], pts.shape[0])),
+            value=lambda t, x, y, pts: np.ones((len(t), x.shape[0], pts.shape[0])),
+            dx=lambda t, x, y, pts: np.zeros((len(t), x.shape[0], pts.shape[0])),
+            dy=lambda t, x, y, pts: np.zeros((len(t), x.shape[0], pts.shape[0])),
         )
         zero_g = rc.TerminalCost(value=lambda x, y: np.zeros_like(x),
                                  dx=lambda x, y: np.zeros_like(x),
@@ -93,24 +93,28 @@ class TestEvaluateCost:
 
 
 class TestAffineRunningTable:
-    """``affine_quadratic_running.value`` fills its table one column per point;
-    it equals the broadcast expression bitwise and is C-ordered, the operand
-    ``evaluate_cost`` and the Hamiltonian integrate."""
+    """``affine_quadratic_running.value`` fills its block table one column per
+    point; it equals the broadcast expression bitwise and is a step-major,
+    C-ordered (m, S, count) table, the operand ``evaluate_cost`` and the
+    Hamiltonian integrate."""
 
     @pytest.mark.parametrize("count", [5, 9])
     @pytest.mark.parametrize("lin", [None, [0.3, -1.7]])
     @pytest.mark.parametrize("scenarios", [1, 7, 1000])
     def test_matches_broadcast(self, scenarios, lin, count):
         rng = np.random.default_rng(scenarios + count)
-        x, y = rng.standard_normal((2, scenarios)) * 10.0 ** rng.integers(-5, 5, (2, scenarios))
+        m = 4
+        # column slices of step-major (F-ordered) paths, as the block loops pass them
+        x, y = (np.asfortranarray(a) for a in
+                rng.standard_normal((2, scenarios, m)) * 10.0 ** rng.integers(-5, 5, (2, scenarios, m)))
         pts = rng.standard_normal((count, 2))
         cx, cy, quad = 0.2, -0.1, 0.7
-        table = rc.affine_quadratic_running(cx, cy, quad, lin).value(0.0, x, y, pts)
+        table = rc.affine_quadratic_running(cx, cy, quad, lin).value(np.zeros(m), x, y, pts)
         parts = 0.5 * quad * (pts * pts).sum(axis=1)
         if lin is not None:
             parts = parts + pts @ np.asarray(lin, float)
-        assert np.array_equal(table, (cx * x + cy * y)[:, None] + parts[None, :])
-        assert table.shape == (scenarios, count) and table.flags.c_contiguous
+        assert np.array_equal(table, (cx * x + cy * y).T[:, :, None] + parts[None, None, :])
+        assert table.shape == (m, scenarios, count) and table.flags.c_contiguous
 
 
 class TestFirstVariation:
