@@ -78,9 +78,7 @@ from .finance import (
     MarketModel,
     PortfolioParams,
     PortfolioProblem,
-    bond_price_path,
     build_portfolio_problem,
     integrated_volatility,
     product_grid,
-    product_weights,
 )

@@ -44,7 +44,7 @@ from .measures import RelaxedControl, integrate_against  # noqa: F401  (perfbenc
 from .problems import RunningCost, TerminalCost, _running_rows
 
 CONDITION_LIMIT = 1e12
-SETUP_BUDGET = 16384   # scenario-steps per block of projector set-ups, slopes and gradients
+SETUP_BUDGET = 16384   # scenario-steps per block of projector set-ups and slopes
 
 
 def _set_up(x: np.ndarray, y: np.ndarray, degree: int, ridge: float) -> list:
@@ -241,12 +241,12 @@ def _loading_buffer(scen: int, dim: int) -> np.ndarray:
 def _gradient_paths(field, mu, bundle, running):
     """Measure-integrated running-cost gradients along the paths,
     (S, 2, steps) step-major, with component 0 for x and 1 for y, integrated
-    ``max(1, SETUP_BUDGET // S)`` steps at a time; a ``None`` gradient is +0.0."""
+    in ``_running_rows``' blocks of ``max(1, SWEEP_BUDGET // (S * count))``
+    steps, like every running-cost table; a ``None`` gradient is +0.0."""
     h = np.zeros((bundle.scenarios, 2, bundle.tg.steps), order="F")
-    steps = max(1, SETUP_BUDGET // bundle.scenarios)
     for c, grad in enumerate((running.dx, running.dy)):
         if grad is not None:
-            for start, rows in _running_rows(grad, bundle, field.grid.points, mu.weights, steps):
+            for start, rows in _running_rows(grad, bundle, field.grid.points, mu.weights):
                 h[:, c, start:start + len(rows)] = rows.T
     return h
 

@@ -125,13 +125,6 @@ def product_grid(maturities, consumption) -> ActionGrid:
     return ActionGrid(points)
 
 
-def product_weights(maturity_weights, consumption_weights) -> np.ndarray:
-    """Flattened product measure row matching :func:`product_grid` ordering."""
-    return np.outer(
-        np.asarray(maturity_weights, float), np.asarray(consumption_weights, float)
-    ).ravel()
-
-
 def _clamp(paths: np.ndarray, quantile: float | None):
     if quantile is None or quantile <= 0.0:
         return paths, 0
@@ -274,11 +267,9 @@ class PortfolioParams:
 
 @dataclass(frozen=True)
 class PortfolioProblem:
-    """Canonical problem instance together with its market description."""
+    """Canonical problem instance of the bond/stock/consumption application."""
 
     problem: ControlProblem
-    market: MarketModel
-    params: PortfolioParams
 
 
 def build_portfolio_problem(
@@ -324,44 +315,4 @@ def build_portfolio_problem(
         k_path=k_path,
         tv_cap=params.tv_cap,
     )
-    return PortfolioProblem(problem=problem, market=market, params=params)
-
-
-def bond_price_path(
-    market: MarketModel,
-    maturity: float,
-    tg: TimeGrid,
-    seed: int,
-    scenarios: int = 1,
-    initial_price: float = 1.0,
-    forward_rate=None,
-    log_euler: bool = False,
-):
-    """Diagnostic simulation of a single bond price.
-
-    dP = P (short_rate - forward_rate(u) - v(u) * price_of_risk) dt
-         + P v(u) dW  on the first noise axis.
-
-    ``forward_rate`` may be a scalar or a table of shape (steps,) or
-    (1 | scenarios, steps); by default the curve is flat at the short rate.
-    Returns (paths, negative_price_count); with ``log_euler`` prices stay
-    positive by construction.
-    """
-    noise = brownian_increments(seed, scenarios, tg.steps, 2, tg.dt)
-    r0, theta, _ = _short_rate_and_mpr(market, tg, scenarios, noise)
-    r_u = r0 if forward_rate is None else _broadcast_tail(forward_rate, (tg.steps,),
-                                                         "forward_rate", scenarios)
-    v = float(integrated_volatility(market, [maturity])[0])
-    n, dt = tg.steps, tg.dt
-    prices = np.empty((scenarios, n + 1), order="F")
-    prices[:, 0] = initial_price
-    negative = 0
-    for k in range(n):
-        drift = r0[:, k] - r_u[:, k] - v * theta[:, k]
-        dw = noise[:, k, 0]
-        if log_euler:
-            prices[:, k + 1] = prices[:, k] * np.exp((drift - 0.5 * v * v) * dt + v * dw)
-        else:
-            prices[:, k + 1] = prices[:, k] * (1.0 + drift * dt + v * dw)
-            negative += int(np.count_nonzero(prices[:, k + 1] < 0.0))
-    return prices, negative
+    return PortfolioProblem(problem=problem)

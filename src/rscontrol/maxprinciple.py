@@ -32,7 +32,7 @@ import numpy as np
 from .adjoint import AdjointSolution
 from .dynamics import CoefficientField, TrajectoryBundle
 from .measures import _integrate, integrate_against  # noqa: F401  (perfbench wraps integrate_against)
-from .problems import RunningCost, _running_table
+from .problems import RunningCost, _running_table, _sweep_steps
 
 
 # The statistical tolerances of the three optimality conditions: the gap's is
@@ -43,10 +43,6 @@ GAP_SE_MULTIPLIER = 3.0
 GAP_FLOOR = 1e-10
 SLACK_SCALE = 1e-6
 COMP_SCALE = 1e-6
-
-# values per block array: sweeps and running-cost integrals take ``_sweep_steps``
-# steps at a time, so one (steps, S, count) block of H or running costs is 0.5 MB
-SWEEP_BUDGET = 65536
 
 
 @dataclass(frozen=True)
@@ -149,11 +145,6 @@ def _shortfall(fieldref, bundle, adj, running, compared) -> np.ndarray:
         for diff in at_mu - compared(start, values):
             out += diff * dt
     return out
-
-
-def _sweep_steps(scenarios: int, count: int) -> int:
-    """Steps per block of sweeps and running-cost integrals: ``max(1, SWEEP_BUDGET // (S * count))``."""
-    return max(1, SWEEP_BUDGET // (scenarios * count))
 
 
 def _grid_max(start, values) -> np.ndarray:

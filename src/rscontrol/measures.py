@@ -172,12 +172,6 @@ class SingularControl:
     def total_variation(self) -> float:
         return float(self.increments.sum())
 
-    def path(self) -> np.ndarray:
-        """Left-continuous cumulative path, shape (steps + 1, dim); path[0] = 0."""
-        out = np.zeros((self.steps + 1, self.dim))
-        np.cumsum(self.increments, axis=0, out=out[1:])
-        return out
-
     @classmethod
     def zero(cls, steps: int, dim: int, tv_cap: float = DEFAULT_TV_CAP) -> "SingularControl":
         return cls(np.zeros((steps, dim)), tv_cap=tv_cap)

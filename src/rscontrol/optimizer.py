@@ -21,7 +21,7 @@ from .adjoint import solve_adjoint_phi  # noqa: F401  (perfbench wraps this modu
 from .dynamics import CoefficientField, TrajectoryBundle, coefficient_integrals
 from .dynamics import _affine_columns, _dot_last
 from .maxprinciple import VariationalDerivative, _derivative, _mean_argmax, _mean_stderr
-from .maxprinciple import _sweep_steps, gap_tolerance, slack_paths
+from .maxprinciple import gap_tolerance, slack_paths
 from .maxprinciple import variational_derivative  # noqa: F401  (perfbench wraps this module attribute)
 from .measures import RelaxedControl, SingularControl, combine_singular, convex_combine
 from .measures import integrate_against, stieltjes_integral  # noqa: F401  (perfbench wraps integrate_against)
@@ -57,8 +57,7 @@ def evaluate_cost(
     """
     pts = fieldref.grid.points
     run = np.zeros(bundle.scenarios)
-    steps = _sweep_steps(bundle.scenarios, len(pts))
-    for _, rows in _running_rows(running.value, bundle, pts, bundle.mu.weights, steps):
+    for _, rows in _running_rows(running.value, bundle, pts, bundle.mu.weights):
         for row in rows:
             run += row * bundle.tg.dt
     samples = run + stieltjes_integral(k_path, bundle.xi) + terminal.value(
@@ -153,8 +152,7 @@ def first_variation_derivative(
 
     singular = gx * fv.alpha_x[:, -1] + gy * fv.alpha_y[:, -1]
     measure = gx * fv.beta[:, -1]
-    steps = _sweep_steps(bundle.scenarios, len(pts))
-    for start, rows in _running_rows(running.value, bundle, pts, q.weights - bundle.mu.weights, steps):
+    for start, rows in _running_rows(running.value, bundle, pts, q.weights - bundle.mu.weights):
         for k, h_dq in enumerate(rows, start):
             singular += (h[:, 0, k] * fv.alpha_x[:, k] + h[:, 1, k] * fv.alpha_y[:, k]) * dt
             measure += (h[:, 0, k] * fv.beta[:, k] + h_dq) * dt

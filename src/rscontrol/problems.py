@@ -18,6 +18,10 @@ from .dynamics import (
     simulate_forward,
 )
 
+# values per block array: sweeps and running-cost integrals take ``_sweep_steps``
+# steps at a time, so one (steps, S, count) block of H or running costs is 0.5 MB
+SWEEP_BUDGET = 65536
+
 
 @dataclass(frozen=True)
 class RunningCost:
@@ -44,11 +48,18 @@ def _running_table(fn, t, x, y, points) -> np.ndarray:
     return table
 
 
-def _running_rows(fn, bundle, points, weights, steps):
-    """Yield (start, rows): ``fn``'s table on each block of ``steps`` steps integrated
-    against its rows of ``weights``, (m, S).  A one-row table is repeated over the
-    scenarios first: BLAS sums a row in an order set by its place in the matrix."""
+def _sweep_steps(scenarios: int, count: int) -> int:
+    """Steps per block of sweeps and running-cost integrals: ``max(1, SWEEP_BUDGET // (S * count))``."""
+    return max(1, SWEEP_BUDGET // (scenarios * count))
+
+
+def _running_rows(fn, bundle, points, weights):
+    """Yield (start, rows): ``fn``'s table on each block of ``_sweep_steps`` steps
+    integrated against its rows of ``weights``, (m, S); the one block rule of the
+    cost, the gradients and the first variation.  A one-row table is repeated over
+    the scenarios first: BLAS sums a row in an order set by its place in the matrix."""
     times, n = bundle.tg.times(), bundle.tg.steps
+    steps = _sweep_steps(bundle.scenarios, len(points))
     for start in range(0, n, steps):
         stop = min(start + steps, n)
         table = _running_table(fn, times[start:stop], bundle.x[:, start:stop],

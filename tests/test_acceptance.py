@@ -238,7 +238,7 @@ def test_criterion_6_singular_economics():
 
 def test_criterion_7_finance_specialization():
     started = time.perf_counter()
-    from rscontrol.finance import PortfolioParams, build_portfolio_problem, product_weights
+    from rscontrol.finance import PortfolioParams, build_portfolio_problem
     from rscontrol.maxprinciple import hamiltonian_slice
     from rscontrol.measures import dirac, integrate_against
 
@@ -274,7 +274,7 @@ def test_criterion_7_finance_specialization():
     rng = np.random.default_rng(1)
     qw = rng.dirichlet(np.ones(3))
     ci = 2
-    wprod = product_weights(qw, dirac(3, ci))
+    wprod = np.outer(qw, dirac(3, ci)).ravel()
     pvec = rng.normal(size=4)
     p_load = rng.normal(size=(4, 2))
     slo = integrate_against(field.drift_slope_at(k), wprod, axis=-1)

@@ -8,12 +8,10 @@ import rscontrol as rc
 from rscontrol.finance import (
     MarketModel,
     PortfolioParams,
-    bond_price_path,
     build_coefficient_field,
     build_portfolio_problem,
     integrated_volatility,
     product_grid,
-    product_weights,
 )
 from rscontrol.maxprinciple import hamiltonian_slice, slack_paths
 from rscontrol.measures import RelaxedControl, SingularControl, dirac, integrate_against
@@ -91,7 +89,7 @@ class TestProductStructure:
         rng = np.random.default_rng(0)
         qw = rng.dirichlet(np.ones(4))
         for ci in range(3):
-            w = product_weights(qw, dirac(3, ci))
+            w = np.outer(qw, dirac(3, ci)).ravel()
             got = integrate_against(field.drift_slope_at(2), w, axis=-1)
             v_q = float(integrated_volatility(market, market.maturities) @ qw)
             want = (field.short_rate[:, 2]
@@ -243,7 +241,7 @@ class TestPrintedFormulas:
         rng = np.random.default_rng(2)
         qw = rng.dirichlet(np.ones(len(market.maturities)))
         ci = 1
-        w = product_weights(qw, dirac(len(market.consumption), ci))
+        w = np.outer(qw, dirac(len(market.consumption), ci)).ravel()
         p = rng.normal(size=4)
         P = rng.normal(size=(4, 2))
         slo = integrate_against(field.drift_slope_at(k), w, axis=-1)
@@ -319,45 +317,3 @@ class TestShortRateGenerators:
         assert back.volatility == market.volatility
         assert np.array_equal(back.maturities, market.maturities)
         assert back.clamp_quantile == 0.01
-
-
-class TestBondPricePath:
-    def test_flat_curve_zero_drift_constant_price(self):
-        market = MarketModel(
-            volatility="ho-lee", sigma=1e-14,
-            maturities=[2.0], consumption=[0.0],
-            short_rate={"kind": "tabulated", "values": np.full(50, 0.03).tolist()},
-            market_price_of_risk={"kind": "constant", "value": 0.0},
-        )
-        paths, negative = bond_price_path(market, 2.0, rc.TimeGrid(1.0, 50), seed=0)
-        assert np.allclose(paths, 1.0, atol=1e-9)
-        assert negative == 0
-
-    def test_deterministic_drift_quadrature_oracle(self):
-        n = 400
-        rate = 0.05 + 0.02 * np.sin(np.linspace(0, 3, n))
-        market = MarketModel(
-            volatility="ho-lee", sigma=1e-14,
-            maturities=[2.0], consumption=[0.0],
-            short_rate={"kind": "tabulated", "values": rate.tolist()},
-            market_price_of_risk={"kind": "constant", "value": 0.0},
-        )
-        tg = rc.TimeGrid(1.0, n)
-        forward = np.zeros(n)
-        paths, _ = bond_price_path(market, 2.0, tg, seed=0, forward_rate=forward)
-        # independent left-point quadrature of the integrated drift
-        target = math.exp(float(np.sum(rate) * tg.dt))
-        assert paths[0, -1] == pytest.approx(target, rel=3.0 * tg.dt * 0.07)
-        # a scalar forward rate is the same flat curve
-        assert np.array_equal(bond_price_path(market, 2.0, tg, seed=0, forward_rate=0.0)[0], paths)
-
-    def test_log_euler_agreement(self):
-        market = _market(sigma=0.02)
-        diffs = []
-        for n in (100, 200):
-            tg = rc.TimeGrid(1.0, n)
-            a, _ = bond_price_path(market, 3.0, tg, seed=3, scenarios=64)
-            b, _ = bond_price_path(market, 3.0, tg, seed=3, scenarios=64, log_euler=True)
-            diffs.append(np.abs(a - b).max())
-        assert diffs[0] < 0.05
-        assert diffs[1] < diffs[0]

@@ -7,7 +7,7 @@ import pytest
 
 import rscontrol as rc
 import rscontrol.adjoint as adjoint
-import rscontrol.maxprinciple as mp
+import rscontrol.problems as problems
 from rscontrol.adjoint import _gradient_paths, _path_slopes
 from rscontrol.dynamics import coefficient_integrals
 from rscontrol.maxprinciple import (
@@ -301,7 +301,7 @@ class TestBlockSweep:
     RUNNING = rc.affine_quadratic_running(cx=0.2, cy=0.1, quad=0.5)
 
     def _blocks_of_three(self, monkeypatch, field):
-        monkeypatch.setattr(mp, "SWEEP_BUDGET", self.BLOCK * field.scenarios * field.grid.count)
+        monkeypatch.setattr(problems, "SWEEP_BUDGET", self.BLOCK * field.scenarios * field.grid.count)
 
     @pytest.mark.parametrize("index", range(3))
     def test_shortfalls_match_per_step_reference_bitwise(self, monkeypatch, index):
@@ -365,22 +365,32 @@ class TestBlockSweep:
         # two each of P, P x) beside count = 4 points
         scen, count, block, f = 100, 4, 8, 6
         budget = block * scen * count
-        monkeypatch.setattr(mp, "SWEEP_BUDGET", budget)
+        monkeypatch.setattr(problems, "SWEEP_BUDGET", budget)
         peaks = {}
         for steps in (40, 160):
             rng = np.random.default_rng(5)
             field = coefficient_fields(rng, scenarios=scen, steps=steps, points=count)[0][1]
             bundle, adj = _random_paths(field, rng)
-            tracemalloc.start()
-            _shortfall(field, bundle, adj, self.RUNNING, _grid_max)
-            peaks[steps] = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
+            # each case with the bytes of its whole-horizon output: the sweep's
+            # per-scenario sums are inside the bound, the gradients' (S, 2, n) are not
+            for name, run, output in (
+                ("sweep", lambda: _shortfall(field, bundle, adj, self.RUNNING, _grid_max), 0),
+                ("gradients", lambda: _gradient_paths(field, bundle.mu, bundle, self.RUNNING),
+                 8 * scen * 2 * steps),
+            ):
+                tracemalloc.start()
+                run()
+                peaks[name, steps] = tracemalloc.get_traced_memory()[1] - output
+                tracemalloc.stop()
         # the block's H values and feature stack, twice as much again in
         # temporaries (the block's running-cost table among them), and the
         # sum: O(S * count)
         bound = 8 * (3 * budget * (1 + f / count) + 4 * scen * count)
-        assert peaks[40] <= bound and peaks[160] <= bound, (peaks, bound)
-        assert peaks[160] <= 1.05 * peaks[40], peaks
+        for name in ("sweep", "gradients"):
+            assert peaks[name, 40] <= bound and peaks[name, 160] <= bound, (peaks, bound)
+            # the longer horizon adds a few floats per step (the step times), not table rows
+            assert peaks[name, 160] - peaks[name, 40] <= 8 * 8 * (160 - 40), peaks
+        assert peaks["sweep", 160] <= 1.05 * peaks["sweep", 40], peaks
 
 
 def _bond_problem(steps):
@@ -435,7 +445,7 @@ class TestBlockInvariance:
         name, field, running, stock = self._cases()[index]
         outputs = []
         for block in (1, 3, self.STEPS):
-            monkeypatch.setattr(mp, "SWEEP_BUDGET", block * field.scenarios * field.grid.count)
+            monkeypatch.setattr(problems, "SWEEP_BUDGET", block * field.scenarios * field.grid.count)
             monkeypatch.setattr(adjoint, "SETUP_BUDGET", block * field.scenarios)
             outputs.append(self._outputs(field, running, stock, 40 + index))
         for other in outputs[1:]:

@@ -171,10 +171,6 @@ class TestSingularControl:
         with pytest.raises(ValueError, match="exceeds cap"):
             SingularControl([[6.0], [5.0]], tv_cap=10.0)
 
-    def test_path_left_continuous(self):
-        xi = SingularControl([[1.0], [0.0], [2.0]])
-        assert np.array_equal(xi.path()[:, 0], [0.0, 1.0, 1.0, 3.0])
-
     def test_combine(self):
         xi = SingularControl([[1.0], [0.0]])
         eta = SingularControl([[0.0], [2.0]])
@@ -192,7 +188,6 @@ class TestSingularControl:
         eta = SingularControl(rng.uniform(0, 0.5, size=(steps, d)))
         out = combine_singular(xi, eta, theta)
         assert np.all(out.increments >= 0.0)
-        assert np.all(np.diff(out.path(), axis=0) >= 0.0)
 
 
 class TestStieltjesIntegral:
