@@ -216,17 +216,15 @@ def _step_factor(slo, vslo, dw, dt):
     return 1.0 + slo * dt + _dot_last(vslo, dw[:, None])
 
 
-def _flows(slopes, bundle, vol):
+def _flows(slopes, bundle):
     """The fundamental flows of both components, (S, 2, steps + 1) and
     step-major: products of the ``_step_factor`` of the per-step ``slopes``
-    of ``_path_slopes``.  Step k's diffusion slopes are written into
-    ``vol[:, :, k]``."""
+    of ``_path_slopes``."""
     n, dt = bundle.tg.steps, bundle.tg.dt
     flow = np.empty((bundle.scenarios, 2, n + 1), order="F")
     flow[:, :, 0] = 1.0
     for k in range(n):
-        slo, vol[:, :, k] = slopes(k)
-        flow[:, :, k + 1] = flow[:, :, k] * _step_factor(slo, vol[:, :, k], bundle.noise[:, k], dt)
+        flow[:, :, k + 1] = flow[:, :, k] * _step_factor(*slopes(k), bundle.noise[:, k], dt)
     return flow
 
 
@@ -275,9 +273,8 @@ def solve_adjoint_phi(
     n, dt = bundle.tg.steps, bundle.tg.dt
     scen, d = bundle.scenarios, bundle.dim
     xn, yn = bundle.x[:, n], bundle.y[:, n]
-    # step k's diffusion slopes wait in load[:, :, k] until its loading replaces them
     load = np.empty((scen, 2, n, d), order="F")
-    flow = _flows(slopes, bundle, load)
+    flow = _flows(slopes, bundle)
     deflator = 1.0 / flow
 
     # axis 1 indexes the component: 0 for x, 1 for y
@@ -298,7 +295,7 @@ def solve_adjoint_phi(
         np.multiply((mart_next - mart)[:, :, None], bundle.noise[:, k, None], out=incr)
         mart_next = mart
         integrand = proj.fit(incr.reshape(scen, 2 * d) / dt).reshape(scen, 2, d)
-        load[:, :, k] = deflator[:, :, k, None] * integrand - load[:, :, k] * p[:, :, k, None]
+        load[:, :, k] = deflator[:, :, k, None] * integrand - slopes(k)[1] * p[:, :, k, None]
     return AdjointSolution(px=p[:, 0], Px=load[:, 0], py=p[:, 1], Py=load[:, 1],
                            method="phi-construction")
 

@@ -137,9 +137,9 @@ def _validate(value, spec, path: str) -> None:
     """Raise ConfigError, naming the dotted path of the fault, unless ``value``
     matches ``spec`` (see ``_SCHEMA``); ``path`` is empty for the whole config."""
     if isinstance(spec, _Number):
-        number = not isinstance(value, bool) and (isinstance(value, int) or (
-            isinstance(value, float) and math.isfinite(value)
-            and (value.is_integer() or not spec.integer)))
+        number = (not isinstance(value, bool) and isinstance(value, (int, float))
+                  and abs(value) <= sys.float_info.max   # converts to a finite float
+                  and (float(value).is_integer() or not spec.integer))
         if not (number and spec.low <= value <= spec.high):
             kind = "an integer" if spec.integer else "a number"
             raise ConfigError(f"{path} must be {kind} in [{spec.low}, {spec.high}], got {value!r}")
@@ -214,14 +214,14 @@ def _build_problem(cfg: dict, tg: TimeGrid) -> ControlProblem:
         raise ConfigError(f"problem.coefficients.dim must equal brownian_dim {dim}, "
                           f"got {coefficients['dim']!r}")
     try:   # tables of the wrong shape or with non-finite entries fail here, not mid-run
-        sample_coefficients(coefficients, tg, grid, int(cfg["scenarios"]), int(cfg["seed"]))
+        sample_coefficients(coefficients, tg, grid, int(cfg["scenarios"]))
     except ValueError as exc:
         raise ConfigError(f"problem.coefficients: {exc}") from exc
     running = _build_running(spec["running_cost"])
     try:   # and malformed running-cost parameters, on the action grid
         if not np.isfinite(running.value(np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)), grid.points)).all():
             raise ValueError("not finite on the action grid")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"problem.running_cost: {exc}") from exc
     return ControlProblem(
         tg=tg, grid=grid, dim=dim,
@@ -343,6 +343,9 @@ def _prepare(args):
     try:
         tg = TimeGrid(float(cfg["time"]["horizon"]), int(cfg["time"]["steps"]))
         problem = _build_problem(cfg, tg)
+        if int(cfg["scenarios"]) * tg.steps * problem.dim * 8 > np.iinfo(np.intp).max:   # bytes
+            raise ConfigError(f"scenarios: {cfg['scenarios']!r} scenarios of {tg.steps} steps on "
+                              f"{problem.dim} Brownian axes are more noise than memory can address")
         mu, xi = _build_controls(cfg, problem, getattr(args, "controls", None))
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc

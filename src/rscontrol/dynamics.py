@@ -22,11 +22,12 @@ Each coefficient is a short sum of scenario factors times point tables
 (``Factored``), summed in one fixed order everywhere, so integrating against
 a point mass reproduces the gathered value bit for bit.
 
-Scenario noise comes from one generator per seed and is drawn once before
-thread chunking, so chunked or parallel execution reproduces the single-pass
-arrays exactly.  Every (scenario, step) path array is stored step-major
-(Fortran order, same shapes), so that each recurrence reads and writes one
-contiguous block per step; the layout changes no value.
+Every stage is given its Brownian increments; only ``ControlProblem.noise``
+draws them.  The relaxed and the strict simulation share one Euler loop that
+slices the noise into scenario chunks, so chunked or parallel execution
+reproduces the single-pass arrays exactly.  Every (scenario, step) path array
+is stored step-major (Fortran order, same shapes), so that each recurrence
+reads and writes one contiguous block per step; the layout changes no value.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def brownian_increments(seed: int, scenarios: int, steps: int, dim: int, dt: flo
     Stored step-major, filled by blocks of ``NOISE_BLOCK`` scenarios that
     continue one stream as a single C-order draw would: it is deterministic in
     ``(seed, shape)`` and its first ``s`` scenarios equal an ``s``-scenario
-    draw; threaded simulation slices this array, so chunking cannot change it.
+    draw.  ``ControlProblem.noise`` is its one caller; the stages take its array.
     """
     rng = np.random.default_rng(seed)
     out = np.empty((scenarios, steps, dim), order="F")
@@ -197,7 +198,7 @@ def _broadcast_tail(values, shape: tuple, name: str, scenarios: int | None = Non
     shape, an entry that is not a number, or a non-finite entry."""
     try:
         arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name}: {exc}") from None
     rows = () if scenarios is None else (1,)
     if scenarios is not None and arr.ndim == len(shape) + 1 and arr.shape[1:] == shape:
@@ -312,7 +313,6 @@ def sample_coefficients(
     tg: TimeGrid,
     grid: ActionGrid,
     scenarios: int,
-    seed: int,
     noise: np.ndarray | None = None,
 ) -> CoefficientField:
     """Sample a coefficient field for the given model specification.
@@ -320,7 +320,7 @@ def sample_coefficients(
     Supported model names: ``deterministic-constant`` (scalars or per-point /
     per-step tables, identical across scenarios), ``tabulated`` (explicit
     arrays, optionally per scenario), and ``finance`` (bond-market fields
-    built from the same Brownian draws as the forward simulation).
+    built from ``noise``, the forward simulation's Brownian increments).
 
     Values at step k depend only on increments before k, so the field is
     adapted to the driving noise.
@@ -335,7 +335,7 @@ def sample_coefficients(
     if name == "finance":
         from . import finance
 
-        return finance.build_coefficient_field(model, tg, grid, scenarios, seed, noise)
+        return finance.build_coefficient_field(model, tg, grid, scenarios, noise)
     raise ValueError(f"unknown coefficient model {name!r}")
 
 
@@ -383,19 +383,13 @@ def _dot_last(a, b, out=None, product=None) -> np.ndarray:
     return product.sum(axis=-1, out=out)
 
 
-def _factor_buffers(shape: tuple, dim: int) -> tuple:
-    """Buffers of ``_x_factors`` for factors of ``shape``: the multipliers,
-    the offsets, one Brownian sum and one Brownian product."""
-    a = np.empty(shape, order="F")
-    return a, np.empty_like(a), np.empty_like(a), np.empty(shape + (dim,), order=_product_order(dim))
-
-
 def _x_factors(integrals, dw, jump_x, dt, a, b, sums, product):
     """Multipliers and offsets of x's Euler steps, ``x[k+1] = x[k] * a + b``,
     for the steps of ``dw`` (S, m, dim) and the matching (S|1, m[, dim])
-    ``integrals``, written into the buffers of ``_factor_buffers``.  ``a`` is
-    ``(1 + slope dt) + vol_slope . dW``, bit for bit the fundamental flow's
-    step factor, and ``b`` is ``(level dt + vol_level . dW) + jump``."""
+    ``integrals``, written into ``a`` and ``b`` with ``sums`` and ``product``
+    as scratch buffers.  ``a`` is ``(1 + slope dt) + vol_slope . dW``,
+    bit for bit the fundamental flow's step factor, and ``b`` is
+    ``(level dt + vol_level . dW) + jump``."""
     lev, slo, vlev, vslo = integrals
     np.add(1.0, np.multiply(slo, dt, out=a), out=a)
     a += _dot_last(vslo, dw, sums, product)
@@ -405,7 +399,7 @@ def _x_factors(integrals, dw, jump_x, dt, a, b, sums, product):
     return a, b
 
 
-def _check_finite(x, y, start: int, stop: int, first: int = 0) -> None:
+def _check_finite(x, y, start: int, stop: int, first: int) -> None:
     """Raise for the earliest non-finite state of steps ``start + 1 .. stop``:
     by step, then x before y, then scenario (``first`` offsets the index)."""
     span = slice(start + 1, stop + 1)
@@ -421,7 +415,7 @@ def _check_finite(x, y, start: int, stop: int, first: int = 0) -> None:
 def _simulate_block(integrals, stock, tg, noise, x, y, first, jump_x, jump_y, buffers):
     """Euler steps for the scenario block at rows ``first``.. of ``integrals``,
     written into its rows ``x``, ``y`` of the shared paths (step 0 is set).
-    x's factors are set up in the block's rows of the ``_factor_buffers``,
+    x's factors are set up in the block's rows of the factor ``buffers``,
     as many steps at a time as they hold; the paths are checked once per
     such block of steps."""
     dt, size = tg.dt, buffers[0].shape[1]
@@ -443,74 +437,34 @@ def _simulate_block(integrals, stock, tg, noise, x, y, first, jump_x, jump_y, bu
             _check_finite(x, y, start, stop, first)
 
 
-def _forward_inputs(field, mu, xi, tg, seed, noise):
-    """Checked controls and noise of a forward simulation; returns the noise
-    (drawn from ``seed`` when not given) and the per-step jumps of x and y."""
+def _forward_inputs(field, mu, xi, tg, noise):
+    """Check the controls and noise of a forward simulation; returns x's and y's per-step jumps."""
     if mu.steps != tg.steps or xi.steps != tg.steps:
         raise ValueError("controls must have one row per time step")
     if mu.count != field.grid.count:
         raise ValueError("relaxed control does not match the field's grid")
     if xi.dim != field.dim:
         raise ValueError("singular control dimension does not match the field")
-    if noise is None:
-        if seed is None:
-            raise ValueError("either seed or noise must be given")
-        noise = brownian_increments(seed, field.scenarios, tg.steps, field.dim, tg.dt)
     if noise.shape != (field.scenarios, tg.steps, field.dim):
         raise ValueError(f"noise shape {noise.shape} does not match the field")
-    jump_x = (field.jump_gain_x * xi.increments).sum(axis=1)
-    jump_y = (field.jump_gain_y * xi.increments).sum(axis=1)
-    return noise, jump_x, jump_y
+    return tuple((gain * xi.increments).sum(axis=1)
+                 for gain in (field.jump_gain_x, field.jump_gain_y))
 
 
-def simulate_forward(
-    field: CoefficientField,
-    mu: RelaxedControl,
-    xi: SingularControl,
-    x0: float,
-    y0: float,
-    stock: StockModel,
-    tg: TimeGrid,
-    seed: int | None = None,
-    noise: np.ndarray | None = None,
-    threads: int = 1,
-) -> TrajectoryBundle:
-    """Euler-Maruyama simulation under a relaxed and a singular control.
-
-    Parameters
-    ----------
-    field : CoefficientField
-        Sampled coefficients; must cover (tg.steps, grid, dim).
-    mu, xi : controls
-        Relaxed weights and singular increments; shapes must match the field.
-    stock : StockModel
-        Drift/diffusion callbacks for the second component.
-    seed, noise
-        Either a master seed (increments derived per scenario) or explicit
-        increments of shape (scenarios, steps, dim).  Passing the same noise
-        that sampled the field keeps coefficients and paths on one filtration.
-    threads : int
-        Scenario-chunk parallelism.  The coefficients are integrated against
-        ``mu`` once over all scenarios before chunking, so every thread count
-        gives bit-identical paths.
-
-    Raises
-    ------
-    NonFiniteStateError
-        If a path overflows; the error names the step and scenario, the
-        same ones at every thread count.
-    """
-    noise, jump_x, jump_y = _forward_inputs(field, mu, xi, tg, seed, noise)
-    integrals = coefficient_integrals(field, mu)
-    scenarios = field.scenarios
+def _euler_paths(integrals, jumps, x0, y0, stock, tg, noise, threads=1):
+    """The Euler paths x, y (S, steps + 1) of the per-step x coefficients
+    ``integrals`` (S|1, steps[, dim]) and the per-step ``jumps`` of x and y,
+    run on up to ``threads`` scenario chunks.  Raises the NonFiniteStateError
+    that a serial pass meets first."""
+    scenarios = noise.shape[0]
     x = np.empty((scenarios, tg.steps + 1), order="F")
     y = np.empty_like(x)
-    x[:, 0] = x0
-    y[:, 0] = y0
-    # x's factors for one block of steps and their set-up; allocated here,
-    # not in the threads, so that they never grow a thread's allocation arena
-    size = min(tg.steps, max(1, FACTOR_BUDGET // max(1, scenarios)))
-    buffers = _factor_buffers((scenarios, size), field.dim)
+    x[:, 0], y[:, 0] = x0, y0
+    # ``_x_factors``' buffers for one block of steps; allocated here, not in
+    # the threads, so that they never grow a thread's allocation arena
+    shape = (scenarios, min(tg.steps, max(1, FACTOR_BUDGET // max(1, scenarios))))
+    buffers = (*(np.empty(shape, order="F") for _ in range(3)),
+               np.empty(shape + noise.shape[2:], order=_product_order(noise.shape[2])))
     chunks = 1 if threads <= 1 or scenarios < 2 * threads else threads
     bounds = np.linspace(0, scenarios, chunks + 1).astype(int).tolist()
 
@@ -519,7 +473,7 @@ def simulate_forward(
         block = tuple(a if a.shape[0] == 1 else a[rows] for a in integrals)
         try:
             _simulate_block(block, stock, tg, noise[rows], x[rows], y[rows], rows.start,
-                            jump_x, jump_y, tuple(buf[rows] for buf in buffers))
+                            *jumps, tuple(buf[rows] for buf in buffers))
         except NonFiniteStateError as exc:
             return exc
         return None
@@ -532,6 +486,47 @@ def simulate_forward(
     errors = [exc for exc in errors if exc is not None]
     if errors:   # the one a serial pass meets first: by step, then x before y, then scenario
         raise min(errors, key=lambda exc: (exc.step, exc.component != "x", exc.scenario))
+    return x, y
+
+
+def simulate_forward(
+    field: CoefficientField,
+    mu: RelaxedControl,
+    xi: SingularControl,
+    x0: float,
+    y0: float,
+    stock: StockModel,
+    tg: TimeGrid,
+    noise: np.ndarray,
+    threads: int = 1,
+) -> TrajectoryBundle:
+    """Euler-Maruyama simulation under a relaxed and a singular control.
+
+    Parameters
+    ----------
+    field : CoefficientField
+        Sampled coefficients; must cover (tg.steps, grid, dim).
+    mu, xi : controls
+        Relaxed weights and singular increments; shapes must match the field.
+    stock : StockModel
+        Drift/diffusion callbacks for the second component.
+    noise : ndarray
+        Brownian increments of shape (scenarios, steps, dim), such as
+        ``ControlProblem.noise`` draws.  Passing the noise that sampled the
+        field keeps coefficients and paths on one filtration.
+    threads : int
+        Scenario-chunk parallelism.  The coefficients are integrated against
+        ``mu`` once over all scenarios before chunking, so every thread count
+        gives bit-identical paths.
+
+    Raises
+    ------
+    NonFiniteStateError
+        If a path overflows; the error names the step and scenario, the
+        same ones at every thread count.
+    """
+    jumps = _forward_inputs(field, mu, xi, tg, noise)
+    x, y = _euler_paths(coefficient_integrals(field, mu), jumps, x0, y0, stock, tg, noise, threads)
     return TrajectoryBundle(tg=tg, x=x, y=y, noise=noise, mu=mu, xi=xi)
 
 
@@ -543,38 +538,23 @@ def simulate_forward_strict(
     y0: float,
     stock: StockModel,
     tg: TimeGrid,
-    seed: int | None = None,
-    noise: np.ndarray | None = None,
+    noise: np.ndarray,
 ) -> TrajectoryBundle:
     """Simulate under a strict (grid-indexed) control path.
 
-    Gathers coefficient values at the chosen index each step instead of
-    integrating against a measure; with the same noise this is bit-identical
-    to `simulate_forward` with the corresponding point-mass rows.
+    Gathers each step's coefficients at its index, in place of integrating
+    them against a measure, then runs `simulate_forward`'s Euler loop; with
+    the same noise it is bit-identical to `simulate_forward` on point masses.
     """
     idx = np.asarray(action_indices, dtype=int)
     if idx.shape != (tg.steps,):
         raise ValueError("need one grid index per time step")
     mu = RelaxedControl.from_indices(idx, field.grid.count)   # raises on an index off the grid
-    noise, jump_x, jump_y = _forward_inputs(field, mu, xi, tg, seed, noise)
-    n, dt = tg.steps, tg.dt
-    times = tg.times()
-    x = np.empty((field.scenarios, n + 1), order="F")
-    y = np.empty_like(x)
-    x[:, 0] = x0
-    y[:, 0] = y0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            j = idx[k]
-            dw = noise[:, k]
-            xk, yk = x[:, k], y[:, k]
-            gathered = (field.drift_level_at(k)[:, j], field.drift_slope_at(k)[:, j],
-                        field.vol_level_at(k)[:, j], field.vol_slope_at(k)[:, j])
-            a, b = _x_factors(gathered, dw, jump_x[k], dt, *_factor_buffers(xk.shape, field.dim))
-            x[:, k + 1] = xk * a + b
-            sy = stock.diffusion(times[k], yk)
-            y[:, k + 1] = yk + stock.drift(times[k], yk) * dt + _dot_last(sy, dw) + jump_y[k]
-            _check_finite(x, y, k, k + 1)
+    jumps = _forward_inputs(field, mu, xi, tg, noise)
+    gathered = tuple(np.stack([at(k)[:, j] for k, j in enumerate(idx.tolist())], axis=1)
+                     for at in (field.drift_level_at, field.drift_slope_at,
+                                field.vol_level_at, field.vol_slope_at))
+    x, y = _euler_paths(gathered, jumps, x0, y0, stock, tg, noise)
     return TrajectoryBundle(tg=tg, x=x, y=y, noise=noise, mu=mu, xi=xi)
 
 

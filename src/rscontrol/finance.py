@@ -16,8 +16,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .dynamics import (CoefficientField, Factored, TimeGrid, _broadcast_tail, brownian_increments,
-                       linear_stock)
+from .dynamics import CoefficientField, Factored, TimeGrid, _broadcast_tail, linear_stock
 from .measures import DEFAULT_TV_CAP, ActionGrid, _float_array
 from .problems import (
     ControlProblem,
@@ -194,14 +193,14 @@ def build_coefficient_field(
     tg: TimeGrid,
     grid: ActionGrid,
     scenarios: int,
-    seed: int,
-    noise: np.ndarray | None = None,
+    noise: np.ndarray,
 ) -> FinanceCoefficientField:
     """Sample the bond-market coefficient field from a model specification.
 
     ``model`` carries the market under ``"market"`` plus the transaction
     costs ``"cost_buy"`` / ``"cost_sell"``.  The grid must be the product
-    grid of the market's maturities and consumption rates.
+    grid of the market's maturities and consumption rates; ``noise``, the
+    forward simulation's (S, steps, 2) increments, drives the short rate.
     """
     market = model["market"]
     if isinstance(market, dict):
@@ -210,8 +209,8 @@ def build_coefficient_field(
     cost_sell = float(model.get("cost_sell", 0.0))
     if not (0.0 <= cost_buy < 1.0 and 0.0 <= cost_sell < 1.0):
         raise ValueError("transaction costs must lie in [0, 1)")
-    if noise is None:
-        noise = brownian_increments(seed, scenarios, tg.steps, 2, tg.dt)
+    if np.shape(noise) != (scenarios, tg.steps, 2):
+        raise ValueError(f"the finance model needs noise of shape {(scenarios, tg.steps, 2)}")
 
     pts = grid.points
     if grid.action_dim != 2:

@@ -31,7 +31,7 @@ def _float_array(values, name: str, message: str = "{} must be numbers") -> np.n
     """``values`` as a float array; a ValueError naming ``name`` if they are not numbers."""
     try:
         return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(message.format(name)) from None
 
 

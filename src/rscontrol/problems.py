@@ -191,7 +191,8 @@ class ControlProblem:
         return brownian_increments(seed, scenarios, self.tg.steps, self.dim, self.tg.dt)
 
     def sample_field(self, scenarios: int, seed: int, noise=None) -> CoefficientField:
-        return sample_coefficients(self.coefficients, self.tg, self.grid, scenarios, seed, noise)
+        noise = self.noise(scenarios, seed) if noise is None else noise
+        return sample_coefficients(self.coefficients, self.tg, self.grid, scenarios, noise)
 
     def simulate(
         self,

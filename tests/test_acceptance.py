@@ -82,7 +82,8 @@ def test_criterion_2_closed_form_forward_checks():
     field = rc.dense_field(tg, grid, scenarios=2, dim=1, drift_slope=a)
     mu = RelaxedControl.uniform(1000, 2)
     xi = SingularControl.zero(1000, 1)
-    b = rc.simulate_forward(field, mu, xi, x0, 0.0, rc.inert_stock(1), tg, seed=0)
+    b = rc.simulate_forward(field, mu, xi, x0, 0.0, rc.inert_stock(1), tg,
+                            noise=rc.brownian_increments(0, 2, 1000, 1, tg.dt))
     exact = x0 * math.exp(a * tg.horizon)
     rel_err = abs(b.x[0, -1] - exact) / exact
     ok_a = rel_err <= 2.0 * tg.dt * abs(a) * tg.horizon
@@ -94,7 +95,8 @@ def test_criterion_2_closed_form_forward_checks():
     mu2 = RelaxedControl.uniform(100, 2)
     xi2 = SingularControl.zero(100, 1)
     b2 = rc.simulate_forward(field2, mu2, xi2, 0.0, y0,
-                             rc.linear_stock(lam, rho, 1, 0), tg2, seed=77)
+                             rc.linear_stock(lam, rho, 1, 0), tg2,
+                             noise=rc.brownian_increments(77, 10000, 100, 1, tg2.dt))
     target = y0 * math.exp(lam)
     se = b2.y[:, -1].std(ddof=1) / math.sqrt(scenarios)
     dev = abs(b2.y[:, -1].mean() - target)

@@ -52,7 +52,7 @@ def _simple_problem(steps=60, scenarios=200, drift_slope=0.0, vol_slope=0.0,
 def _flow_paths(problem, field, mu, bundle):
     """``_flows`` of the bundle's slopes, the flow that phi runs."""
     slopes = _path_slopes(coefficient_integrals(field, mu), bundle, problem.stock)
-    return _flows(slopes, bundle, np.empty((bundle.scenarios, 2, bundle.tg.steps, bundle.dim)))
+    return _flows(slopes, bundle)
 
 
 def _reference_setup(x, y, degree, ridge):
@@ -106,7 +106,7 @@ def _reference_adjoints(problem, field, mu, bundle, ridge):
         p[:, :, k], load[:, :, k] = nxt, loads
     out = {"regression": (p, load)}
 
-    flow = _flows(slopes, bundle, np.empty((scen, 2, n, d)))
+    flow = _flows(slopes, bundle)
     deflator = 1.0 / flow
     weighted = np.ascontiguousarray(flow[:, :, :n] * h * dt)
     total = flow[:, :, n] * grad + weighted.sum(axis=2)
@@ -394,15 +394,12 @@ class TestLayoutContract:
         problem = _layout_problem(dim, self.STEPS)
         field, mu, bundle = _setup(problem, self.SCENARIOS, 9)
         slopes = _path_slopes(coefficient_integrals(field, mu), bundle, problem.stock)
-        vol = np.empty((self.SCENARIOS, 2, self.STEPS, dim), order="F")
-        flow = _flows(slopes, bundle, vol)
+        flow = _flows(slopes, bundle)
         dt = bundle.tg.dt
         growth = np.stack([1.0 + slo * dt + (vslo * bundle.noise[:, k, None]).sum(-1)
                            for k, (slo, vslo) in enumerate(map(slopes, range(self.STEPS)))], axis=2)
         assert np.all(flow[:, :, 0] == 1.0)
         assert np.array_equal(flow[:, :, 1:], np.cumprod(growth, axis=2))
-        for k in range(self.STEPS):
-            assert np.array_equal(vol[:, :, k], slopes(k)[1])
         assert np.ptp(flow[:, 0, -1]) > 0.0 and np.ptp(flow[:, 1, -1]) > 0.0
 
 

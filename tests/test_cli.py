@@ -214,6 +214,13 @@ class TestValidation:
         ("optimizer", "gap_floor", 1e-10),
         (None, "tolerances", {"gap_se_multiplier": 3.0}),
         (None, "moment_order", 2.0),
+        # numbers beyond float range, and noise arrays beyond the address space
+        pytest.param("time", "horizon", 10**400, id="time-horizon-beyond-float"),
+        pytest.param("problem", "x0", 10**400, id="problem-x0-beyond-float"),
+        pytest.param("problem", "tv_cap", -10**400, id="problem-tv_cap-beyond-float"),
+        pytest.param(None, "scenarios", 10**19, id="scenarios-1e19"),
+        pytest.param(None, "scenarios", 2**62, id="scenarios-2**62"),
+        pytest.param(None, "scenarios", 1e20, id="scenarios-1e20-float"),
     ])
     def test_malformed_scalar(self, tmp_path, capsys, section, key, value):
         cfg = _toy_config(tmp_path / "out")
@@ -222,6 +229,41 @@ class TestValidation:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and key in err
+
+    @pytest.mark.parametrize("command", ["simulate", "optimize"])
+    @pytest.mark.parametrize("kind, path, value, named", [
+        ("finance", "time.horizon", 10**400, "time.horizon"),
+        ("finance", "problem.x0", 10**400, "problem.x0"),
+        ("finance", "problem.tv_cap", 10**400, "problem.tv_cap"),
+        ("finance", "problem.stock_vol", 10**400, "problem.stock_vol"),
+        ("finance", "problem.discount", -10**400, "problem.discount"),
+        ("finance", "scenarios", 10**19, "scenarios"),
+        ("finance", "scenarios", 2**62, "scenarios"),
+        ("finance", "scenarios", 1e20, "scenarios"),
+        ("finance", "problem.singular_cost.constant", [10**400, 0.0], "singular cost"),
+        ("finance", "problem.market.maturities", [1.0, 10**400], "maturities"),
+        ("finance", "problem.market.short_rate", {"kind": "tabulated", "values": [10**400]},
+         "short_rate"),
+        ("canonical", "problem.coefficients.drift_level", [10**400] * 5, "drift_level"),
+        ("canonical", "problem.running_cost.lin", [10**400], "running_cost"),
+        ("canonical", "problem.action_grid.points", [0.0, 10**400], "grid points"),
+        ("canonical", "controls.relaxed", {"weights": [[10**400] * 5] * 12}, "weights"),
+    ], ids=lambda v: v if isinstance(v, str) else str(v)[:10])
+    def test_unrepresentable_number(self, tmp_path, capsys, command, kind, path, value, named):
+        # a number no float holds, or noise no array index can address, is
+        # refused before anything is allocated, with one config error line
+        cfg = _toy_config(tmp_path / "out")
+        if kind == "finance":
+            cfg = {**example_bond_config(), "scenarios": 20, "output_dir": str(tmp_path / "out")}
+        *sections, key = path.split(".")
+        block = cfg
+        for section in sections:
+            block = block.setdefault(section, {})
+        block[key] = value
+        assert main([command, "--config", _write(tmp_path / "c.json", cfg)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ") and named in lines[0]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one(self, tmp_path, capsys, threads):
@@ -487,6 +529,67 @@ class TestSimulate:
         cost = json.loads((out / "cost.json").read_text(), parse_constant=refuse)
         assert cost["value"] is None and cost["excluded"] == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_every_cost_sample_non_finite_exit_code(self, tmp_path, capsys):
+        # each terminal cost overflows, so no sample is left to average
+        cfg = _toy_config(tmp_path / "out")
+        cfg["problem"]["x0"] = 10.0
+        cfg["problem"]["terminal_cost"]["gx2"] = 1e308
+        assert main(["simulate", "--config", _write(tmp_path / "c.json", cfg)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["numeric error: every cost sample is non-finite"]
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "optimize"])
+    def test_zero_running_cost(self, tmp_path, command):
+        out = tmp_path / "out"
+        cfg = _toy_config(out, max_iter=2)
+        cfg["problem"]["running_cost"] = {"family": "zero"}
+        tg = rc.TimeGrid(cfg["time"]["horizon"], cfg["time"]["steps"])
+        running = _build_problem(cfg, tg).running
+        assert running.dx is None and running.dy is None
+        assert main([command, "--config", _write(tmp_path / "c.json", cfg), "--no-timestamp"]) == 0
+        if command == "simulate":   # no control: the cost is the mean terminal cost 0.5 x_T
+            x = _load_npz(out / "trajectories.npz")["x"]
+            cost = json.loads((out / "cost.json").read_text())
+            assert cost["value"] == pytest.approx(0.5 * x[:, -1].mean(), rel=1e-12)
+        else:
+            assert json.loads((out / "report.json").read_text())["iterations"] >= 1
+
+    def test_config_singular_increments(self, tmp_path, capsys):
+        cfg = _toy_config(tmp_path / "zero")
+        cfg["problem"]["coefficients"]["jump_gain_x"] = [1.0]
+        steps = cfg["time"]["steps"]
+        assert main(["simulate", "--config", _write(tmp_path / "zero.json", cfg)]) == 0
+        increments = np.zeros((steps, 1))
+        increments[5] = 0.5
+        cfg.update(controls={"singular": {"increments": increments.tolist()}},
+                   output_dir=str(tmp_path / "jump"))
+        assert main(["simulate", "--config", _write(tmp_path / "jump.json", cfg)]) == 0
+        x0, x1 = (_load_npz(tmp_path / name / "trajectories.npz")["x"] for name in ("zero", "jump"))
+        assert np.array_equal(x1[:, :6], x0[:, :6])
+        assert np.allclose(x1[:, 6:] - x0[:, 6:], 0.5, rtol=0.0, atol=1e-12)
+        # one row per step, or the config is refused
+        cfg["controls"]["singular"]["increments"] = np.zeros((steps + 1, 1)).tolist()
+        cfg["output_dir"] = str(tmp_path / "bad")
+        assert main(["simulate", "--config", _write(tmp_path / "bad.json", cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: controls: singular control does not match")
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("utility, code", [("log1p", 0), ("cubic", 2)])
+    def test_finance_utility(self, tmp_path, capsys, utility, code):
+        out = tmp_path / "out"
+        cfg = {**example_bond_config(), "scenarios": 20, "output_dir": str(out)}
+        cfg["problem"]["utility"] = utility
+        assert main(["simulate", "--config", _write(tmp_path / "c.json", cfg)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("config error: ") and "'cubic'" in err
+            assert not out.exists()
+        else:
+            assert err == "" and json.loads((out / "cost.json").read_text())["value"] < 0.0
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = _toy_config(tmp_path / "out")
         path = _write(tmp_path / "c.json", cfg)
@@ -668,6 +771,19 @@ class TestVerify:
         rc = main(["verify", "--config", _write(tmp_path / "c.json", cfg),
                    "--controls", str(tmp_path / "absent.json")])
         assert rc == 2
+
+    def test_controls_file_grid_must_match(self, tmp_path, capsys):
+        cfg = _toy_config(tmp_path / "out")
+        steps = cfg["time"]["steps"]
+        shifted = rc.ActionGrid(np.asarray(cfg["problem"]["action_grid"]["points"]) + 0.25)
+        doc = controls_to_json(shifted, RelaxedControl.uniform(steps, shifted.count),
+                               SingularControl.zero(steps, 1), cfg["time"]["horizon"])
+        code = main(["verify", "--config", _write(tmp_path / "c.json", cfg),
+                     "--controls", _write(tmp_path / "controls.json", doc)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "config error: controls file grid does not match the scenario action grid\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", ["missing", "mismatched", "directory"])
     def test_bad_controls_file_creates_no_output(self, tmp_path, capsys, case):

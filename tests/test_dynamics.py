@@ -92,7 +92,8 @@ class TestSimulateForward:
         grid = _grid()
         field = rc.dense_field(tg, grid, scenarios=16, dim=1)
         mu, xi = _zero_controls(20, 4, 1)
-        b = rc.simulate_forward(field, mu, xi, 2.5, -1.0, rc.inert_stock(1), tg, seed=0)
+        b = rc.simulate_forward(field, mu, xi, 2.5, -1.0, rc.inert_stock(1), tg,
+                                noise=rc.brownian_increments(0, 16, 20, 1, tg.dt))
         assert np.all(b.x == 2.5)
         assert np.all(b.y == -1.0)
 
@@ -100,7 +101,8 @@ class TestSimulateForward:
         tg = rc.TimeGrid(1.0, 5)
         field = rc.dense_field(tg, _grid(), scenarios=0, dim=1)
         mu, xi = _zero_controls(5, 4, 1)
-        b = rc.simulate_forward(field, mu, xi, 1.0, 1.0, rc.inert_stock(1), tg, seed=0)
+        b = rc.simulate_forward(field, mu, xi, 1.0, 1.0, rc.inert_stock(1), tg,
+                                noise=rc.brownian_increments(0, 0, 5, 1, tg.dt))
         assert b.x.shape == b.y.shape == (0, 6)
 
     def test_exponential_drift_oracle(self):
@@ -110,7 +112,8 @@ class TestSimulateForward:
         grid = _grid()
         field = rc.dense_field(tg, grid, scenarios=1, dim=1, drift_slope=a)
         mu, xi = _zero_controls(1000, 4, 1)
-        b = rc.simulate_forward(field, mu, xi, x0, 0.0, rc.inert_stock(1), tg, seed=0)
+        b = rc.simulate_forward(field, mu, xi, x0, 0.0, rc.inert_stock(1), tg,
+                                noise=rc.brownian_increments(0, 1, 1000, 1, tg.dt))
         exact = x0 * math.exp(a * tg.horizon)
         rel = abs(b.x[0, -1] - exact) / exact
         assert rel <= 2.0 * tg.dt * abs(a) * tg.horizon
@@ -123,7 +126,8 @@ class TestSimulateForward:
         inc = np.zeros((10, 1))
         inc[5, 0] = 1.0
         xi = SingularControl(inc)
-        b = rc.simulate_forward(field, mu, xi, 0.0, 0.0, rc.inert_stock(1), tg, seed=0)
+        b = rc.simulate_forward(field, mu, xi, 0.0, 0.0, rc.inert_stock(1), tg,
+                                noise=rc.brownian_increments(0, 3, 10, 1, tg.dt))
         assert np.all(b.x[:, :6] == 0.0)
         assert np.all(b.x[:, 6:] == 1.0)
         # a scalar gain is the same (steps, dim) table
@@ -136,7 +140,8 @@ class TestSimulateForward:
         grid = _grid()
         field = rc.dense_field(tg, grid, scenarios=scenarios, dim=1)
         mu, xi = _zero_controls(100, 4, 1)
-        b = rc.simulate_forward(field, mu, xi, 0.0, y0, rc.linear_stock(lam, rho, 1, 0), tg, seed=42)
+        b = rc.simulate_forward(field, mu, xi, 0.0, y0, rc.linear_stock(lam, rho, 1, 0), tg,
+                                noise=rc.brownian_increments(42, 4000, 100, 1, tg.dt))
         target = y0 * math.exp(lam * tg.horizon)
         se = b.y[:, -1].std(ddof=1) / math.sqrt(scenarios)
         assert abs(b.y[:, -1].mean() - target) <= 3.0 * se
@@ -198,9 +203,10 @@ class TestSimulateForward:
         mu = RelaxedControl(rng.dirichlet(np.ones(4), size=n))
         stock = rc.linear_stock(0.05, 0.2, 2)
         bundle = rc.simulate_forward(field, mu, SingularControl.zero(n, 2), 1.0, 1.0, stock, tg,
-                                     seed=3, threads=threads)
+                                     noise=rc.brownian_increments(3, scenarios, n, 2, tg.dt),
+                                     threads=threads)
         slopes = _path_slopes(coefficient_integrals(field, mu), bundle, stock)
-        flow = _flows(slopes, bundle, np.empty((scenarios, 2, n, 2)))
+        flow = _flows(slopes, bundle)
         assert np.array_equal(bundle.x, flow[:, 0])
 
     def test_memory_bounded_by_factor_budget(self):
@@ -252,7 +258,7 @@ class TestSimulateForward:
         idx[3] = index
         with pytest.raises(IndexError, match="outside the grid"):
             rc.simulate_forward_strict(field, idx, SingularControl.zero(10, 2), 1.0, 1.0,
-                                       stock, tg, seed=0)
+                                       stock, tg, noise=rc.brownian_increments(0, 5, 10, 2, tg.dt))
         assert calls == []
 
     @pytest.mark.parametrize("case", ["noise-shape", "control-steps", "singular-dim"])
@@ -287,8 +293,10 @@ class TestSimulateForward:
         field = rc.dense_field(tg, grid, scenarios=20, dim=2, vol_level=[0.2, 0.1])
         mu, xi = _zero_controls(15, 4, 2)
         stock = rc.linear_stock(0.05, 0.2, 2)
-        b1 = rc.simulate_forward(field, mu, xi, 1.0, 1.0, stock, tg, seed=9)
-        b2 = rc.simulate_forward(field, mu, xi, 1.0, 1.0, stock, tg, seed=9)
+        b1 = rc.simulate_forward(field, mu, xi, 1.0, 1.0, stock, tg,
+                                 noise=rc.brownian_increments(9, 20, 15, 2, tg.dt))
+        b2 = rc.simulate_forward(field, mu, xi, 1.0, 1.0, stock, tg,
+                                 noise=rc.brownian_increments(9, 20, 15, 2, tg.dt))
         assert np.array_equal(b1.x, b2.x)
         assert np.array_equal(b1.noise, b2.noise)
 
@@ -300,7 +308,8 @@ class TestSimulateForward:
         mu = RelaxedControl.uniform(12, 4)
         rng = np.random.default_rng(1)
         xi = SingularControl(rng.uniform(0, 0.2, size=(12, 1)))
-        b = rc.simulate_forward(field, mu, xi, 1.0, 0.0, rc.inert_stock(1), tg, seed=0)
+        b = rc.simulate_forward(field, mu, xi, 1.0, 0.0, rc.inert_stock(1), tg,
+                                noise=rc.brownian_increments(0, 4, 12, 1, tg.dt))
         accumulated = np.concatenate([[0.0], np.cumsum(2.0 * xi.increments[:, 0])])
         assert np.allclose(b.x - accumulated[None, :], 1.0, atol=1e-14)
 
@@ -372,7 +381,8 @@ class TestSimulateForward:
         field = rc.dense_field(tg, grid, scenarios=2, dim=1, drift_level=1e308)
         mu, xi = _zero_controls(40, 4, 1)
         with pytest.raises(NonFiniteStateError) as exc:
-            rc.simulate_forward(field, mu, xi, 1e308, 0.0, rc.inert_stock(1), tg, seed=0)
+            rc.simulate_forward(field, mu, xi, 1e308, 0.0, rc.inert_stock(1), tg,
+                                noise=rc.brownian_increments(0, 2, 40, 1, tg.dt))
         assert exc.value.step >= 1
         assert "scenario" in str(exc.value)
         # only scenario 40 overflows; a thread chunk reports the global index
@@ -382,7 +392,8 @@ class TestSimulateForward:
         for threads in (1, 2, 3, 4):
             with pytest.raises(NonFiniteStateError) as exc:
                 rc.simulate_forward(field, mu, xi, 1e308, 0.0, rc.inert_stock(1), tg,
-                                    seed=0, threads=threads)
+                                    noise=rc.brownian_increments(0, 64, 40, 1, tg.dt),
+                                    threads=threads)
             assert exc.value.scenario == 40
             assert "scenario 40" in str(exc.value)
 
@@ -397,7 +408,8 @@ class TestSimulateForward:
         field = rc.dense_field(tg, _grid(), scenarios=100, dim=1, drift_slope=slope)
         mu, xi = _zero_controls(40, 4, 1)
         with pytest.raises(NonFiniteStateError) as exc:
-            rc.simulate_forward(field, mu, xi, 1.0, 0.0, rc.inert_stock(1), tg, seed=0,
+            rc.simulate_forward(field, mu, xi, 1.0, 0.0, rc.inert_stock(1), tg,
+                                noise=rc.brownian_increments(0, 100, 40, 1, tg.dt),
                                 threads=threads)
         assert (exc.value.component, exc.value.step, exc.value.scenario) == ("x", 5, 70)
         # across the blocks in which x's factors are set up and the paths
@@ -444,7 +456,7 @@ class TestSampleCoefficients:
         grid = _grid()
         model = {"model": "deterministic-constant", "dim": 1,
                  "drift_level": 0.0, "drift_slope": 0.5}
-        field = rc.sample_coefficients(model, tg, grid, scenarios=7, seed=0)
+        field = rc.sample_coefficients(model, tg, grid, scenarios=7)
         for k in (0, 5, 9):
             assert np.all(field.drift_slope_at(k) == 0.5)
             assert np.all(field.drift_level_at(k) == 0.0)
@@ -462,16 +474,16 @@ class TestSampleCoefficients:
             "vol_level": rng.normal(size=(6, 3, 2)).tolist(),
             "vol_slope": rng.normal(size=(6, 3, 2)).tolist(),
         }
-        field = rc.sample_coefficients(model, tg, grid, scenarios=4, seed=0)
+        field = rc.sample_coefficients(model, tg, grid, scenarios=4)
         doc = json.loads(json.dumps(model))
-        field2 = rc.sample_coefficients(doc, tg, grid, scenarios=4, seed=0)
+        field2 = rc.sample_coefficients(doc, tg, grid, scenarios=4)
         for k in range(6):
             assert np.array_equal(field.drift_level_at(k), field2.drift_level_at(k))
             assert np.array_equal(field.vol_slope_at(k), field2.vol_slope_at(k))
         # per-scenario tables come back exactly from their factored form
         model["drift_slope"] = rng.normal(size=(4, 6, 3)).tolist()
         model["vol_level"] = rng.normal(size=(4, 6, 3, 2)).tolist()
-        field = rc.sample_coefficients(model, tg, grid, scenarios=4, seed=0)
+        field = rc.sample_coefficients(model, tg, grid, scenarios=4)
         for k in range(6):
             assert np.array_equal(field.drift_slope_at(k), np.asarray(model["drift_slope"])[:, k])
             assert np.array_equal(field.vol_level_at(k), np.asarray(model["vol_level"])[:, k])
@@ -479,11 +491,11 @@ class TestSampleCoefficients:
 
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown coefficient model"):
-            rc.sample_coefficients({"model": "nope"}, rc.TimeGrid(1.0, 2), _grid(), 1, 0)
+            rc.sample_coefficients({"model": "nope"}, rc.TimeGrid(1.0, 2), _grid(), 1)
         # a misspelled table is refused by name, not built as a zero table
         with pytest.raises(ValueError, match="unknown coefficient keys \\['drift_levle'\\]"):
             rc.sample_coefficients({"model": "tabulated", "drift_levle": 1.0},
-                                   rc.TimeGrid(1.0, 2), _grid(), 1, 0)
+                                   rc.TimeGrid(1.0, 2), _grid(), 1)
 
     # the one broadcasting rule of every tabulated input, on a (4, 3, 2) target:
     # any trailing part repeats, and with scenarios a scenario axis of 1 or S
@@ -549,7 +561,8 @@ class TestMomentDiagnostics:
         grid = _grid()
         field = rc.dense_field(tg, grid, scenarios=5, dim=1)
         mu, xi = _zero_controls(10, 4, 1)
-        b = rc.simulate_forward(field, mu, xi, -2.0, 0.0, rc.inert_stock(1), tg, seed=0)
+        b = rc.simulate_forward(field, mu, xi, -2.0, 0.0, rc.inert_stock(1), tg,
+                                noise=rc.brownian_increments(0, 5, 10, 1, tg.dt))
         rep = rc.moment_diagnostics(b, field, p=3.0)
         assert rep.sup_moment_x == pytest.approx(8.0, abs=1e-12)
         assert not rep.exploded
@@ -560,7 +573,8 @@ class TestMomentDiagnostics:
         grid = _grid()
         field = rc.dense_field(tg, grid, scenarios=scenarios, dim=1)
         mu, xi = _zero_controls(100, 4, 1)
-        b = rc.simulate_forward(field, mu, xi, 0.0, y0, rc.linear_stock(lam, rho, 1, 0), tg, seed=3)
+        b = rc.simulate_forward(field, mu, xi, 0.0, y0, rc.linear_stock(lam, rho, 1, 0), tg,
+                                noise=rc.brownian_increments(3, 4000, 100, 1, tg.dt))
         rep = rc.moment_diagnostics(b, field, p=2.0)
         target = y0 ** 2 * math.exp((2 * lam + rho ** 2) * tg.horizon)
         sq = b.y[:, -1] ** 2
@@ -593,7 +607,8 @@ class TestMomentDiagnostics:
         tg = rc.TimeGrid(1.0, 10)
         field = rc.dense_field(tg, _grid(), scenarios=3, dim=1)
         mu, xi = _zero_controls(10, 4, 1)
-        b = rc.simulate_forward(field, mu, xi, 2.0, 1.0, rc.inert_stock(1), tg, seed=0)
+        b = rc.simulate_forward(field, mu, xi, 2.0, 1.0, rc.inert_stock(1), tg,
+                                noise=rc.brownian_increments(0, 3, 10, 1, tg.dt))
         rep = rc.moment_diagnostics(b, field, p=1e308)
         assert rep.non_finite is False and rep.exploded is True
 

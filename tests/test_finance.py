@@ -85,7 +85,8 @@ class TestProductStructure:
         grid = product_grid(market.maturities, market.consumption)
         model = {"model": "finance", "market": market.to_dict(),
                  "cost_buy": 0.01, "cost_sell": 0.02}
-        field = build_coefficient_field(model, tg, grid, scenarios=20, seed=4)
+        field = build_coefficient_field(model, tg, grid, scenarios=20,
+                                        noise=rc.brownian_increments(4, 20, 5, 2, tg.dt))
         rng = np.random.default_rng(0)
         qw = rng.dirichlet(np.ones(4))
         for ci in range(3):
@@ -103,14 +104,25 @@ class TestProductStructure:
         bad = product_grid([1.5, 2.5], market.consumption)
         model = {"model": "finance", "market": market.to_dict()}
         with pytest.raises(ValueError, match="product of the market's"):
-            build_coefficient_field(model, tg, bad, scenarios=2, seed=0)
+            build_coefficient_field(model, tg, bad, scenarios=2,
+                                    noise=rc.brownian_increments(0, 2, 3, 2, tg.dt))
+
+    def test_noise_is_required(self):
+        market = _market()
+        tg = rc.TimeGrid(1.0, 4)
+        grid = product_grid(market.maturities, market.consumption)
+        model = {"model": "finance", "market": market.to_dict()}
+        for noise in (None, rc.brownian_increments(0, 2, 4, 1, tg.dt)):
+            with pytest.raises(ValueError, match=r"needs noise of shape \(2, 4, 2\)"):
+                rc.sample_coefficients(model, tg, grid, 2, noise)
 
     def test_ho_lee_diffusion_slope(self):
         market = _market(sigma=0.02)
         tg = rc.TimeGrid(1.0, 4)
         grid = product_grid(market.maturities, market.consumption)
         model = {"model": "finance", "market": market.to_dict()}
-        field = build_coefficient_field(model, tg, grid, scenarios=2, seed=0)
+        field = build_coefficient_field(model, tg, grid, scenarios=2,
+                                        noise=rc.brownian_increments(0, 2, 4, 2, tg.dt))
         vs = field.vol_slope_at(1)
         assert np.allclose(vs[0, :, 0], -0.02 * grid.points[:, 0], atol=1e-16)
         assert np.all(vs[0, :, 1] == 0.0)
@@ -282,14 +294,33 @@ class TestPrintedFormulas:
         assert np.array_equal(slack[:, :, 1], second)
 
 
+class TestDiscountedUtility:
+    @pytest.mark.parametrize("utility, f", [("sqrt", np.sqrt), ("log1p", np.log1p),
+                                            ("linear", lambda c: c)])
+    def test_discounted_utility_of_consumption(self, utility, f):
+        running = rc.discounted_utility_running(0.05, utility, sign=-1.0, component=1)
+        pts = product_grid([1.0, 2.0], [0.0, 0.05, 0.2]).points
+        t = np.array([0.0, 0.5, 0.9])
+        table = running.value(t, np.zeros((4, 3)), np.zeros((4, 3)), pts)
+        assert table.shape == (3, 1, 6)
+        assert np.array_equal(table, -np.exp(-0.05 * t)[:, None, None] * f(pts[:, 1]))
+        assert running.dx is None and running.dy is None
+
+    def test_unknown_utility_is_named(self):
+        with pytest.raises(ValueError, match="unknown utility 'cubic'"):
+            rc.discounted_utility_running(0.05, "cubic")
+
+
 class TestShortRateGenerators:
     def test_gaussian_adapted_and_seeded(self):
         market = _market()
         tg = rc.TimeGrid(1.0, 12)
         grid = product_grid(market.maturities, market.consumption)
         model = {"model": "finance", "market": market.to_dict()}
-        f1 = build_coefficient_field(model, tg, grid, scenarios=9, seed=5)
-        f2 = build_coefficient_field(model, tg, grid, scenarios=9, seed=5)
+        f1 = build_coefficient_field(model, tg, grid, scenarios=9,
+                                     noise=rc.brownian_increments(5, 9, 12, 2, tg.dt))
+        f2 = build_coefficient_field(model, tg, grid, scenarios=9,
+                                     noise=rc.brownian_increments(5, 9, 12, 2, tg.dt))
         assert np.array_equal(f1.short_rate, f2.short_rate)
         assert np.all(f1.short_rate[:, 0] == 0.03)
 
@@ -298,7 +329,8 @@ class TestShortRateGenerators:
         tg = rc.TimeGrid(1.0, 10)
         grid = product_grid(market.maturities, market.consumption)
         model = {"model": "finance", "market": market.to_dict()}
-        field = build_coefficient_field(model, tg, grid, scenarios=2000, seed=6)
+        field = build_coefficient_field(model, tg, grid, scenarios=2000,
+                                        noise=rc.brownian_increments(6, 2000, 10, 2, tg.dt))
         # mean-reverting toward the level
         assert field.short_rate[:, -1].mean() < 0.05
         assert field.short_rate[:, -1].mean() > 0.03
@@ -308,8 +340,27 @@ class TestShortRateGenerators:
         tg = rc.TimeGrid(1.0, 20)
         grid = product_grid(market.maturities, market.consumption)
         model = {"model": "finance", "market": market.to_dict()}
-        field = build_coefficient_field(model, tg, grid, scenarios=200, seed=7)
+        field = build_coefficient_field(model, tg, grid, scenarios=200,
+                                        noise=rc.brownian_increments(7, 200, 20, 2, tg.dt))
         assert field.clamp_events > 0
+
+    @pytest.mark.parametrize("rows", [1, 3], ids=["shared", "per-scenario"])
+    def test_tabulated_price_of_risk(self, rows):
+        tg = rc.TimeGrid(1.0, 6)
+        values = np.random.default_rng(4).uniform(0.0, 0.3, size=(rows, 6))
+        market = dataclasses.replace(_market(), market_price_of_risk={
+            "kind": "tabulated", "values": (values[0] if rows == 1 else values).tolist()})
+        grid = product_grid(market.maturities, market.consumption)
+        model = {"model": "finance", "market": market.to_dict()}
+        field = build_coefficient_field(model, tg, grid, scenarios=3,
+                                        noise=rc.brownian_increments(2, 3, 6, 2, tg.dt))
+        assert np.array_equal(field.price_of_risk, values)
+        # drift slope: rate - v(u) * price_of_risk - c, per scenario and point
+        u, c = grid.points.T
+        v = integrated_volatility(market, u)
+        for k in range(6):
+            want = field.short_rate[:, k, None] - values[:, k, None] * v - c
+            np.testing.assert_allclose(field.drift_slope_at(k), want, rtol=0.0, atol=1e-15)
 
     def test_market_dict_round_trip(self):
         market = _market(vol="hull-white", sigma=0.01, c=0.2, clamp=0.01)

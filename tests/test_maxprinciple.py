@@ -89,6 +89,23 @@ class TestHamiltonianSlice:
             hamiltonian_slice(field, 0, 0.0, np.nan, 1.0, np.zeros(1),
                               rc.affine_quadratic_running(cy=1.0), dirac(2, 0), t=0.0)
 
+    def test_scalar_costates_with_scenario_states(self):
+        # scalar x and p with a vector y: the coefficient part is one row,
+        # repeated over the scenarios that the running cost (cy != 0) spans
+        problem = rich_toy(steps=10)
+        field = problem.sample_field(6, 1, problem.noise(6, 1))
+        rng = np.random.default_rng(5)
+        y, P = rng.normal(size=6), rng.normal(size=2)
+        w = rng.dirichlet(np.ones(field.grid.count))
+        for k in (0, 4, 9):
+            slc = hamiltonian_slice(field, k, 0.7, y, -1.3, P, problem.running, w, t=0.4)
+            assert slc.values.shape == (6, field.grid.count) and slc.at_mu.shape == (6,)
+            for s in range(6):
+                one = hamiltonian_slice(field, k, 0.7, y[s], -1.3, P, problem.running, w, t=0.4)
+                assert np.array_equal(slc.values[s], one.values)
+                # BLAS sums a row in an order set by its place in the matrix
+                assert slc.at_mu[s] == pytest.approx(float(one.at_mu), rel=1e-13, abs=1e-15)
+
     def test_affinity_in_measure(self):
         problem = rich_toy(steps=10)
         noise = problem.noise(50, 1)
