@@ -189,21 +189,21 @@ def _path_slopes(integrals, bundle, stock):
     ``integrals`` is ``coefficient_integrals(field, mu)``.  Returns ``at(k)``,
     giving step k's drift slopes (S, 2) and diffusion slopes (S, 2, dim):
     component 0 is x, with the measure-integrated slopes, and component 1 is
-    y, with the stock model's derivatives at ``bundle.y[:, k]``.  Both are
+    the linear stock y, with its constant ``drift`` and ``vol``.  Both are
     F-contiguous views into an aligned block of ``max(1, SETUP_BUDGET // S)``
-    steps, filled by one call of each stock derivative.
+    steps.
     """
     _, slope, _, vol_slope = integrals
-    times, size = bundle.tg.times(), max(1, SETUP_BUDGET // bundle.scenarios)
+    size = max(1, SETUP_BUDGET // bundle.scenarios)
 
     @functools.lru_cache(maxsize=1)
     def block(start):   # F-ordered (S, 2, m) drift and (S, 2, dim, m) diffusion slopes
         s = slice(start, min(start + size, bundle.tg.steps))
-        t, y = times[s], bundle.y[:, s]
-        drift, vol = np.empty((len(t), 2, len(y))).T, np.empty((len(t), bundle.dim, 2, len(y))).T
-        drift[:, 0], drift[:, 1] = slope[:, s], stock.drift_dy(t, y)
+        m, scen = s.stop - start, bundle.scenarios
+        drift, vol = np.empty((m, 2, scen)).T, np.empty((m, bundle.dim, 2, scen)).T
+        drift[:, 0], drift[:, 1] = slope[:, s], stock.drift
         vol[:, 0] = vol_slope[:, s].transpose(0, 2, 1)
-        vol[:, 1] = np.moveaxis(stock.diffusion_dy(t, y), -1, 1)
+        vol[:, 1] = stock.vol[:, None]
         return drift, vol
 
     return lambda k: tuple(a[..., k % size] for a in block(k - k % size))

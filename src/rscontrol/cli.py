@@ -6,8 +6,8 @@ echoing the fully resolved config.  With ``--no-timestamp`` repeated runs
 produce byte-identical outputs.
 
 Exit codes: 0 success (verify: conditions pass), 1 verify failure, 2 invalid
-config or controls, 3 numeric overflow (a simulated path, the adjoint or
-every cost sample non-finite).
+config or controls (a run too large for memory included), 3 numeric overflow
+(a simulated path, the adjoint or every cost sample non-finite).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import dataclasses
 import datetime
 import json
 import math
+import reprlib
 import sys
 from dataclasses import MISSING, dataclass
 from pathlib import Path
@@ -142,21 +143,22 @@ def _validate(value, spec, path: str) -> None:
                   and (float(value).is_integer() or not spec.integer))
         if not (number and spec.low <= value <= spec.high):
             kind = "an integer" if spec.integer else "a number"
-            raise ConfigError(f"{path} must be {kind} in [{spec.low}, {spec.high}], got {value!r}")
+            raise ConfigError(f"{path} must be {kind} in [{spec.low}, {spec.high}], "
+                              f"got {reprlib.repr(value)}")
     elif spec is bool or spec is str:
         if not isinstance(value, spec):
             kind = "true or false" if spec is bool else "a string"
-            raise ConfigError(f"{path} must be {kind}, got {value!r}")
+            raise ConfigError(f"{path} must be {kind}, got {reprlib.repr(value)}")
     elif isinstance(spec, tuple):
         block = next((alt for alt in spec if isinstance(alt, dict)), None)
         if isinstance(value, dict) and block is not None:
             _validate(value, block, path)
         elif not (isinstance(value, str) and value in spec):
             choices = " or ".join(repr(alt) if isinstance(alt, str) else "an object" for alt in spec)
-            raise ConfigError(f"{path} must be {choices}, got {value!r}")
+            raise ConfigError(f"{path} must be {choices}, got {reprlib.repr(value)}")
     elif spec is not None:   # a block, or a _ByKind
         if not isinstance(value, dict):
-            raise ConfigError(f"{path or 'config'} must be an object, got {value!r}")
+            raise ConfigError(f"{path or 'config'} must be an object, got {reprlib.repr(value)}")
         if isinstance(spec, _ByKind):
             _validate(value.get("kind"), tuple(spec.blocks), f"{path}.kind")
             spec = spec.blocks[value["kind"]]
@@ -532,6 +534,9 @@ def main(argv=None) -> int:
             return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:   # numpy refuses an array beyond memory before filling it
+        print(f"config error: scenarios: the run does not fit in memory ({exc})", file=sys.stderr)
         return 2
     except (NonFiniteStateError, FloatingPointError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

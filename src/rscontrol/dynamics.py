@@ -2,21 +2,23 @@
 
 The first state component is affine in itself with random, action-indexed
 coefficients (drift ``level + slope * x``, diffusion ``vol_level +
-vol_slope * x``) integrated against the relaxed control; the second follows
-user-supplied
-drift/diffusion callbacks.  Both receive additive jumps from the singular
-control.  Time stepping is explicit Euler-Maruyama on a uniform grid, with
-each jump increment applied inside its step:
+vol_slope * x``) integrated against the relaxed control; the second is a
+linear stock with a constant drift rate and volatility row (``StockModel``).
+Both receive additive jumps from the singular control.  Time stepping is
+explicit Euler-Maruyama on a uniform grid, with each jump increment applied
+inside its step:
 
     x[k+1] = x[k] + (level + slope * x[k]) dt
                   + (vol_level + vol_slope * x[k]) . dW[k]
                   + gain_x[k] . dxi[k]
+    y[k+1] = y[k] + y[k] (drift dt + vol . dW[k]) + gain_y[k] . dxi[k]
 
-Since none of the coefficients depends on x, that step is computed as
-``x[k+1] = x[k] * a[k] + b[k]``, with the multiplier ``a = (1 + slope dt) +
-vol_slope . dW`` (the step factor of the fundamental flow) and the offset
-``b = (level dt + vol_level . dW) + gain_x . dxi``; both are set up for a
-block of steps at a time.
+Since no coefficient depends on the state, each step is computed as
+``state[k+1] = state[k] * a[k] + b[k]``.  x's multiplier is ``a = (1 +
+slope dt) + vol_slope . dW`` and its offset ``b = (level dt + vol_level .
+dW) + gain_x . dxi``; y's multiplier is ``(1 + drift dt) + vol . dW`` and its
+offset its jump.  Each multiplier is the step factor of its component's
+fundamental flow, and all are set up for a block of steps at a time.
 
 Each coefficient is a short sum of scenario factors times point tables
 (``Factored``), summed in one fixed order everywhere, so integrating against
@@ -32,7 +34,6 @@ reads and writes one contiguous block per step; the layout changes no value.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ from .measures import ActionGrid, RelaxedControl, SingularControl
 from .measures import integrate_against  # noqa: F401  (perfbench wraps this module attribute)
 
 NOISE_BLOCK = 256   # scenarios per generator call in ``brownian_increments``
-FACTOR_BUDGET = 65536   # scenario-steps of x's step factors set up at once in ``simulate_forward``
+FACTOR_BUDGET = 65536   # scenario-steps of step factors set up at once in ``simulate_forward``
 # the tables of a canonical coefficient model, ``dense_field``'s keyword inputs
 COEFFICIENT_TABLES = ("drift_level", "drift_slope", "vol_level", "vol_slope",
                       "jump_gain_x", "jump_gain_y")
@@ -268,44 +269,36 @@ def coefficient_integrals(field: CoefficientField, mu: RelaxedControl):
                  (field.drift_level, field.drift_slope, field.vol_level, field.vol_slope))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StockModel:
-    """Drift/diffusion callbacks for the second state component.
+    """The linear second component, ``dy = y (drift dt + vol . dW)`` plus its
+    singular jumps: a constant drift rate and a constant (dim,) volatility
+    row, both finite."""
 
-    Each callable maps (t, y) to y's shape for the drift and its y-derivative,
-    and to y's shape + (dim,) for the diffusion and its y-derivative.  y is
-    (scenarios,), or for the derivatives also an (S, m) block with (m,) times.
-    """
+    drift: float
+    vol: np.ndarray
 
-    drift: callable
-    drift_dy: callable
-    diffusion: callable
-    diffusion_dy: callable
+    def __post_init__(self):
+        drift, vol = float(self.drift), np.array(self.vol, dtype=float)
+        if vol.ndim != 1 or not (np.isfinite(drift) and np.isfinite(vol).all()):
+            raise ValueError("stock drift must be a finite number and vol a finite vector")
+        vol.flags.writeable = False
+        object.__setattr__(self, "drift", drift)
+        object.__setattr__(self, "vol", vol)
 
 
 def linear_stock(lam: float, rho: float, dim: int, component: int = 1) -> StockModel:
     """Geometric-Brownian stock: drift lam*y, diffusion rho*y on one noise axis."""
     if not 0 <= component < dim:
         raise ValueError("driving component outside the Brownian dimension")
-    unit = np.zeros(dim)
-    unit[component] = 1.0
-
-    return StockModel(
-        drift=lambda t, y: lam * y,
-        drift_dy=lambda t, y: np.full_like(y, lam),
-        diffusion=lambda t, y: np.multiply((rho * y)[:, None], unit, order="F"),
-        diffusion_dy=lambda t, y: np.broadcast_to(rho * unit, y.shape + (dim,)),
-    )
+    vol = np.zeros(dim)
+    vol[component] = rho
+    return StockModel(lam, vol)
 
 
 def inert_stock(dim: int) -> StockModel:
     """Constant second component (zero drift and diffusion)."""
-    return StockModel(
-        drift=lambda t, y: np.zeros_like(y),
-        drift_dy=lambda t, y: np.zeros_like(y),
-        diffusion=lambda t, y: np.zeros((y.shape[0], dim)),
-        diffusion_dy=lambda t, y: np.zeros(y.shape + (dim,)),
-    )
+    return StockModel(0.0, np.zeros(dim))
 
 
 def sample_coefficients(
@@ -383,22 +376,6 @@ def _dot_last(a, b, out=None, product=None) -> np.ndarray:
     return product.sum(axis=-1, out=out)
 
 
-def _x_factors(integrals, dw, jump_x, dt, a, b, sums, product):
-    """Multipliers and offsets of x's Euler steps, ``x[k+1] = x[k] * a + b``,
-    for the steps of ``dw`` (S, m, dim) and the matching (S|1, m[, dim])
-    ``integrals``, written into ``a`` and ``b`` with ``sums`` and ``product``
-    as scratch buffers.  ``a`` is ``(1 + slope dt) + vol_slope . dW``,
-    bit for bit the fundamental flow's step factor, and ``b`` is
-    ``(level dt + vol_level . dW) + jump``."""
-    lev, slo, vlev, vslo = integrals
-    np.add(1.0, np.multiply(slo, dt, out=a), out=a)
-    a += _dot_last(vslo, dw, sums, product)
-    np.multiply(lev, dt, out=b)
-    b += _dot_last(vlev, dw, sums, product)
-    b += jump_x
-    return a, b
-
-
 def _check_finite(x, y, start: int, stop: int, first: int) -> None:
     """Raise for the earliest non-finite state of steps ``start + 1 .. stop``:
     by step, then x before y, then scenario (``first`` offsets the index)."""
@@ -413,38 +390,49 @@ def _check_finite(x, y, start: int, stop: int, first: int) -> None:
 
 
 def _simulate_block(integrals, stock, tg, noise, x, y, first, jump_x, jump_y, buffers):
-    """Euler steps for the scenario block at rows ``first``.. of ``integrals``,
-    written into its rows ``x``, ``y`` of the shared paths (step 0 is set).
-    x's factors are set up in the block's rows of the factor ``buffers``,
-    as many steps at a time as they hold; the paths are checked once per
-    such block of steps."""
+    """Euler steps ``state * a + b`` for the scenario block at rows ``first``..
+    of ``integrals``, written into its rows ``x``, ``y`` of the shared paths
+    (step 0 is set).  The multipliers are the flows' step factors, x's ``(1 +
+    slope dt) + vol_slope . dW`` and y's ``(1 + drift dt) + vol . dW``, and
+    x's offset is ``(level dt + vol_level . dW) + jump``.  They are set up in
+    the block's rows of the factor ``buffers`` (multipliers, offsets, Brownian
+    sums, Brownian products; y's multipliers in the sums once x's factors are
+    done), as many steps at a time as they hold; the paths are checked once
+    per such block of steps."""
     dt, size = tg.dt, buffers[0].shape[1]
-    times = tg.times()
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, tg.steps, size):
             stop = min(start + size, tg.steps)
-            span = slice(start, stop)
-            a, b = _x_factors(tuple(c[:, span] for c in integrals), noise[:, span], jump_x[span],
-                              dt, *(buf[:, :stop - start] for buf in buffers))
+            span, dw = slice(start, stop), noise[:, start:stop]
+            a, b, sums, product = (buf[:, :stop - start] for buf in buffers)
+            lev, slo, vlev, vslo = (c[:, span] for c in integrals)
+            np.add(1.0, np.multiply(slo, dt, out=a), out=a)
+            a += _dot_last(vslo, dw, sums, product)
+            np.multiply(lev, dt, out=b)
+            b += _dot_last(vlev, dw, sums, product)
+            b += jump_x[span]
+            a_y = _dot_last(stock.vol, dw, sums, product)
+            a_y += 1.0 + stock.drift * dt
             for k in range(start, stop):
                 xn = np.multiply(x[:, k], a[:, k - start], out=x[:, k + 1])
                 xn += b[:, k - start]
-                yk = y[:, k]
-                sy = stock.diffusion(times[k], yk)
-                yn = np.add(yk, stock.drift(times[k], yk) * dt, out=y[:, k + 1])
-                yn += _dot_last(sy, noise[:, k])
+                yn = np.multiply(y[:, k], a_y[:, k - start], out=y[:, k + 1])
                 yn += jump_y[k]
             _check_finite(x, y, start, stop, first)
 
 
-def _forward_inputs(field, mu, xi, tg, noise):
-    """Check the controls and noise of a forward simulation; returns x's and y's per-step jumps."""
+def _forward_inputs(field, mu, xi, stock, tg, noise):
+    """Check the controls, stock and noise of a forward simulation; returns
+    x's and y's per-step jumps."""
     if mu.steps != tg.steps or xi.steps != tg.steps:
         raise ValueError("controls must have one row per time step")
     if mu.count != field.grid.count:
         raise ValueError("relaxed control does not match the field's grid")
     if xi.dim != field.dim:
         raise ValueError("singular control dimension does not match the field")
+    if stock.vol.shape != (field.dim,):
+        raise ValueError(f"stock vol of length {len(stock.vol)} does not match the field's "
+                         f"{field.dim} Brownian axes")
     if noise.shape != (field.scenarios, tg.steps, field.dim):
         raise ValueError(f"noise shape {noise.shape} does not match the field")
     return tuple((gain * xi.increments).sum(axis=1)
@@ -453,15 +441,15 @@ def _forward_inputs(field, mu, xi, tg, noise):
 
 def _euler_paths(integrals, jumps, x0, y0, stock, tg, noise, threads=1):
     """The Euler paths x, y (S, steps + 1) of the per-step x coefficients
-    ``integrals`` (S|1, steps[, dim]) and the per-step ``jumps`` of x and y,
-    run on up to ``threads`` scenario chunks.  Raises the NonFiniteStateError
-    that a serial pass meets first."""
+    ``integrals`` (S|1, steps[, dim]), the linear ``stock`` and the per-step
+    ``jumps`` of x and y, run on up to ``threads`` scenario chunks.  Raises
+    the NonFiniteStateError that a serial pass meets first."""
     scenarios = noise.shape[0]
     x = np.empty((scenarios, tg.steps + 1), order="F")
     y = np.empty_like(x)
     x[:, 0], y[:, 0] = x0, y0
-    # ``_x_factors``' buffers for one block of steps; allocated here, not in
-    # the threads, so that they never grow a thread's allocation arena
+    # ``_simulate_block``'s buffers for one block of steps; allocated here, not
+    # in the threads, so that they never grow a thread's allocation arena
     shape = (scenarios, min(tg.steps, max(1, FACTOR_BUDGET // max(1, scenarios))))
     buffers = (*(np.empty(shape, order="F") for _ in range(3)),
                np.empty(shape + noise.shape[2:], order=_product_order(noise.shape[2])))
@@ -481,6 +469,8 @@ def _euler_paths(integrals, jumps, x0, y0, stock, tg, noise, threads=1):
     if chunks == 1:
         errors = [run(0)]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=chunks) as pool:
             errors = list(pool.map(run, range(chunks)))
     errors = [exc for exc in errors if exc is not None]
@@ -509,7 +499,8 @@ def simulate_forward(
     mu, xi : controls
         Relaxed weights and singular increments; shapes must match the field.
     stock : StockModel
-        Drift/diffusion callbacks for the second component.
+        Drift rate and volatility row of the linear second component; its
+        ``vol`` must have one entry per Brownian axis of the field.
     noise : ndarray
         Brownian increments of shape (scenarios, steps, dim), such as
         ``ControlProblem.noise`` draws.  Passing the noise that sampled the
@@ -521,11 +512,13 @@ def simulate_forward(
 
     Raises
     ------
+    ValueError
+        If the controls, the stock or the noise do not match the field.
     NonFiniteStateError
         If a path overflows; the error names the step and scenario, the
         same ones at every thread count.
     """
-    jumps = _forward_inputs(field, mu, xi, tg, noise)
+    jumps = _forward_inputs(field, mu, xi, stock, tg, noise)
     x, y = _euler_paths(coefficient_integrals(field, mu), jumps, x0, y0, stock, tg, noise, threads)
     return TrajectoryBundle(tg=tg, x=x, y=y, noise=noise, mu=mu, xi=xi)
 
@@ -550,7 +543,7 @@ def simulate_forward_strict(
     if idx.shape != (tg.steps,):
         raise ValueError("need one grid index per time step")
     mu = RelaxedControl.from_indices(idx, field.grid.count)   # raises on an index off the grid
-    jumps = _forward_inputs(field, mu, xi, tg, noise)
+    jumps = _forward_inputs(field, mu, xi, stock, tg, noise)
     gathered = tuple(np.stack([at(k)[:, j] for k, j in enumerate(idx.tolist())], axis=1)
                      for at in (field.drift_level_at, field.drift_slope_at,
                                 field.vol_level_at, field.vol_slope_at))

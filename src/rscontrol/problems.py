@@ -1,4 +1,4 @@
-"""Problem containers: cost functions, stock callbacks and the assembled instance."""
+"""Problem containers: cost functions, the linear stock model and the assembled instance."""
 
 from __future__ import annotations
 
@@ -165,8 +165,8 @@ class ControlProblem:
     """A full mixed relaxed-singular control instance.
 
     Couples the time/action grids, the coefficient model specification, the
-    second-component callbacks, the three cost pieces and the singular
-    marginal cost path.  ``dim`` is the shared Brownian / singular dimension.
+    linear stock model of the second component, the three cost pieces and
+    the singular marginal cost path.  ``dim`` is the shared Brownian / singular dimension.
     """
 
     tg: TimeGrid

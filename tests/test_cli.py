@@ -265,6 +265,37 @@ class TestValidation:
         assert len(lines) == 1 and lines[0].startswith("config error: ") and named in lines[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "optimize"])
+    def test_scenarios_beyond_memory(self, tmp_path, capsys, command):
+        # 2**52 scenarios of 50 steps on 2 axes: 3.6e18 bytes of noise, under
+        # the addressable bound but beyond any memory, so numpy refuses the
+        # array before allocating it
+        cfg = {**example_bond_config(), "scenarios": 2**52, "output_dir": str(tmp_path / "out")}
+        assert main([command, "--config", _write(tmp_path / "c.json", cfg)]) == 2
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: scenarios: ")
+        assert "EiB" in lines[0] and len(lines[0]) < 200 and "Traceback" not in err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("path, value", [("time.horizon", 10**400),
+                                             ("time.horizon", "1" * 1000),
+                                             ("scenarios", [1] * 1000),
+                                             ("problem.tv_cap", {str(i): i for i in range(1000)})],
+                             ids=["horizon-beyond-float", "horizon-long-string",
+                                  "scenarios-long-list", "tv_cap-large-object"])
+    def test_refused_value_echoed_abbreviated(self, tmp_path, capsys, path, value):
+        cfg = _toy_config(tmp_path / "out")
+        *sections, key = path.split(".")
+        block = cfg
+        for section in sections:
+            block = block[section]
+        block[key] = value
+        assert main(["simulate", "--config", _write(tmp_path / "c.json", cfg)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"config error: {path} must be ")
+        assert len(lines[0]) < 200
+
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one(self, tmp_path, capsys, threads):
         cfg = _toy_config(tmp_path / "out")

@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,9 +193,9 @@ class TestSimulateForward:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("per_scenario", [False, True])
     def test_x_is_the_fundamental_flow(self, per_scenario, threads):
-        # with zero drift and vol levels and no jumps, x from x0 = 1 is the
-        # flow of its linearization: x's multiplier is the flow's step factor
-        # bit for bit, over 3 blocks of 7 steps
+        # with zero drift and vol levels and no jumps, x from x0 = 1 and y
+        # from y0 = 1 are the flows of their linearizations: each multiplier
+        # is its flow's step factor bit for bit, over 3 blocks of 7 steps
         scenarios, n = FACTOR_BUDGET // 7, 20
         tg = rc.TimeGrid(1.0, n)
         rng = np.random.default_rng(12)
@@ -208,6 +212,16 @@ class TestSimulateForward:
         slopes = _path_slopes(coefficient_integrals(field, mu), bundle, stock)
         flow = _flows(slopes, bundle)
         assert np.array_equal(bundle.x, flow[:, 0])
+        assert np.array_equal(bundle.y, flow[:, 1])
+
+    def test_thread_pool_loaded_only_by_threaded_runs(self):
+        # importing the package and its CLI leaves concurrent.futures, with the
+        # logging and queue modules it loads, to the first threaded run
+        code = "import sys, rscontrol, rscontrol.cli; print('concurrent.futures' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(rc.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_memory_bounded_by_factor_budget(self):
         # beyond its paths, a pass holds the buffers of one block of x's
@@ -236,34 +250,37 @@ class TestSimulateForward:
                     tracemalloc.stop()
                 assert peak - bundle.x.nbytes - bundle.y.nbytes < bound
 
-    def _strict_case(self):
+    def _strict_case(self, monkeypatch):
         tg = rc.TimeGrid(1.0, 10)
         field = rc.dense_field(tg, _grid(), scenarios=5, dim=2, drift_level=[0.0, 0.1, 0.2, 0.3],
                                vol_level=[0.2, 0.0])
         calls = []
+        euler_paths = rc.dynamics._euler_paths
 
-        def drift(t, y):
-            calls.append(t)
-            return np.zeros_like(y)
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return euler_paths(*args, **kwargs)
 
-        stock = rc.StockModel(drift=drift, drift_dy=drift,
-                              diffusion=lambda t, y: np.zeros((y.shape[0], 2)),
-                              diffusion_dy=lambda t, y: np.zeros((y.shape[0], 2)))
-        return tg, field, stock, calls
+        monkeypatch.setattr(rc.dynamics, "_euler_paths", recording)
+        return tg, field, rc.inert_stock(2), calls
 
     @pytest.mark.parametrize("index", [-1, 4])
-    def test_strict_index_off_grid_raises_before_simulating(self, index):
-        tg, field, stock, calls = self._strict_case()
+    def test_strict_index_off_grid_raises_before_simulating(self, monkeypatch, index):
+        tg, field, stock, calls = self._strict_case(monkeypatch)
         idx = np.zeros(10, dtype=int)
         idx[3] = index
         with pytest.raises(IndexError, match="outside the grid"):
             rc.simulate_forward_strict(field, idx, SingularControl.zero(10, 2), 1.0, 1.0,
                                        stock, tg, noise=rc.brownian_increments(0, 5, 10, 2, tg.dt))
         assert calls == []
+        rc.simulate_forward_strict(field, np.zeros(10, dtype=int), SingularControl.zero(10, 2),
+                                   1.0, 1.0, stock, tg,
+                                   noise=rc.brownian_increments(0, 5, 10, 2, tg.dt))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("case", ["noise-shape", "control-steps", "singular-dim"])
-    def test_strict_checks_inputs_up_front(self, case):
-        tg, field, stock, calls = self._strict_case()
+    def test_strict_checks_inputs_up_front(self, monkeypatch, case):
+        tg, field, stock, calls = self._strict_case(monkeypatch)
         xi = SingularControl.zero(10, 2)
         noise = rc.brownian_increments(0, 5, 10, 2, tg.dt)
         if case == "noise-shape":
@@ -276,6 +293,33 @@ class TestSimulateForward:
             rc.simulate_forward_strict(field, np.zeros(10, dtype=int), xi, 1.0, 1.0, stock, tg,
                                        noise=noise)
         assert calls == []
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_stock_vol_of_wrong_length_refused(self, monkeypatch, strict, dim):
+        tg, field, _, calls = self._strict_case(monkeypatch)
+        stock, xi = rc.inert_stock(dim), SingularControl.zero(10, 2)
+        noise = rc.brownian_increments(0, 5, 10, 2, tg.dt)
+        with pytest.raises(ValueError, match=f"stock vol of length {dim} .* 2 Brownian axes"):
+            if strict:
+                rc.simulate_forward_strict(field, np.zeros(10, dtype=int), xi, 1.0, 1.0, stock,
+                                           tg, noise=noise)
+            else:
+                rc.simulate_forward(field, RelaxedControl.uniform(10, 4), xi, 1.0, 1.0, stock,
+                                    tg, noise=noise)
+        assert calls == []
+
+    @pytest.mark.parametrize("drift, vol", [(np.nan, [0.0, 0.2]), (np.inf, [0.0, 0.2]),
+                                            (0.05, [0.0, np.inf]), (0.05, [[0.2]])])
+    def test_stock_model_refuses_non_finite_or_non_vector(self, drift, vol):
+        with pytest.raises(ValueError, match="stock drift must be a finite number"):
+            rc.StockModel(drift, vol)
+
+    def test_stock_model_holds_its_constants(self):
+        stock = rc.linear_stock(0.05, 0.2, 3, component=1)
+        assert stock.drift == 0.05 and np.array_equal(stock.vol, [0.0, 0.2, 0.0])
+        assert not stock.vol.flags.writeable
+        assert rc.inert_stock(2).drift == 0.0 and np.array_equal(rc.inert_stock(2).vol, [0, 0])
 
     def test_linearity_in_state(self):
         tg = rc.TimeGrid(1.0, 30)
@@ -421,11 +465,8 @@ class TestSimulateForward:
         tg = rc.TimeGrid(1.0, n)
         field = rc.dense_field(tg, _grid(), scenarios=scenarios, dim=2, drift_slope=0.1,
                                vol_level=[10.0, 0.0])
-        unit = np.array([0.0, 10.0])
-        stock = rc.StockModel(drift=lambda t, y: np.zeros_like(y),
-                              drift_dy=lambda t, y: np.zeros_like(y),
-                              diffusion=lambda t, y: np.broadcast_to(unit, (y.shape[0], 2)),
-                              diffusion_dy=lambda t, y: np.zeros((y.shape[0], 2)))
+        # y0 = 1: a huge increment on axis 1 makes y's multiplier 1 + 10 * dW infinite
+        stock = rc.linear_stock(0.0, 10.0, 2, component=1)
         idx = np.zeros(n, dtype=int)
         mu, xi = RelaxedControl.from_indices(idx, 4), SingularControl.zero(n, 2)
         base = rc.brownian_increments(2, scenarios, n, 2, tg.dt)

@@ -267,12 +267,9 @@ class TestPrintedFormulas:
     def test_stock_adjoint_driver(self):
         _, params, problem, field = self._field(sign=-1.0)
         rng = np.random.default_rng(3)
-        y = rng.normal(size=5)
         p = rng.normal(size=5)
         P = rng.normal(size=(5, 2))
-        bdy = problem.stock.drift_dy(0.2, y)
-        sdy = problem.stock.diffusion_dy(0.2, y)
-        generic = bdy * p + (sdy * P).sum(-1)
+        generic = problem.stock.drift * p + (problem.stock.vol * P).sum(-1)
         printed = params.stock_drift * p + params.stock_vol * P[:, 1]
         assert np.allclose(generic, printed, atol=1e-14)
 
