@@ -20,13 +20,13 @@ with state-dependent diffusion slopes the fundamental-solution method
 acquires a projection bias because the flow itself is an extra state, so the
 regression scheme is preferred for production runs.
 
-Both adjoints and the first variation (in :mod:`rscontrol.optimizer`) read
-one per-step linearization of both state components, ``_path_slopes``, and
-carry x and y on one component axis.  The fundamental flow has one
-recurrence, ``_flows``, which the fundamental-solution adjoint runs as its
-forward pass, evaluating each step's slopes once; the first variation
-shares its Euler step factor, ``_step_factor``.  Both backward loops are
-step-major: every per-step (S, 2) and (S, 2, dim) operand, the fits
+Both backward loops read one per-step linearization of both state
+components, ``_path_slopes``, and carry x and y on one component axis.  The
+fundamental flows, ``_flows``, which the fundamental-solution adjoint runs
+as its forward pass, are the forward simulation's own Euler loop
+(``dynamics._euler_paths``) from 1 with zero levels and jumps, as the first
+variation (in :mod:`rscontrol.optimizer`) is from 0.  Both backward loops
+are step-major: every per-step (S, 2) and (S, 2, dim) operand, the fits
 included, has its scenarios contiguous.
 """
 
@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CoefficientField, StockModel, TrajectoryBundle, coefficient_integrals
-from .dynamics import _dot_last
+from .dynamics import CoefficientField, NonFiniteStateError, StockModel, TrajectoryBundle
+from .dynamics import _dot_last, _euler_paths, coefficient_integrals
 from .measures import RelaxedControl, integrate_against  # noqa: F401  (perfbench wraps integrate_against)
 from .problems import RunningCost, TerminalCost, _running_rows
 
@@ -191,7 +191,7 @@ def _path_slopes(integrals, bundle, stock):
     component 0 is x, with the measure-integrated slopes, and component 1 is
     the linear stock y, with its constant ``drift`` and ``vol``.  Both are
     F-contiguous views into an aligned block of ``max(1, SETUP_BUDGET // S)``
-    steps.
+    steps; the backward loops read each step once, so each block is filled once.
     """
     _, slope, _, vol_slope = integrals
     size = max(1, SETUP_BUDGET // bundle.scenarios)
@@ -209,22 +209,20 @@ def _path_slopes(integrals, bundle, stock):
     return lambda k: tuple(a[..., k % size] for a in block(k - k % size))
 
 
-def _step_factor(slo, vslo, dw, dt):
-    """The Euler factor ``1 + slope dt + vol_slope . dW`` of one step of the
-    homogeneous linear SDE, for step slopes of ``_path_slopes`` and the step's
-    Brownian increments ``dw`` (S, dim)."""
-    return 1.0 + slo * dt + _dot_last(vslo, dw[:, None])
-
-
-def _flows(slopes, bundle):
+def _flows(integrals, bundle, stock):
     """The fundamental flows of both components, (S, 2, steps + 1) and
-    step-major: products of the ``_step_factor`` of the per-step ``slopes``
-    of ``_path_slopes``."""
-    n, dt = bundle.tg.steps, bundle.tg.dt
+    step-major: the paths of ``_euler_paths`` from 1 on the slopes of
+    ``integrals`` (``coefficient_integrals(field, mu)``) and ``stock``, with
+    zero levels and jumps.  A flow that overflows raises FloatingPointError."""
+    n, zero = bundle.tg.steps, np.zeros(bundle.tg.steps)
+    homogeneous = (zero[None], integrals[1], np.zeros((1, n, bundle.dim)), integrals[3])
     flow = np.empty((bundle.scenarios, 2, n + 1), order="F")
-    flow[:, :, 0] = 1.0
-    for k in range(n):
-        flow[:, :, k + 1] = flow[:, :, k] * _step_factor(*slopes(k), bundle.noise[:, k], dt)
+    try:
+        flow[:, 0], flow[:, 1] = _euler_paths(homogeneous, (zero, zero), 1.0, 1.0, stock,
+                                              bundle.tg, bundle.noise)
+    except NonFiniteStateError as exc:
+        raise FloatingPointError(f"adjoint path p{exc.component} contains non-finite values "
+                                 f"(its flow: {exc})") from None
     return flow
 
 
@@ -269,12 +267,13 @@ def solve_adjoint_phi(
     components share one projector per step.  Terminal slices are set to the
     exact gradients.
     """
-    slopes = _path_slopes(coefficient_integrals(field, mu), bundle, stock)
+    integrals = coefficient_integrals(field, mu)
+    slopes = _path_slopes(integrals, bundle, stock)
     n, dt = bundle.tg.steps, bundle.tg.dt
     scen, d = bundle.scenarios, bundle.dim
     xn, yn = bundle.x[:, n], bundle.y[:, n]
     load = np.empty((scen, 2, n, d), order="F")
-    flow = _flows(slopes, bundle)
+    flow = _flows(integrals, bundle, stock)
     deflator = 1.0 / flow
 
     # axis 1 indexes the component: 0 for x, 1 for y

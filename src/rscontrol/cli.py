@@ -19,6 +19,7 @@ import datetime
 import json
 import math
 import reprlib
+import shutil
 import sys
 from dataclasses import MISSING, dataclass
 from pathlib import Path
@@ -352,6 +353,8 @@ def _prepare(args):
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
     outdir = Path(cfg["output_dir"])
+    # the top directory this run makes, which ``main`` removes if numpy refuses the run for memory
+    args.made = next((p for p in reversed((outdir, *outdir.parents)) if not p.exists()), None)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -536,6 +539,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:   # numpy refuses an array beyond memory before filling it
+        if getattr(args, "made", None) is not None:   # leave no directory of the run's own
+            shutil.rmtree(args.made, ignore_errors=True)
         print(f"config error: scenarios: the run does not fit in memory ({exc})", file=sys.stderr)
         return 2
     except (NonFiniteStateError, FloatingPointError) as exc:

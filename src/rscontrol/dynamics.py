@@ -17,8 +17,9 @@ Since no coefficient depends on the state, each step is computed as
 ``state[k+1] = state[k] * a[k] + b[k]``.  x's multiplier is ``a = (1 +
 slope dt) + vol_slope . dW`` and its offset ``b = (level dt + vol_level .
 dW) + gain_x . dxi``; y's multiplier is ``(1 + drift dt) + vol . dW`` and its
-offset its jump.  Each multiplier is the step factor of its component's
-fundamental flow, and all are set up for a block of steps at a time.
+offset its jump.  All are set up for a block of steps at a time.  This loop,
+``_euler_paths``, is the one linear recurrence: the fundamental flows of the
+adjoint are its paths from 1 with zero levels and jumps.
 
 Each coefficient is a short sum of scenario factors times point tables
 (``Factored``), summed in one fixed order everywhere, so integrating against
@@ -352,11 +353,6 @@ class TrajectoryBundle:
         return self.noise.shape[2]
 
 
-def _affine_columns(level, slope, x) -> np.ndarray:
-    """``level + slope * x[:, None]``, step-major so numpy loops over scenarios."""
-    return np.add(level, np.multiply(slope, x[:, None], order="F"), order="F")
-
-
 def _product_order(dim: int) -> str:
     """Memory order of a product summed over its last axis of length ``dim``:
     step-major, so that numpy adds whole columns instead of looping over
@@ -443,7 +439,8 @@ def _euler_paths(integrals, jumps, x0, y0, stock, tg, noise, threads=1):
     """The Euler paths x, y (S, steps + 1) of the per-step x coefficients
     ``integrals`` (S|1, steps[, dim]), the linear ``stock`` and the per-step
     ``jumps`` of x and y, run on up to ``threads`` scenario chunks.  Raises
-    the NonFiniteStateError that a serial pass meets first."""
+    the NonFiniteStateError that a serial pass meets first.  With zero levels
+    and jumps each offset ``(0 dt + 0 . dW) + 0`` is a zero: each step is ``state * a``."""
     scenarios = noise.shape[0]
     x = np.empty((scenarios, tg.steps + 1), order="F")
     y = np.empty_like(x)

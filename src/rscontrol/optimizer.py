@@ -15,11 +15,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adjoint import _gradient_paths, _path_slopes, _step_factor
-from .adjoint import solve_adjoint_regression
+from .adjoint import _gradient_paths, solve_adjoint_regression
 from .adjoint import solve_adjoint_phi  # noqa: F401  (perfbench wraps this module attribute)
-from .dynamics import CoefficientField, TrajectoryBundle, coefficient_integrals
-from .dynamics import _affine_columns, _dot_last
+from .dynamics import CoefficientField, TrajectoryBundle, _euler_paths, coefficient_integrals
 from .maxprinciple import VariationalDerivative, _derivative, _mean_argmax, _mean_stderr
 from .maxprinciple import gap_tolerance, slack_paths
 from .maxprinciple import variational_derivative  # noqa: F401  (perfbench wraps this module attribute)
@@ -97,32 +95,25 @@ def solve_first_variation(
     are driven by the jump gains against (eta - xi); beta carries the same
     homogeneous part and is driven by the drift/diffusion increments from
     replacing the base measure by the direction measure along the base path.
-    Reuses the bundle's Brownian increments.
+    Each is a path from 0 of the forward Euler loop (``_euler_paths``) on the
+    bundle's noise: alpha with zero levels and the direction's jumps, beta the
+    x path with those increments as levels.  A sensitivity that overflows
+    raises NonFiniteStateError naming its step (x for alpha_x and beta).
     """
     q, eta = direction
-    n, dt = bundle.tg.steps, bundle.tg.dt
-    scen = bundle.scenarios
+    n, zero = bundle.tg.steps, np.zeros(bundle.tg.steps)
     gains = np.stack([fieldref.jump_gain_x, fieldref.jump_gain_y], axis=1)
     jump = (gains * (eta.increments - bundle.xi.increments)[:, None]).sum(axis=-1)
-
-    # axis 1 of alpha indexes the component: 0 for x, 1 for y
-    alpha = np.zeros((scen, 2, n + 1), order="F")
-    beta = np.zeros((scen, n + 1), order="F")
-    at_mu = coefficient_integrals(fieldref, mu)
-    slopes = _path_slopes(at_mu, bundle, stock)
-    d_lev, d_slo, d_vlev, d_vslo = (
-        b - a for a, b in zip(at_mu, coefficient_integrals(fieldref, q))
-    )
-    for k in range(n):
-        dw = bundle.noise[:, k]
-        xk = bundle.x[:, k]
-        slo, vslo = slopes(k)
-        growth = _step_factor(slo, vslo, dw, dt)
-        alpha[:, :, k + 1] = alpha[:, :, k] * growth + jump[k]
-        drift_diff = d_lev[:, k] + d_slo[:, k] * xk
-        vol_diff = _affine_columns(d_vlev[:, k], d_vslo[:, k], xk)
-        beta[:, k + 1] = beta[:, k] * growth[:, 0] + drift_diff * dt + _dot_last(vol_diff, dw)
-    return FirstVariation(alpha_x=alpha[:, 0], alpha_y=alpha[:, 1], beta=beta)
+    _, slo, _, vslo = at_mu = coefficient_integrals(fieldref, mu)
+    d_lev, d_slo, d_vlev, d_vslo = (b - a for a, b in zip(at_mu, coefficient_integrals(fieldref, q)))
+    alpha_x, alpha_y = _euler_paths((zero[None], slo, np.zeros((1, n, bundle.dim)), vslo),
+                                    jump.T, 0.0, 0.0, stock, bundle.tg, bundle.noise)
+    x = bundle.x[:, :n]
+    drift_diff = np.add(d_lev, np.multiply(d_slo, x, order="F"), order="F")
+    vol_diff = np.add(d_vlev, np.multiply(d_vslo, x[:, :, None], order="F"), order="F")
+    beta, _ = _euler_paths((drift_diff, slo, vol_diff, vslo), (zero, zero), 0.0, 0.0, stock,
+                           bundle.tg, bundle.noise)
+    return FirstVariation(alpha_x=alpha_x, alpha_y=alpha_y, beta=beta)
 
 
 def first_variation_derivative(

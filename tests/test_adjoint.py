@@ -51,8 +51,7 @@ def _simple_problem(steps=60, scenarios=200, drift_slope=0.0, vol_slope=0.0,
 
 def _flow_paths(problem, field, mu, bundle):
     """``_flows`` of the bundle's slopes, the flow that phi runs."""
-    slopes = _path_slopes(coefficient_integrals(field, mu), bundle, problem.stock)
-    return _flows(slopes, bundle)
+    return _flows(coefficient_integrals(field, mu), bundle, problem.stock)
 
 
 def _reference_setup(x, y, degree, ridge):
@@ -106,7 +105,7 @@ def _reference_adjoints(problem, field, mu, bundle, ridge):
         p[:, :, k], load[:, :, k] = nxt, loads
     out = {"regression": (p, load)}
 
-    flow = _flows(slopes, bundle)
+    flow = _flows(coefficient_integrals(field, mu), bundle, problem.stock)
     deflator = 1.0 / flow
     weighted = np.ascontiguousarray(flow[:, :, :n] * h * dt)
     total = flow[:, :, n] * grad + weighted.sum(axis=2)
@@ -287,6 +286,32 @@ class TestAdjointPhi:
             rc.solve_adjoint_phi(field, mu, bundle, problem.running, problem.terminal, problem.stock)
 
 
+    def test_reads_each_step_slopes_once(self, monkeypatch):
+        # the forward pass runs the Euler loop on the coefficient integrals, so
+        # only the backward loop reads the path slopes: each step once, and
+        # each block of SETUP_BUDGET // 1000 = 16 steps filled once (4 blocks)
+        problem = rich_toy(steps=60)
+        field, mu, bundle = _setup(problem, 1000, 5)
+        reads, blocks = [], []
+        path_slopes = adjoint._path_slopes
+
+        def counted(*args):
+            at = path_slopes(*args)
+
+            def read(k):
+                slopes = at(k)
+                reads.append(k)
+                if not any(slopes[0].base is block for block in blocks):
+                    blocks.append(slopes[0].base)
+                return slopes
+            return read
+
+        monkeypatch.setattr(adjoint, "_path_slopes", counted)
+        rc.solve_adjoint_phi(field, mu, bundle, problem.running, problem.terminal, problem.stock)
+        assert sorted(reads) == list(range(60))
+        assert len(blocks) == 4
+
+
 class TestAdjointRegression:
     def test_constant_terminal(self):
         problem, (field, mu, bundle) = _simple_problem(gx1=3.5)
@@ -394,7 +419,7 @@ class TestLayoutContract:
         problem = _layout_problem(dim, self.STEPS)
         field, mu, bundle = _setup(problem, self.SCENARIOS, 9)
         slopes = _path_slopes(coefficient_integrals(field, mu), bundle, problem.stock)
-        flow = _flows(slopes, bundle)
+        flow = _flows(coefficient_integrals(field, mu), bundle, problem.stock)
         dt = bundle.tg.dt
         growth = np.stack([1.0 + slo * dt + (vslo * bundle.noise[:, k, None]).sum(-1)
                            for k, (slo, vslo) in enumerate(map(slopes, range(self.STEPS)))], axis=2)

@@ -277,6 +277,21 @@ class TestValidation:
         assert len(lines) == 1 and lines[0].startswith("config error: scenarios: ")
         assert "EiB" in lines[0] and len(lines[0]) < 200 and "Traceback" not in err
         assert not (tmp_path / "out" / "manifest.json").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "optimize"])
+    def test_scenarios_beyond_memory_leaves_directories_as_they_were(self, tmp_path, capsys,
+                                                                     command):
+        # the directories the run makes are removed, the ones it found are kept
+        (tmp_path / "kept").mkdir()
+        (tmp_path / "kept" / "note.txt").write_text("mine")
+        for out, made in (("kept", None), ("kept/a/b/out", "kept/a"), ("new/out", "new")):
+            cfg = {**example_bond_config(), "scenarios": 2**52, "output_dir": str(tmp_path / out)}
+            assert main([command, "--config", _write(tmp_path / "c.json", cfg)]) == 2
+            assert capsys.readouterr().err.startswith("config error: scenarios: ")
+            assert made is None or not (tmp_path / made).exists()
+            assert sorted(p.name for p in (tmp_path / "kept").iterdir()) == ["note.txt"]
+            assert (tmp_path / "kept" / "note.txt").read_text() == "mine"
 
     @pytest.mark.parametrize("path, value", [("time.horizon", 10**400),
                                              ("time.horizon", "1" * 1000),

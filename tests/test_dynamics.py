@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rscontrol as rc
-from rscontrol.adjoint import _flows, _path_slopes
+from rscontrol.adjoint import _flows
 from rscontrol.cli import example_bond_config
 from rscontrol.dynamics import (FACTOR_BUDGET, NonFiniteStateError, _broadcast_tail,
                                 coefficient_integrals)
@@ -209,8 +209,7 @@ class TestSimulateForward:
         bundle = rc.simulate_forward(field, mu, SingularControl.zero(n, 2), 1.0, 1.0, stock, tg,
                                      noise=rc.brownian_increments(3, scenarios, n, 2, tg.dt),
                                      threads=threads)
-        slopes = _path_slopes(coefficient_integrals(field, mu), bundle, stock)
-        flow = _flows(slopes, bundle)
+        flow = _flows(coefficient_integrals(field, mu), bundle, stock)
         assert np.array_equal(bundle.x, flow[:, 0])
         assert np.array_equal(bundle.y, flow[:, 1])
 

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import rscontrol as rc
+from rscontrol.adjoint import _path_slopes
+from rscontrol.dynamics import NonFiniteStateError, coefficient_integrals
 from rscontrol.measures import RelaxedControl, SingularControl
 from rscontrol.optimizer import (
     OptimizerOptions,
@@ -32,6 +34,50 @@ def _setup(problem, scenarios, seed, mu=None, xi=None):
     xi = xi if xi is not None else xi0
     bundle = problem.simulate(field, mu, xi, noise)
     return field, noise, bundle
+
+
+def _reference_first_variation(field, mu, bundle, stock, direction):
+    """The three sensitivity equations one Euler step at a time, each step's
+    factor ``1 + slope dt + vol_slope . dW`` formed from the path slopes:
+    alpha (S, 2, n + 1), with component 0 for x and 1 for y, and beta (S, n + 1)."""
+    q, eta = direction
+    n, dt, dw = bundle.tg.steps, bundle.tg.dt, bundle.noise
+    gains = np.stack([field.jump_gain_x, field.jump_gain_y], axis=1)
+    jump = (gains * (eta.increments - bundle.xi.increments)[:, None]).sum(axis=-1)
+    at_mu = coefficient_integrals(field, mu)
+    slopes = _path_slopes(at_mu, bundle, stock)
+    d_lev, d_slo, d_vlev, d_vslo = (b - a for a, b in zip(at_mu, coefficient_integrals(field, q)))
+    alpha = np.zeros((bundle.scenarios, 2, n + 1))
+    beta = np.zeros((bundle.scenarios, n + 1))
+    for k in range(n):
+        slo, vslo = slopes(k)
+        growth = 1.0 + slo * dt + (vslo * dw[:, k, None]).sum(-1)
+        alpha[:, :, k + 1] = alpha[:, :, k] * growth + jump[k]
+        xk = bundle.x[:, k]
+        drift_diff = d_lev[:, k] + d_slo[:, k] * xk
+        vol_diff = d_vlev[:, k] + d_vslo[:, k] * xk[:, None]
+        beta[:, k + 1] = beta[:, k] * growth[:, 0] + drift_diff * dt + (vol_diff * dw[:, k]).sum(-1)
+    return alpha, beta
+
+
+def _sensitivity_problem(dim, steps, scenarios, per_scenario, seed=0):
+    """Random drift and diffusion tables (per scenario or shared) with random
+    jump gains on ``dim`` Brownian axes, and a geometric stock on the last."""
+    rng = np.random.default_rng(seed)
+    lead, m = (scenarios,) if per_scenario else (), 4
+    tables = {"drift_level": 0.3 * rng.normal(size=lead + (steps, m)),
+              "drift_slope": 0.5 * rng.normal(size=lead + (steps, m)),
+              "vol_level": 0.2 * rng.normal(size=lead + (steps, m, dim)),
+              "vol_slope": 0.3 * rng.normal(size=lead + (steps, m, dim)),
+              "jump_gain_x": rng.normal(size=(steps, dim)),
+              "jump_gain_y": rng.normal(size=(steps, dim))}
+    return rc.ControlProblem(
+        tg=rc.TimeGrid(1.0, steps), grid=rc.ActionGrid(np.linspace(-1.0, 1.0, m)), dim=dim,
+        x0=1.0, y0=1.0, coefficients={"model": "tabulated", "dim": dim, **tables},
+        stock=rc.linear_stock(0.05, 0.2, dim, component=dim - 1),
+        running=rc.affine_quadratic_running(), terminal=rc.linear_quadratic_terminal(),
+        k_path=np.zeros((steps, dim)),
+    )
 
 
 class TestEvaluateCost:
@@ -158,6 +204,49 @@ class TestFirstVariation:
         assert np.allclose(fv.alpha_y, expected, rtol=1e-13, atol=1e-14)
         assert np.all(fv.alpha_x == 0.0)
         assert np.ptp(fv.alpha_y[:, -1]) > 0.05
+
+    @pytest.mark.parametrize("per_scenario", [False, True])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_matches_per_step_reference(self, dim, per_scenario):
+        # the Euler loop of the forward simulation gives alpha bit for bit and
+        # beta to its last bits: it adds the step's offsets before the product,
+        # (beta * a) + (drift_diff dt + vol_diff . dW), not after it
+        steps, scenarios = 17, 150
+        problem = _sensitivity_problem(dim, steps, scenarios, per_scenario)
+        rng = np.random.default_rng(dim)
+        mu, xi = random_admissible_controls(rng, steps, problem.grid.count, dim, scale=0.05)
+        q, eta = random_admissible_controls(rng, steps, problem.grid.count, dim, scale=0.05)
+        field, _, bundle = _setup(problem, scenarios, 3, mu, xi)
+        fv = solve_first_variation(field, mu, bundle, problem.stock, (q, eta))
+        alpha, beta = _reference_first_variation(field, mu, bundle, problem.stock, (q, eta))
+        assert np.array_equal(fv.alpha_x, alpha[:, 0])
+        assert np.array_equal(fv.alpha_y, alpha[:, 1])
+        assert np.abs(fv.beta - beta).max() <= 1e-14 * np.abs(beta).max()
+        assert min(np.ptp(path[:, -1]) for path in (fv.alpha_x, fv.alpha_y, fv.beta)) > 0.0
+
+    def test_overflowing_sensitivity_names_its_step(self):
+        # from x0 = 0 without levels x stays 0, while a direction jump starts
+        # alpha_x and a vol slope of 1e200 multiplies it by about 1e199 a step:
+        # the loop raises at the first non-finite step of the reference
+        steps, scenarios = 10, 20
+        problem = dataclasses.replace(
+            _sensitivity_problem(1, steps, scenarios, False), x0=0.0,
+            coefficients={"model": "deterministic-constant", "dim": 1, "vol_slope": [1e200],
+                          "jump_gain_x": [1.0]})
+        field, _, bundle = _setup(problem, scenarios, 4)
+        assert np.all(bundle.x == 0.0)
+        inc = np.zeros((steps, 1))
+        inc[0] = 0.01
+        direction = (bundle.mu, SingularControl(inc))
+        with np.errstate(all="ignore"):
+            alpha, _ = _reference_first_variation(field, bundle.mu, bundle, problem.stock,
+                                                  direction)
+        bad = ~np.isfinite(alpha[:, 0])
+        step = int(np.flatnonzero(bad.any(axis=0))[0])
+        assert 1 < step < steps
+        with pytest.raises(NonFiniteStateError, match=f"non-finite x at step {step}, ") as err:
+            solve_first_variation(field, bundle.mu, bundle, problem.stock, direction)
+        assert err.value.scenario == int(np.flatnonzero(bad[:, step])[0])
 
     def test_finite_difference_oracle(self):
         # (J(theta) - J(0)) / theta against the first-variation formula
