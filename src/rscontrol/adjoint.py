@@ -272,25 +272,30 @@ def solve_adjoint_phi(
     n, dt = bundle.tg.steps, bundle.tg.dt
     scen, d = bundle.scenarios, bundle.dim
     xn, yn = bundle.x[:, n], bundle.y[:, n]
-    load = np.empty((scen, 2, n, d), order="F")
     flow = _flows(integrals, bundle, stock)
-    deflator = 1.0 / flow
 
     # axis 1 indexes the component: 0 for x, 1 for y
     p = np.empty((scen, 2, n + 1), order="F")
     p[:, 0, n], p[:, 1, n] = terminal.dx(xn, yn), terminal.dy(xn, yn)
     # C order, so that the step sum is numpy's pairwise sum along contiguous rows
-    weighted = np.ascontiguousarray(flow[:, :, :n] * _gradient_paths(field, mu, bundle, running) * dt)
+    weighted = np.multiply(flow[:, :, :n], _gradient_paths(field, mu, bundle, running),
+                           out=np.empty((scen, 2, n)))
+    weighted *= dt
     total = flow[:, :, n] * p[:, :, n]
     total += weighted.sum(axis=2)
-    prefix = np.zeros((scen, 2, n + 1), order="F")
-    np.cumsum(weighted, axis=2, out=prefix[:, :, 1:])
+    # p's column k holds the running prefix (the weighted sum of steps before
+    # k) until step k of the backward loop overwrites it with the costate
+    p[:, :, 0] = 0.0
+    np.cumsum(weighted[:, :, :n - 1], axis=2, out=p[:, :, 1:n])
+    del weighted
+    deflator = np.divide(1.0, flow, out=flow)
+    load = np.empty((scen, 2, n, d), order="F")
     mart_next = total
     incr = _loading_buffer(scen, d)
     projectors = _backward_projectors(bundle.x, bundle.y, degree, ridge)
     for k, proj in zip(range(n - 1, -1, -1), projectors):
         mart = proj.fit(total)
-        p[:, :, k] = (mart - prefix[:, :, k]) * deflator[:, :, k]
+        p[:, :, k] = (mart - p[:, :, k]) * deflator[:, :, k]
         np.multiply((mart_next - mart)[:, :, None], bundle.noise[:, k, None], out=incr)
         mart_next = mart
         integrand = proj.fit(incr.reshape(scen, 2 * d) / dt).reshape(scen, 2, d)

@@ -190,9 +190,11 @@ def slack_paths(fieldref, k_path: np.ndarray, adj: AdjointSolution) -> np.ndarra
     C-ordered whatever the costates' layout: the callers' einsums sum in memory order."""
     n, dim = k_path.shape
     slack = np.empty((adj.px.shape[0], n, dim))
+    term = np.empty((adj.px.shape[0], n))
     for j in range(dim):
-        slack[:, :, j] = (k_path[:, j] + fieldref.jump_gain_x[:, j] * adj.px[:, :n]
-                          + fieldref.jump_gain_y[:, j] * adj.py[:, :n])
+        column = np.multiply(fieldref.jump_gain_x[:, j], adj.px[:, :n], out=slack[:, :, j])
+        column += k_path[:, j]
+        column += np.multiply(fieldref.jump_gain_y[:, j], adj.py[:, :n], out=term)
     return slack
 
 

@@ -244,6 +244,7 @@ def frank_wolfe_iterate(
     q_rows = np.zeros_like(state.mu.weights)
     deriv = _derivative(fieldref, state.bundle, adj, problem.running, slack,
                         eta_star.increments, _mean_argmax(q_rows))
+    del adj, slack   # the Armijo re-simulations read neither
     q_star = RelaxedControl(q_rows)
     gap = -deriv.total + 0.0   # normalize -0.0
     gap_se = deriv.stderr

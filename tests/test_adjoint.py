@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,20 @@ def _reference_adjoints(problem, field, mu, bundle, ridge):
         load[:, :, k] = deflator[:, :, k, None] * integrand - slopes(k)[1] * p[:, :, k, None]
     out["phi-construction"] = (p, load)
     return out
+
+
+def _assert_match_reference(problem, field, mu, bundle):
+    """Both solvers, without the ridge, bitwise against ``_reference_adjoints``;
+    each falls back from degree 2 at some step."""
+    reference = _reference_adjoints(problem, field, mu, bundle, 0.0)
+    args = (field, mu, bundle, problem.running, problem.terminal, problem.stock)
+    for solve in (rc.solve_adjoint_regression, rc.solve_adjoint_phi):
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            adj = solve(*args, ridge=0.0)
+        p, load = reference[adj.method]
+        for c, (costate, loading) in enumerate(((adj.px, adj.Px), (adj.py, adj.Py))):
+            assert np.array_equal(costate, p[:, c]), (adj.method, c)
+            assert np.array_equal(loading, load[:, c]), (adj.method, c)
 
 
 def _layout_problem(dim, steps):
@@ -311,6 +326,24 @@ class TestAdjointPhi:
         assert sorted(reads) == list(range(60))
         assert len(blocks) == 4
 
+    def test_memory_is_bounded_by_the_block(self):
+        # beside its outputs p (S, 2, n + 1) and load (S, 2, n, dim), phi holds
+        # at most three (S, 2, n + 1) arrays (the flow, the gradient table and
+        # their weighted product while the step sums form; the deflator alone
+        # in the backward loop) and one set-up block: four (m, S, 6) arrays of
+        # m = SETUP_BUDGET // S steps (the previous block's designs, the basis,
+        # the new designs and, at dim 2, the block's (S, 2, 1 + dim, m) slopes)
+        problem = rich_toy(steps=60)
+        field, mu, bundle = _setup(problem, 1000, 5)
+        scen, n, dim = bundle.scenarios, bundle.tg.steps, bundle.dim
+        tracemalloc.start()
+        rc.solve_adjoint_phi(field, mu, bundle, problem.running, problem.terminal, problem.stock)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        outputs = 8 * scen * 2 * (n + 1 + n * dim)
+        bound = 8 * (3 * scen * 2 * (n + 1) + 4 * (SETUP_BUDGET // scen) * scen * 6)
+        assert peak - outputs <= bound, (peak - outputs, bound)
+
 
 class TestAdjointRegression:
     def test_constant_terminal(self):
@@ -389,15 +422,19 @@ class TestLayoutContract:
         convert = np.asfortranarray if order == "F" else np.ascontiguousarray
         bundle = dataclasses.replace(bundle, x=convert(x), y=convert(y), noise=convert(bundle.noise))
         assert [_reference_setup(x[:, k], y[:, k], 2, 0.0)[2] for k in (0, 4, 5, 6)] == [0, 2, 0, 2]
-        reference = _reference_adjoints(problem, field, mu, bundle, 0.0)
-        args = (field, mu, bundle, problem.running, problem.terminal, problem.stock)
-        for solve in (rc.solve_adjoint_regression, rc.solve_adjoint_phi):
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                adj = solve(*args, ridge=0.0)
-            p, load = reference[adj.method]
-            for c, (costate, loading) in enumerate(((adj.px, adj.Px), (adj.py, adj.Py))):
-                assert np.array_equal(costate, p[:, c]), (adj.method, c)
-                assert np.array_equal(loading, load[:, c]), (adj.method, c)
+        _assert_match_reference(problem, field, mu, bundle)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_short_horizons_match_c_ordered_reference(self, steps, dim):
+        # at one step phi's running prefix (the sum of the steps before the
+        # last) is empty; without the ridge the common start falls back to degree 0
+        problem = _layout_problem(dim, steps)
+        field, _, bundle = _setup(problem, self.SCENARIOS, 8)
+        mu, xi = random_admissible_controls(np.random.default_rng(dim), steps,
+                                            problem.grid.count, dim)
+        bundle = problem.simulate(field, mu, xi, bundle.noise)
+        _assert_match_reference(problem, field, mu, bundle)
 
     @pytest.mark.parametrize("order", ["F", "C"])
     @pytest.mark.parametrize("width", [2, 6])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -316,6 +317,36 @@ class TestFrankWolfe:
         assert result.state.iteration == 0
         assert len(result.records) == 1
         assert result.records[0].halvings == 2   # both trial steps rejected
+
+    def test_armijo_trials_run_without_the_adjoint_and_slack(self, monkeypatch):
+        # the re-simulations read neither the regression adjoint nor the
+        # slack table, so every trial runs with both already freed
+        made, live = [], []
+
+        def tracked(make):
+            def run(*args, **kwargs):
+                out = make(*args, **kwargs)
+                made.append(weakref.ref(out))
+                return out
+            return run
+
+        for name in ("solve_adjoint_regression", "slack_paths"):
+            monkeypatch.setattr(rc.optimizer, name, tracked(getattr(rc.optimizer, name)))
+        simulate = rc.ControlProblem.simulate
+
+        def trial(self, *args, **kwargs):
+            if made:
+                live.append([ref() is not None for ref in made])
+            return simulate(self, *args, **kwargs)
+
+        monkeypatch.setattr(rc.ControlProblem, "simulate", trial)
+        problem = drift_control_toy()
+        pts = problem.grid.flat()
+        worst = int(np.argmax(0.5 * pts ** 2 + 0.5 * pts))
+        mu0 = RelaxedControl.from_indices(np.full(problem.tg.steps, worst), problem.grid.count)
+        result = optimize_problem(problem, 200, 7, mu0=mu0, options=OptimizerOptions(max_iter=1))
+        assert result.records[0].accepted and len(made) == 2
+        assert live and not any(map(any, live)), live
 
     def test_threads_reach_every_simulation(self, monkeypatch):
         calls = []
