@@ -12,16 +12,16 @@ Both estimate conditional expectations by cross-scenario polynomial
 regression in the state pair (x, y).  One ``Projector`` per time step holds
 that regression on the step's sample (basis, standardization, normal matrix,
 degree fallback) and fits every target of the step against it: both costate
-components and their diffusion loadings.  The solvers set up a block of
-steps' projectors in one pass (``_backward_projectors``), bit for bit as one
-step at a time.  That projection is exact when the
+components and their diffusion loadings.  That projection is exact when the
 true costate is a polynomial of the states (the toy problems used for validation);
 with state-dependent diffusion slopes the fundamental-solution method
 acquires a projection bias because the flow itself is an extra state, so the
 regression scheme is preferred for production runs.
 
-Both backward loops read one per-step linearization of both state
-components, ``_path_slopes``, and carry x and y on one component axis.  The
+Both backward loops run one step stream, ``_backward_steps``: blocks of
+steps down from the horizon, each block's projectors set up in one pass (bit
+for bit as one step at a time) and then its linearization of both state
+components filled.  The loops carry x and y on one component axis.  The
 fundamental flows, ``_flows``, which the fundamental-solution adjoint runs
 as its forward pass, are the forward simulation's own Euler loop
 (``dynamics._euler_paths``) from 1 with zero levels and jumps, as the first
@@ -32,7 +32,6 @@ included, has its scenarios contiguous.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -107,7 +106,7 @@ class Projector:
     the degree is lowered (ultimately to the plain mean) with one warning per
     lowered degree.  ``fit`` then projects any number of targets on the same
     design with one solve.  This is the one-step case of the block set-up
-    that the adjoint solvers use (``_backward_projectors``).
+    that the adjoint solvers' step stream uses (``_backward_steps``).
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, degree: int = 2, ridge: float = 1e-8):
@@ -132,17 +131,6 @@ class Projector:
         if coef.ndim == 1:
             return self.design @ coef
         return (coef.T @ self.design.T).T
-
-
-def _backward_projectors(x: np.ndarray, y: np.ndarray, degree: int, ridge: float):
-    """Projectors of steps n-1, ..., 0 of the (S, n + 1) paths ``x``, ``y``,
-    set up ``max(1, SETUP_BUDGET // S)`` steps at a time."""
-    scen, n = x.shape[0], x.shape[1] - 1
-    size = max(1, SETUP_BUDGET // scen)
-    for stop in range(n, 0, -size):
-        start = max(0, stop - size)
-        for setup in reversed(_set_up(x[:, start:stop], y[:, start:stop], degree, ridge)):
-            yield Projector._of(*setup)
 
 
 def fit_conditional(
@@ -183,30 +171,30 @@ class AdjointSolution:
                 raise FloatingPointError(f"adjoint path {name} contains non-finite values")
 
 
-def _path_slopes(integrals, bundle, stock):
-    """The linearization of both state components along the paths.
-
-    ``integrals`` is ``coefficient_integrals(field, mu)``.  Returns ``at(k)``,
-    giving step k's drift slopes (S, 2) and diffusion slopes (S, 2, dim):
-    component 0 is x, with the measure-integrated slopes, and component 1 is
-    the linear stock y, with its constant ``drift`` and ``vol``.  Both are
-    F-contiguous views into an aligned block of ``max(1, SETUP_BUDGET // S)``
-    steps; the backward loops read each step once, so each block is filled once.
-    """
+def _backward_steps(integrals, bundle, stock, degree: int, ridge: float):
+    """Steps n-1, ..., 0 of both backward loops, as (k, projector, drift,
+    vol): step k's ``Projector`` on the (x, y) sample and the linearization
+    of both state components, drift slopes (S, 2) and diffusion slopes
+    (S, 2, dim).  Component 0 is x, with the slopes of ``integrals``
+    (``coefficient_integrals(field, mu)``), and component 1 the linear stock
+    y, with its constant ``drift`` and ``vol``.  Blocks of
+    ``max(1, SETUP_BUDGET // S)`` steps are taken down from the horizon.  Each
+    block's projectors are set up before its slopes are allocated (the other
+    order holds the slopes through the set-up's peak), and the slopes are
+    filled F-ordered, so that each step's are F-contiguous views into the block."""
     _, slope, _, vol_slope = integrals
-    size = max(1, SETUP_BUDGET // bundle.scenarios)
-
-    @functools.lru_cache(maxsize=1)
-    def block(start):   # F-ordered (S, 2, m) drift and (S, 2, dim, m) diffusion slopes
-        s = slice(start, min(start + size, bundle.tg.steps))
-        m, scen = s.stop - start, bundle.scenarios
+    scen, n = bundle.scenarios, bundle.tg.steps
+    size = max(1, SETUP_BUDGET // scen)
+    for stop in range(n, 0, -size):
+        s = slice(max(0, stop - size), stop)
+        setups = _set_up(bundle.x[:, s], bundle.y[:, s], degree, ridge)
+        m = len(setups)
         drift, vol = np.empty((m, 2, scen)).T, np.empty((m, bundle.dim, 2, scen)).T
         drift[:, 0], drift[:, 1] = slope[:, s], stock.drift
         vol[:, 0] = vol_slope[:, s].transpose(0, 2, 1)
         vol[:, 1] = stock.vol[:, None]
-        return drift, vol
-
-    return lambda k: tuple(a[..., k % size] for a in block(k - k % size))
+        for j in range(m - 1, -1, -1):
+            yield s.start + j, Projector._of(*setups[j]), drift[..., j], vol[..., j]
 
 
 def _flows(integrals, bundle, stock):
@@ -268,7 +256,6 @@ def solve_adjoint_phi(
     exact gradients.
     """
     integrals = coefficient_integrals(field, mu)
-    slopes = _path_slopes(integrals, bundle, stock)
     n, dt = bundle.tg.steps, bundle.tg.dt
     scen, d = bundle.scenarios, bundle.dim
     xn, yn = bundle.x[:, n], bundle.y[:, n]
@@ -292,14 +279,13 @@ def solve_adjoint_phi(
     load = np.empty((scen, 2, n, d), order="F")
     mart_next = total
     incr = _loading_buffer(scen, d)
-    projectors = _backward_projectors(bundle.x, bundle.y, degree, ridge)
-    for k, proj in zip(range(n - 1, -1, -1), projectors):
+    for k, proj, _, vslo in _backward_steps(integrals, bundle, stock, degree, ridge):
         mart = proj.fit(total)
         p[:, :, k] = (mart - p[:, :, k]) * deflator[:, :, k]
         np.multiply((mart_next - mart)[:, :, None], bundle.noise[:, k, None], out=incr)
         mart_next = mart
         integrand = proj.fit(incr.reshape(scen, 2 * d) / dt).reshape(scen, 2, d)
-        load[:, :, k] = deflator[:, :, k, None] * integrand - slopes(k)[1] * p[:, :, k, None]
+        load[:, :, k] = deflator[:, :, k, None] * integrand - vslo * p[:, :, k, None]
     return AdjointSolution(px=p[:, 0], Px=load[:, 0], py=p[:, 1], Py=load[:, 1],
                            method="phi-construction")
 
@@ -329,7 +315,6 @@ def solve_adjoint_regression(
     n, dt = bundle.tg.steps, bundle.tg.dt
     scen, d = bundle.scenarios, bundle.dim
     x, y, dw = bundle.x, bundle.y, bundle.noise
-    slopes = _path_slopes(coefficient_integrals(field, mu), bundle, stock)
     h = _gradient_paths(field, mu, bundle, running)
 
     p = np.empty((scen, 2, n + 1), order="F")
@@ -337,12 +322,11 @@ def solve_adjoint_regression(
     p[:, 0, n], p[:, 1, n] = terminal.dx(x[:, n], y[:, n]), terminal.dy(x[:, n], y[:, n])
     nxt = p[:, :, n]
     prod = _loading_buffer(scen, d)
-    projectors = _backward_projectors(x, y, degree, ridge)
-    for k, proj in zip(range(n - 1, -1, -1), projectors):
+    steps = _backward_steps(coefficient_integrals(field, mu), bundle, stock, degree, ridge)
+    for k, proj, slo, vslo in steps:
         resid = nxt - proj.fit(nxt)
         np.multiply(resid[:, :, None], dw[:, k, None], out=prod)
         loads = proj.fit(prod.reshape(scen, 2 * d) / dt).reshape(scen, 2, d)
-        slo, vslo = slopes(k)
         nxt = proj.fit(nxt + (slo * nxt + _dot_last(vslo, loads) + h[:, :, k]) * dt)
         p[:, :, k] = nxt
         load[:, :, k] = loads

@@ -173,11 +173,10 @@ class FinanceCoefficientField(CoefficientField):
     """Bond-portfolio coefficient field.  The drift slope ``short_rate -
     price_of_risk * v(u) - c`` has three terms, summed in that order; the
     diffusion slope is the integrated volatility on the first noise axis, and
-    both levels are zero.  Only the rate and price of risk vary by scenario.
+    both levels are zero.  Only the rate and price of risk vary by scenario:
+    their paths are the scenario factors of the first two drift-slope terms.
     """
 
-    short_rate: np.ndarray       # (S|1, steps)
-    price_of_risk: np.ndarray    # (S|1, steps)
     clamp_events: int
 
     # Bound here as well as inherited: per-class profilers (perfbench's
@@ -238,7 +237,7 @@ def build_coefficient_field(
         vol_slope=Factored(((shared, vol_slope),), (m, 2)),
         jump_gain_x=np.broadcast_to(np.array([1.0 - cost_buy, -1.0]), (n, 2)).copy(),
         jump_gain_y=np.broadcast_to(np.array([-1.0, 1.0 - cost_sell]), (n, 2)).copy(),
-        short_rate=r0, price_of_risk=theta, clamp_events=clamp_events,
+        clamp_events=clamp_events,
     )
 
 

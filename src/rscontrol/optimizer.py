@@ -288,7 +288,6 @@ class OptimizeResult:
     state: IterationState
     records: list
     fieldref: CoefficientField = field(repr=False)
-    noise: np.ndarray = field(repr=False)
 
 
 def optimize_problem(
@@ -320,4 +319,4 @@ def optimize_problem(
         records.append(record)
     if not state.reason:
         state = replace(state, reason="max iterations reached")
-    return OptimizeResult(state=state, records=records, fieldref=fieldref, noise=noise)
+    return OptimizeResult(state=state, records=records, fieldref=fieldref)

@@ -24,7 +24,7 @@ from rscontrol.optimizer import (
 )
 from rscontrol.finance import MarketModel, integrated_volatility
 
-from toys import drift_control_toy, rich_toy, window_toy, random_admissible_controls
+from toys import drift_control_toy, rate_paths, rich_toy, window_toy, random_admissible_controls
 
 
 def _report(number: int, label: str, ok: bool, started: float, budget: float, detail: str = ""):
@@ -265,8 +265,9 @@ def test_criterion_7_finance_specialization():
     u = problem.grid.points[:, 0]
     c = problem.grid.points[:, 1]
     v = -sigma * u
-    r0 = field.short_rate[:, k][:, None]
-    th = field.price_of_risk[:, k][:, None]
+    rate, theta = rate_paths(field)
+    r0 = rate[:, k][:, None]
+    th = theta[:, k][:, None]
     printed = (-p * (r0 - v[None, :] * th - c[None, :]) * x
                - P[0] * v[None, :] * x
                - math.exp(-beta * t) * np.sqrt(c)[None, :])
@@ -283,7 +284,7 @@ def test_criterion_7_finance_specialization():
     vslo = integrate_against(field.vol_slope_at(k), wprod, axis=-2)
     generic = slo * pvec + (vslo * p_load).sum(-1)
     v_q = float(integrated_volatility(market, market.maturities) @ qw)
-    driver = ((field.short_rate[:, k] - v_q * field.price_of_risk[:, k]
+    driver = ((rate[:, k] - v_q * theta[:, k]
                - market.consumption[ci]) * pvec + v_q * p_load[:, 0])
     dev_d = float(np.abs(generic - driver).max())
 

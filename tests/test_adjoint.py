@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,17 +12,16 @@ from rscontrol.adjoint import (
     CONDITION_LIMIT,
     SETUP_BUDGET,
     Projector,
-    _backward_projectors,
+    _backward_steps,
     _flows,
     _gradient_paths,
-    _path_slopes,
     fit_conditional,
 )
 from rscontrol.cli import adjoints_to_csv
 from rscontrol.dynamics import coefficient_integrals
 from rscontrol.optimizer import solve_first_variation
 
-from toys import drift_control_toy, rich_toy, random_admissible_controls
+from toys import drift_control_toy, path_slopes, rich_toy, random_admissible_controls
 
 
 def _setup(problem, scenarios, seed):
@@ -53,6 +53,17 @@ def _simple_problem(steps=60, scenarios=200, drift_slope=0.0, vol_slope=0.0,
 def _flow_paths(problem, field, mu, bundle):
     """``_flows`` of the bundle's slopes, the flow that phi runs."""
     return _flows(coefficient_integrals(field, mu), bundle, problem.stock)
+
+
+def _stream_projectors(x, y, degree, ridge):
+    """The projectors ``_backward_steps`` yields for the (S, n + 1) paths
+    ``x``, ``y`` (with zero slopes), in its order: steps n-1, ..., 0."""
+    scen, n = x.shape[0], x.shape[1] - 1
+    bundle = SimpleNamespace(x=x, y=y, scenarios=scen, dim=1, tg=rc.TimeGrid(1.0, n))
+    integrals = (None, np.zeros((1, n)), None, np.zeros((1, n, 1)))
+    steps = list(_backward_steps(integrals, bundle, rc.inert_stock(1), degree, ridge))
+    assert [k for k, *_ in steps] == list(range(n - 1, -1, -1))
+    return [proj for _, proj, _, _ in steps]
 
 
 def _reference_setup(x, y, degree, ridge):
@@ -89,7 +100,7 @@ def _reference_adjoints(problem, field, mu, bundle, ridge):
     n, dt = bundle.tg.steps, bundle.tg.dt
     scen, d = bundle.scenarios, bundle.dim
     x, y, dw = bundle.x, bundle.y, bundle.noise
-    slopes = _path_slopes(coefficient_integrals(field, mu), bundle, problem.stock)
+    slopes = path_slopes(coefficient_integrals(field, mu), bundle, problem.stock)
     h = _gradient_paths(field, mu, bundle, problem.running)
     setups = [_reference_setup(x[:, k], y[:, k], 2, ridge) for k in range(n)]
     grad = np.column_stack([problem.terminal.dx(x[:, n], y[:, n]),
@@ -101,7 +112,7 @@ def _reference_adjoints(problem, field, mu, bundle, ridge):
         resid = nxt - _reference_fit(setups[k], nxt)
         loads = _reference_fit(setups[k], (resid[:, :, None] * dw[:, k, None]).reshape(scen, 2 * d) / dt)
         loads = loads.reshape(scen, 2, d)
-        slo, vslo = slopes(k)
+        slo, vslo = slopes[k]
         nxt = _reference_fit(setups[k], nxt + (slo * nxt + (vslo * loads).sum(-1) + h[:, :, k]) * dt)
         p[:, :, k], load[:, :, k] = nxt, loads
     out = {"regression": (p, load)}
@@ -121,7 +132,7 @@ def _reference_adjoints(problem, field, mu, bundle, ridge):
         incr = (mart_next - mart)[:, :, None] * dw[:, k, None] / dt
         mart_next = mart
         integrand = _reference_fit(setups[k], incr.reshape(scen, 2 * d)).reshape(scen, 2, d)
-        load[:, :, k] = deflator[:, :, k, None] * integrand - slopes(k)[1] * p[:, :, k, None]
+        load[:, :, k] = deflator[:, :, k, None] * integrand - slopes[k][1] * p[:, :, k, None]
     out["phi-construction"] = (p, load)
     return out
 
@@ -175,7 +186,7 @@ class TestBlockSetUp:
     @pytest.mark.parametrize("steps", [1, 15, 16, 17, 37])
     def test_matches_per_step_reference(self, steps, scenarios, order):
         x, y = _state_paths(scenarios, steps, order)
-        projectors = list(_backward_projectors(x, y, 2, 1e-8))
+        projectors = _stream_projectors(x, y, 2, 1e-8)
         assert len(projectors) == steps
         for k, proj in zip(range(steps - 1, -1, -1), projectors):
             design, gram, deg = _reference_setup(x[:, k], y[:, k], 2, 1e-8)
@@ -199,7 +210,7 @@ class TestBlockSetUp:
         x, y = _state_paths(200, 40, "F")
         x[:, 9], y[:, 9] = 2.0, 3.0
         with pytest.warns(RuntimeWarning, match="falling back") as record:
-            projectors = list(_backward_projectors(x, y, 2, 0.0))[::-1]
+            projectors = _stream_projectors(x, y, 2, 0.0)[::-1]
         assert len(record) == 4
         assert [p.degree for p in projectors] == [0] + [2] * 8 + [0] + [2] * 30
         for k in (8, 9, 10):
@@ -301,30 +312,45 @@ class TestAdjointPhi:
             rc.solve_adjoint_phi(field, mu, bundle, problem.running, problem.terminal, problem.stock)
 
 
-    def test_reads_each_step_slopes_once(self, monkeypatch):
-        # the forward pass runs the Euler loop on the coefficient integrals, so
-        # only the backward loop reads the path slopes: each step once, and
-        # each block of SETUP_BUDGET // 1000 = 16 steps filled once (4 blocks)
+    @pytest.mark.parametrize("solver", [rc.solve_adjoint_regression, rc.solve_adjoint_phi])
+    def test_steps_stream_down_one_set_up_per_block(self, monkeypatch, solver):
+        # SETUP_BUDGET // 1000 = 16 steps per block, taken down from the
+        # horizon: [44, 60), [28, 44), [12, 28) and [0, 12), each set up once
+        # before its first step is read; each step's slopes are F-contiguous
+        # views into its block
         problem = rich_toy(steps=60)
         field, mu, bundle = _setup(problem, 1000, 5)
-        reads, blocks = [], []
-        path_slopes = adjoint._path_slopes
+        set_ups, reads = [], []
+        set_up, backward_steps = adjoint._set_up, adjoint._backward_steps
 
-        def counted(*args):
-            at = path_slopes(*args)
+        def counted_set_up(x, y, degree, ridge):
+            set_ups.append((x, y))
+            return set_up(x, y, degree, ridge)
 
-            def read(k):
-                slopes = at(k)
-                reads.append(k)
-                if not any(slopes[0].base is block for block in blocks):
-                    blocks.append(slopes[0].base)
-                return slopes
-            return read
+        def recorded_steps(*args):
+            for k, proj, slo, vslo in backward_steps(*args):
+                reads.append((k, len(set_ups), slo, vslo))
+                yield k, proj, slo, vslo
 
-        monkeypatch.setattr(adjoint, "_path_slopes", counted)
-        rc.solve_adjoint_phi(field, mu, bundle, problem.running, problem.terminal, problem.stock)
-        assert sorted(reads) == list(range(60))
-        assert len(blocks) == 4
+        monkeypatch.setattr(adjoint, "_set_up", counted_set_up)
+        monkeypatch.setattr(adjoint, "_backward_steps", recorded_steps)
+        solver(field, mu, bundle, problem.running, problem.terminal, problem.stock)
+        blocks = [(44, 60), (28, 44), (12, 28), (0, 12)]
+        assert [k for k, *_ in reads] == list(range(59, -1, -1))
+        assert len(set_ups) == len(blocks)
+        for (x, y), (start, stop) in zip(set_ups, blocks):
+            assert np.array_equal(x, bundle.x[:, start:stop])
+            assert np.array_equal(y, bundle.y[:, start:stop])
+        bases = []
+        for k, count, slo, vslo in reads:
+            block = next(b for b, (start, stop) in enumerate(blocks) if start <= k < stop)
+            assert count == block + 1
+            assert slo.flags.f_contiguous and vslo.flags.f_contiguous
+            assert slo.base.shape[0] == vslo.base.shape[0] == blocks[block][1] - blocks[block][0]
+            if block == len(bases):
+                bases.append((slo.base, vslo.base))
+            assert slo.base is bases[block][0] and vslo.base is bases[block][1]
+        assert len({id(base) for pair in bases for base in pair}) == 2 * len(blocks)
 
     def test_memory_is_bounded_by_the_block(self):
         # beside its outputs p (S, 2, n + 1) and load (S, 2, n, dim), phi holds
@@ -455,11 +481,11 @@ class TestLayoutContract:
     def test_phi_forward_pass_is_the_product_of_step_factors(self, dim):
         problem = _layout_problem(dim, self.STEPS)
         field, mu, bundle = _setup(problem, self.SCENARIOS, 9)
-        slopes = _path_slopes(coefficient_integrals(field, mu), bundle, problem.stock)
+        slopes = path_slopes(coefficient_integrals(field, mu), bundle, problem.stock)
         flow = _flows(coefficient_integrals(field, mu), bundle, problem.stock)
         dt = bundle.tg.dt
         growth = np.stack([1.0 + slo * dt + (vslo * bundle.noise[:, k, None]).sum(-1)
-                           for k, (slo, vslo) in enumerate(map(slopes, range(self.STEPS)))], axis=2)
+                           for k, (slo, vslo) in enumerate(slopes)], axis=2)
         assert np.all(flow[:, :, 0] == 1.0)
         assert np.array_equal(flow[:, :, 1:], np.cumprod(growth, axis=2))
         assert np.ptp(flow[:, 0, -1]) > 0.0 and np.ptp(flow[:, 1, -1]) > 0.0

@@ -16,6 +16,8 @@ from rscontrol.finance import (
 from rscontrol.maxprinciple import hamiltonian_slice, slack_paths
 from rscontrol.measures import RelaxedControl, SingularControl, dirac, integrate_against
 
+from toys import rate_paths
+
 
 def _market(vol="ho-lee", sigma=0.02, c=0.1, theta=0.1, rate_kind=None, clamp=None):
     short_rate = rate_kind or {"kind": "gaussian", "r0": 0.03, "drift": 0.0}
@@ -89,12 +91,13 @@ class TestProductStructure:
                                         noise=rc.brownian_increments(4, 20, 5, 2, tg.dt))
         rng = np.random.default_rng(0)
         qw = rng.dirichlet(np.ones(4))
+        rate, theta = rate_paths(field)
         for ci in range(3):
             w = np.outer(qw, dirac(3, ci)).ravel()
             got = integrate_against(field.drift_slope_at(2), w, axis=-1)
             v_q = float(integrated_volatility(market, market.maturities) @ qw)
-            want = (field.short_rate[:, 2]
-                    - v_q * field.price_of_risk[:, 2]
+            want = (rate[:, 2]
+                    - v_q * theta[:, 2]
                     - market.consumption[ci])
             assert np.allclose(got, want, atol=1e-12)
 
@@ -164,7 +167,7 @@ class TestPortfolioProblem:
         # a scalar rate is the same per-step table
         scalar = dataclasses.replace(market, short_rate={"kind": "tabulated", "values": r})
         field2 = build_portfolio_problem(scalar, params, tg).problem.sample_field(3, 0, noise)
-        assert np.array_equal(field2.short_rate, field.short_rate)
+        assert np.array_equal(rate_paths(field2)[0], rate_paths(field)[0])
 
     def test_stock_independent_of_measure(self):
         market = _market()
@@ -228,8 +231,9 @@ class TestPrintedFormulas:
         u = problem.grid.points[:, 0]
         c = problem.grid.points[:, 1]
         v = -market.sigma * u
-        r0 = field.short_rate[:, k][:, None]
-        theta = field.price_of_risk[:, k][:, None]
+        rate, price = rate_paths(field)
+        r0 = rate[:, k][:, None]
+        theta = price[:, k][:, None]
         expected = (-p * (r0 - v[None, :] * theta - c[None, :]) * x
                     - P[0] * v[None, :] * x
                     - math.exp(-params.discount * t) * np.sqrt(c)[None, :])
@@ -260,7 +264,8 @@ class TestPrintedFormulas:
         vslo = integrate_against(field.vol_slope_at(k), w, axis=-2)
         generic = slo * p + (vslo * P).sum(-1)
         v_q = float(integrated_volatility(market, market.maturities) @ qw)
-        printed = ((field.short_rate[:, k] - v_q * field.price_of_risk[:, k]
+        rate, theta = rate_paths(field)
+        printed = ((rate[:, k] - v_q * theta[:, k]
                     - market.consumption[ci]) * p + v_q * P[:, 0])
         assert np.allclose(generic, printed, atol=1e-12)
 
@@ -318,8 +323,8 @@ class TestShortRateGenerators:
                                      noise=rc.brownian_increments(5, 9, 12, 2, tg.dt))
         f2 = build_coefficient_field(model, tg, grid, scenarios=9,
                                      noise=rc.brownian_increments(5, 9, 12, 2, tg.dt))
-        assert np.array_equal(f1.short_rate, f2.short_rate)
-        assert np.all(f1.short_rate[:, 0] == 0.03)
+        assert np.array_equal(rate_paths(f1)[0], rate_paths(f2)[0])
+        assert np.all(rate_paths(f1)[0][:, 0] == 0.03)
 
     def test_ou_generator(self):
         market = _market(rate_kind={"kind": "ou", "r0": 0.05, "level": 0.03, "speed": 0.5})
@@ -329,8 +334,9 @@ class TestShortRateGenerators:
         field = build_coefficient_field(model, tg, grid, scenarios=2000,
                                         noise=rc.brownian_increments(6, 2000, 10, 2, tg.dt))
         # mean-reverting toward the level
-        assert field.short_rate[:, -1].mean() < 0.05
-        assert field.short_rate[:, -1].mean() > 0.03
+        rate = rate_paths(field)[0]
+        assert rate[:, -1].mean() < 0.05
+        assert rate[:, -1].mean() > 0.03
 
     def test_clamp_counter(self):
         market = _market(clamp=0.05)
@@ -351,12 +357,13 @@ class TestShortRateGenerators:
         model = {"model": "finance", "market": market.to_dict()}
         field = build_coefficient_field(model, tg, grid, scenarios=3,
                                         noise=rc.brownian_increments(2, 3, 6, 2, tg.dt))
-        assert np.array_equal(field.price_of_risk, values)
+        rate, theta = rate_paths(field)
+        assert np.array_equal(theta, values)
         # drift slope: rate - v(u) * price_of_risk - c, per scenario and point
         u, c = grid.points.T
         v = integrated_volatility(market, u)
         for k in range(6):
-            want = field.short_rate[:, k, None] - values[:, k, None] * v - c
+            want = rate[:, k, None] - values[:, k, None] * v - c
             np.testing.assert_allclose(field.drift_slope_at(k), want, rtol=0.0, atol=1e-15)
 
     def test_market_dict_round_trip(self):

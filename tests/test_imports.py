@@ -1,9 +1,11 @@
 """Every name a module of the package imports is used, or kept for the
-benchmark harness to wrap (``perfbench/tracing.py``'s ``WRAP_POINTS``).
+benchmark harness to wrap (``perfbench/tracing.py``'s ``WRAP_POINTS``), and
+every private module-level function or class has a reader in the package.
 
 No linter is part of the test environment, so this reads each module's
 syntax tree: a leftover import fails here, and so does an import kept only
-for a wrap point that the harness no longer has.
+for a wrap point that the harness no longer has, or a private helper that
+only the tests call.
 """
 
 import ast
@@ -63,3 +65,45 @@ def test_imports_kept_for_the_harness():
         "maxprinciple": {"integrate_against"},
         "optimizer": {"integrate_against", "solve_adjoint_phi", "variational_derivative"},
     }
+
+
+def _read_names(tree, skip) -> set:
+    """Names read in ``tree``, as a name or an attribute, outside ``skip``."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _unread_private(trees: dict) -> list:
+    """``module.name`` of each private module-level function or class in
+    ``trees`` ({module: syntax tree}) that no module reads outside its own body."""
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+                    and not node.name.startswith("__")
+                    and not any(node.name in _read_names(t, node) for t in trees.values())):
+                unread.append(f"{module}.{node.name}")
+    return unread
+
+
+def test_private_definitions_are_read_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unread_private(trees) == []
+
+
+def test_private_guard_catches_a_test_only_helper():
+    # a helper that only calls itself, or is only imported, has no reader
+    source = {"a": "def _used(): pass\ndef _recursive(n): _recursive(n)\ndef _imported(): pass\n"
+                   "X = _used()\n",
+              "b": "from .a import _imported\n"}
+    trees = {module: ast.parse(text) for module, text in source.items()}
+    assert _unread_private(trees) == ["a._recursive", "a._imported"]

@@ -8,7 +8,7 @@ import pytest
 import rscontrol as rc
 import rscontrol.adjoint as adjoint
 import rscontrol.problems as problems
-from rscontrol.adjoint import _gradient_paths, _path_slopes
+from rscontrol.adjoint import _backward_steps, _gradient_paths
 from rscontrol.dynamics import coefficient_integrals
 from rscontrol.maxprinciple import (
     _against,
@@ -420,7 +420,7 @@ class TestBlockInvariance:
     """Every block loop along the paths gives the same bits with blocks of one
     step, of three steps and of the whole horizon: the running-cost integrals
     of ``evaluate_cost``, ``_gradient_paths`` and the first variation, the
-    slopes of ``_path_slopes`` read backward and forward, and the three sweeps."""
+    slopes of the backward step stream, ``_backward_steps``, and the three sweeps."""
 
     SCENARIOS, STEPS = 7, 10
 
@@ -442,8 +442,10 @@ class TestBlockInvariance:
         eta = SingularControl(rng.uniform(0.0, 0.1, size=(n, dim)))
         fv = FirstVariation(*(np.asfortranarray(rng.normal(size=(scen, n + 1))) for _ in range(3)))
         terminal, k_path = rc.linear_quadratic_terminal(gx1=0.5, gy2=0.3), np.full((n, dim), 0.1)
-        at = _path_slopes(coefficient_integrals(field, bundle.mu), bundle, stock)
-        slopes = [at(k) for k in [*range(n - 1, -1, -1), *range(n)]]
+        integrals = coefficient_integrals(field, bundle.mu)
+        steps = list(_backward_steps(integrals, bundle, stock, 2, 1e-8))
+        assert [k for k, *_ in steps] == list(range(n - 1, -1, -1))
+        slopes = [pair for _, _, *pair in steps]
         assert all(a.flags.f_contiguous for pair in slopes for a in pair)
         rows = np.zeros_like(bundle.mu.weights)
         return [

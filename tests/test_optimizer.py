@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import rscontrol as rc
-from rscontrol.adjoint import _path_slopes
 from rscontrol.dynamics import NonFiniteStateError, coefficient_integrals
 from rscontrol.measures import RelaxedControl, SingularControl
 from rscontrol.optimizer import (
@@ -22,6 +21,7 @@ from toys import (
     drift_control_optimum_index,
     drift_control_toy,
     mean_argmax_vertex,
+    path_slopes,
     random_admissible_controls,
     rich_toy,
 )
@@ -46,12 +46,11 @@ def _reference_first_variation(field, mu, bundle, stock, direction):
     gains = np.stack([field.jump_gain_x, field.jump_gain_y], axis=1)
     jump = (gains * (eta.increments - bundle.xi.increments)[:, None]).sum(axis=-1)
     at_mu = coefficient_integrals(field, mu)
-    slopes = _path_slopes(at_mu, bundle, stock)
+    slopes = path_slopes(at_mu, bundle, stock)
     d_lev, d_slo, d_vlev, d_vslo = (b - a for a, b in zip(at_mu, coefficient_integrals(field, q)))
     alpha = np.zeros((bundle.scenarios, 2, n + 1))
     beta = np.zeros((bundle.scenarios, n + 1))
-    for k in range(n):
-        slo, vslo = slopes(k)
+    for k, (slo, vslo) in enumerate(slopes):
         growth = 1.0 + slo * dt + (vslo * dw[:, k, None]).sum(-1)
         alpha[:, :, k + 1] = alpha[:, :, k] * growth + jump[k]
         xk = bundle.x[:, k]
@@ -427,7 +426,7 @@ class TestFrankWolfe:
         result = optimize_problem(problem, 300, 4, mu0=mu0, xi0=xi0,
                                   options=OptimizerOptions(max_iter=1))
         field = result.fieldref
-        bundle = problem.simulate(field, mu0, xi0, result.noise)
+        bundle = problem.simulate(field, mu0, xi0, result.state.bundle.noise)
         adj = rc.solve_adjoint_regression(field, mu0, bundle, problem.running,
                                           problem.terminal, problem.stock)
         q = mean_argmax_vertex(field, bundle, adj, problem.running)

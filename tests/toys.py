@@ -12,6 +12,9 @@ methods can be compared without model bias.
 coefficient_fields: one field of each stored form (shared tables,
 per-scenario tables, the bond market) for checks against per-point formulas.
 
+path_slopes, rate_paths: reference reads of a field's linearization along
+the paths and of the bond market's short-rate and price-of-risk paths.
+
 window_toy: zero singular cost with a jump gain active only inside a
 mid-horizon window, creating a constructed negative-slack region that an
 optimal singular control must fill exclusively.
@@ -154,3 +157,27 @@ def coefficient_fields(rng, scenarios=6, steps=5, points=4):
         ("per-scenario tabulated", rc.dense_field(tg, grid, scenarios, 2, **tables((scenarios,)))),
         ("finance", bond.sample_field(scenarios, int(rng.integers(0, 2**31)))),
     ]
+
+
+def path_slopes(integrals, bundle, stock):
+    """The linearization of both state components at steps 0, ..., n-1, as
+    a list of C-ordered drift slopes (S, 2) and diffusion slopes (S, 2, dim):
+    component 0 is x, with the slopes of ``integrals``
+    (``coefficient_integrals(field, mu)``), and component 1 the linear stock
+    y, with its constant ``drift`` and ``vol``."""
+    _, slope, _, vol_slope = integrals
+    scen, dim = bundle.scenarios, bundle.dim
+    out = []
+    for k in range(bundle.tg.steps):
+        drift, vol = np.empty((scen, 2)), np.empty((scen, 2, dim))
+        drift[:, 0], drift[:, 1] = slope[:, k], stock.drift
+        vol[:, 0], vol[:, 1] = vol_slope[:, k], stock.vol
+        out.append((drift, vol))
+    return out
+
+
+def rate_paths(field):
+    """The bond market's short-rate and price-of-risk paths, (S|1, steps)
+    each: the scenario factors of the first two drift-slope terms."""
+    (rate, _), (theta, _), _ = field.drift_slope.terms
+    return rate, theta
