@@ -9,7 +9,27 @@ bond-portfolio/consumption application with proportional transaction costs
 ships as a runnable scenario.
 """
 
+import ctypes
+import os
+
 __version__ = "0.1.0"
+
+
+def _keep_freed_arrays() -> None:
+    """On glibc, keep freed blocks under 32 MiB in the heap for reuse (README, "Allocator policy")."""
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr (Windows), or not glibc
+        return
+    if glibc and "glibc.malloc." not in os.environ.get("GLIBC_TUNABLES", "") and not any(
+        f"MALLOC_{n}_" in os.environ for n in ("MMAP_THRESHOLD", "TRIM_THRESHOLD", "TOP_PAD", "MMAP_MAX")):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's ceiling for its dynamic threshold
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD, twice that, as glibc's dynamic rule sets it
+
+
+_keep_freed_arrays()
 
 from .measures import (
     ActionGrid,

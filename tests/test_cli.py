@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -861,6 +864,15 @@ class TestExampleBond:
         assert rc == 0
         doc = json.loads((tmp_path / "scen.json").read_text())
         assert doc["schema"] == "rscontrol-scenario/1"
+
+    def test_runs_as_module(self, tmp_path):
+        # ``python -m rscontrol`` from a checkout that is not installed
+        env = {**os.environ, "PYTHONPATH": str(Path(rc.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-m", "rscontrol", "example-bond", "--out",
+                              str(tmp_path / "scen.json")], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert (tmp_path / "scen.json").is_file()
 
     def test_unwritable_out(self, tmp_path, capsys):
         # the parent of the output file is a regular file
