@@ -49,15 +49,17 @@ SETUP_BUDGET = 16384   # scenario-steps per block of projector set-ups and slope
 def _set_up(x: np.ndarray, y: np.ndarray, degree: int, ridge: float) -> list:
     """Regression set-up of the samples in the columns of ``x``, ``y`` (S, m).
 
-    Returns one (design, gram, degree) per column, bit for bit those of a
-    C-ordered (S, k) basis of each column on its own: the monomial basis is
-    held as (S, m, k), so numpy sums its S rows in sequence for the means,
+    Returns one (design, gram, inverse, degree) per column, bit for bit those
+    of a C-ordered (S, k) basis of each column on its own: the monomial basis
+    is held as (S, m, k), so numpy sums its S rows in sequence for the means,
     as it does for one (S, k) basis (a scenario-contiguous layout would be
     summed pairwise, which changes bits).  The designs are C-ordered (S, k),
     the Gram matrices one stacked matmul, and ``np.linalg.cond`` runs once
-    on the finite ones.  A column whose Gram matrix is non-finite or
-    ill-conditioned is set up again one degree lower, with one warning per
-    conditioning fallback; degree 0 (the intercept alone) is always kept.
+    on the finite ones.  The columns that keep the degree take their
+    ``inverse``, ``inv(gram) / S``, from one stacked ``np.linalg.inv``.  A
+    column whose Gram matrix is non-finite or ill-conditioned is set up again
+    one degree lower, with one warning per conditioning fallback; degree 0
+    (the intercept alone) is always kept.
     """
     if not 0 <= degree <= 2:
         raise ValueError("regression basis supports total degree 0 to 2")
@@ -82,13 +84,18 @@ def _set_up(x: np.ndarray, y: np.ndarray, degree: int, ridge: float) -> list:
     gram[:, diag, diag] += ridge
     gram[:, 0, 0] -= ridge
     finite = np.isfinite(gram).all(axis=(1, 2))
-    ok = finite.copy()
+    ok = finite | (degree == 0)
     if degree > 0 and finite.any():
         ok[finite] = ~(np.linalg.cond(gram[finite]) > CONDITION_LIMIT)
+    # the whole block when every column keeps the degree (a boolean-indexed copy
+    # costs what the inverse saves), scaled in place (a temporary raised peak RSS)
+    inverse = np.linalg.inv(gram if ok.all() else gram[ok])
+    inverse /= scen
+    inverses = iter(inverse)
     out = []
     for j in range(m):
-        if ok[j] or degree == 0:
-            out.append((design[j], gram[j], degree))
+        if ok[j]:
+            out.append((design[j], gram[j], next(inverses), degree))
             continue
         if finite[j]:
             warnings.warn(f"singular regression design; falling back to degree {degree - 1}",
@@ -104,18 +111,20 @@ class Projector:
     intercept columns centered, so the ridge never biases the mean) and the
     ridge-regularized normal matrix.  If that matrix is numerically singular
     the degree is lowered (ultimately to the plain mean) with one warning per
-    lowered degree.  ``fit`` then projects any number of targets on the same
-    design with one solve.  This is the one-step case of the block set-up
-    that the adjoint solvers' step stream uses (``_backward_steps``).
+    lowered degree.  ``inverse`` is ``inv(gram) / S``, so ``fit`` projects any
+    number of targets on the same design with three matmuls and no solve.
+    This is the one-step case of the block set-up that the adjoint solvers'
+    step stream uses (``_backward_steps``).
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, degree: int = 2, ridge: float = 1e-8):
-        self.design, self.gram, self.degree = _set_up(x[:, None], y[:, None], degree, ridge)[0]
+        self.design, self.gram, self.inverse, self.degree = _set_up(
+            x[:, None], y[:, None], degree, ridge)[0]
 
     @classmethod
-    def _of(cls, design, gram, degree) -> "Projector":
+    def _of(cls, design, gram, inverse, degree) -> "Projector":
         proj = cls.__new__(cls)
-        proj.design, proj.gram, proj.degree = design, gram, degree
+        proj.design, proj.gram, proj.inverse, proj.degree = design, gram, inverse, degree
         return proj
 
     def fit(self, target: np.ndarray) -> np.ndarray:
@@ -127,7 +136,7 @@ class Projector:
             # numpy sums a one-column design against the target in the
             # target's memory order; gemm (wider designs) does not depend on it
             t = np.ascontiguousarray(t)
-        coef = np.linalg.solve(self.gram, self.design.T @ t / self.design.shape[0])
+        coef = self.inverse @ (self.design.T @ t)
         if coef.ndim == 1:
             return self.design @ coef
         return (coef.T @ self.design.T).T

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -90,7 +91,7 @@ def _reference_setup(x, y, degree, ridge):
 
 def _reference_fit(setup, target):
     design, gram, _ = setup
-    return design @ np.linalg.solve(gram, design.T @ target / design.shape[0])
+    return design @ ((np.linalg.inv(gram) / design.shape[0]) @ (design.T @ target))
 
 
 def _reference_adjoints(problem, field, mu, bundle, ridge):
@@ -194,6 +195,7 @@ class TestBlockSetUp:
             assert proj.design.flags.c_contiguous
             assert np.array_equal(proj.design, design)
             assert np.array_equal(proj.gram, gram)
+            assert np.array_equal(proj.inverse, np.linalg.inv(gram) / scenarios)
 
     def test_projector_is_the_one_step_case(self):
         x, y = _state_paths(300, 3, "C")
@@ -202,6 +204,7 @@ class TestBlockSetUp:
             design, gram, deg = _reference_setup(x[:, k], y[:, k], 2, 1e-8)
             assert proj.degree == deg
             assert np.array_equal(proj.design, design) and np.array_equal(proj.gram, gram)
+            assert np.array_equal(proj.inverse, np.linalg.inv(gram) / 300)
 
     def test_singular_step_inside_a_block_falls_back(self):
         # without the ridge the constant states of step 0 (the common start)
@@ -213,10 +216,28 @@ class TestBlockSetUp:
             projectors = _stream_projectors(x, y, 2, 0.0)[::-1]
         assert len(record) == 4
         assert [p.degree for p in projectors] == [0] + [2] * 8 + [0] + [2] * 30
-        for k in (8, 9, 10):
+        for k, proj in enumerate(projectors):
             design, gram, _ = _reference_setup(x[:, k], y[:, k], 2, 0.0)
-            assert np.array_equal(projectors[k].design, design)
-            assert np.array_equal(projectors[k].gram, gram)
+            assert np.array_equal(proj.design, design)
+            assert np.array_equal(proj.gram, gram)
+            assert np.array_equal(proj.inverse, np.linalg.inv(gram) / 200)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_state_inside_a_block_falls_back(self, bad):
+        # one non-finite state makes step 9's Gram matrix non-finite at
+        # degrees 2 and 1: it falls back to the mean with no fallback warning,
+        # and every other step keeps degree 2 and its own inverse
+        x, y = _state_paths(200, 40, "F")
+        x[3, 9] = bad
+        with np.errstate(invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            projectors = _stream_projectors(x, y, 2, 1e-8)[::-1]
+        assert [p.degree for p in projectors] == [2] * 9 + [0] + [2] * 30
+        target = np.random.default_rng(1).normal(size=(200, 3))
+        assert np.allclose(projectors[9].fit(target), target.mean(axis=0), rtol=0, atol=1e-15)
+        for k in (8, 10):
+            _, gram, _ = _reference_setup(x[:, k], y[:, k], 2, 1e-8)
+            assert np.array_equal(projectors[k].inverse, np.linalg.inv(gram) / 200)
 
 
 class TestFitConditional:
@@ -352,6 +373,27 @@ class TestAdjointPhi:
             assert slo.base is bases[block][0] and vslo.base is bases[block][1]
         assert len({id(base) for pair in bases for base in pair}) == 2 * len(blocks)
 
+    @pytest.mark.parametrize("solver", [rc.solve_adjoint_regression, rc.solve_adjoint_phi])
+    def test_one_inverse_per_set_up_block_and_no_solve(self, monkeypatch, solver):
+        # the blocks [44, 60), [28, 44), [12, 28) and [0, 12) each invert
+        # their Gram matrices in one stacked call; no fit solves
+        problem = rich_toy(steps=60)
+        field, mu, bundle = _setup(problem, 1000, 5)
+        inverted, inv = [], np.linalg.inv
+
+        def counted_inv(a):
+            inverted.append(a.shape)
+            return inv(a)
+
+        def refuse(*args):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "inv", counted_inv)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        adj = solver(field, mu, bundle, problem.running, problem.terminal, problem.stock)
+        assert inverted == [(16, 6, 6)] * 3 + [(12, 6, 6)]
+        assert all(np.isfinite(getattr(adj, name)).all() for name in ("px", "Px", "py", "Py"))
+
     def test_memory_is_bounded_by_the_block(self):
         # beside its outputs p (S, 2, n + 1) and load (S, 2, n, dim), phi holds
         # at most three (S, 2, n + 1) arrays (the flow, the gradient table and
@@ -472,10 +514,10 @@ class TestLayoutContract:
         fitted = proj.fit(target)
         design, gram = proj.design, proj.gram
         assert fitted.flags.f_contiguous
-        assert np.array_equal(fitted, design @ np.linalg.solve(gram, design.T @ target / 300))
+        assert np.array_equal(fitted, design @ ((np.linalg.inv(gram) / 300) @ (design.T @ target)))
         one = proj.fit(target[:, 1])
         assert one.shape == (300,)
-        assert np.array_equal(one, design @ np.linalg.solve(gram, design.T @ target[:, 1] / 300))
+        assert np.array_equal(one, design @ ((np.linalg.inv(gram) / 300) @ (design.T @ target[:, 1])))
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_phi_forward_pass_is_the_product_of_step_factors(self, dim):
