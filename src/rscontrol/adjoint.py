@@ -10,8 +10,8 @@ Two independent methods are provided and cross-validated in the test suite:
 
 Both estimate conditional expectations by cross-scenario polynomial
 regression in the state pair (x, y).  One ``Projector`` per time step holds
-that regression on the step's sample (basis, standardization, normal matrix,
-degree fallback) and fits every target of the step against it: both costate
+that regression on the step's sample (design, inverse normal matrix, degree
+after fallback) and fits every target of the step against it: both costate
 components and their diffusion loadings.  That projection is exact when the
 true costate is a polynomial of the states (the toy problems used for validation);
 with state-dependent diffusion slopes the fundamental-solution method
@@ -49,17 +49,17 @@ SETUP_BUDGET = 16384   # scenario-steps per block of projector set-ups and slope
 def _set_up(x: np.ndarray, y: np.ndarray, degree: int, ridge: float) -> list:
     """Regression set-up of the samples in the columns of ``x``, ``y`` (S, m).
 
-    Returns one (design, gram, inverse, degree) per column, bit for bit those
-    of a C-ordered (S, k) basis of each column on its own: the monomial basis
-    is held as (S, m, k), so numpy sums its S rows in sequence for the means,
+    Returns one (design, inverse, degree) per column, bit for bit those of a
+    C-ordered (S, k) basis of each column on its own: the monomial basis is
+    held as (S, m, k), so numpy sums its S rows in sequence for the means,
     as it does for one (S, k) basis (a scenario-contiguous layout would be
     summed pairwise, which changes bits).  The designs are C-ordered (S, k),
-    the Gram matrices one stacked matmul, and ``np.linalg.cond`` runs once
-    on the finite ones.  The columns that keep the degree take their
-    ``inverse``, ``inv(gram) / S``, from one stacked ``np.linalg.inv``.  A
-    column whose Gram matrix is non-finite or ill-conditioned is set up again
-    one degree lower, with one warning per conditioning fallback; degree 0
-    (the intercept alone) is always kept.
+    the Gram matrices one stacked matmul with the ridge on the slope columns
+    only, and ``np.linalg.cond`` runs once on the finite ones.  The columns
+    that keep the degree take ``inverse``, ``inv(gram) / S``, from one stacked
+    ``np.linalg.inv``.  A column whose Gram matrix is non-finite or ill-
+    conditioned is set up again one degree lower, with one warning per
+    conditioning fallback; degree 0 is always kept (its Gram is exactly [[1.0]]).
     """
     if not 0 <= degree <= 2:
         raise ValueError("regression basis supports total degree 0 to 2")
@@ -80,11 +80,10 @@ def _set_up(x: np.ndarray, y: np.ndarray, degree: int, ridge: float) -> list:
     scale[scale == 0.0] = 1.0
     design = np.divide(centered.transpose(1, 0, 2), scale[:, None], out=np.empty((m, scen, k)))
     gram = design.transpose(0, 2, 1) @ design / scen
-    diag = np.arange(k)
+    diag = np.arange(1, k)
     gram[:, diag, diag] += ridge
-    gram[:, 0, 0] -= ridge
     finite = np.isfinite(gram).all(axis=(1, 2))
-    ok = finite | (degree == 0)
+    ok = finite.copy()
     if degree > 0 and finite.any():
         ok[finite] = ~(np.linalg.cond(gram[finite]) > CONDITION_LIMIT)
     # the whole block when every column keeps the degree (a boolean-indexed copy
@@ -95,7 +94,7 @@ def _set_up(x: np.ndarray, y: np.ndarray, degree: int, ridge: float) -> list:
     out = []
     for j in range(m):
         if ok[j]:
-            out.append((design[j], gram[j], next(inverses), degree))
+            out.append((design[j], next(inverses), degree))
             continue
         if finite[j]:
             warnings.warn(f"singular regression design; falling back to degree {degree - 1}",
@@ -107,24 +106,23 @@ def _set_up(x: np.ndarray, y: np.ndarray, degree: int, ridge: float) -> list:
 class Projector:
     """Least-squares projection on the (x, y) monomial basis of one sample.
 
-    The design is set up once: RMS-standardized monomial columns (non-
-    intercept columns centered, so the ridge never biases the mean) and the
-    ridge-regularized normal matrix.  If that matrix is numerically singular
-    the degree is lowered (ultimately to the plain mean) with one warning per
-    lowered degree.  ``inverse`` is ``inv(gram) / S``, so ``fit`` projects any
-    number of targets on the same design with three matmuls and no solve.
-    This is the one-step case of the block set-up that the adjoint solvers'
-    step stream uses (``_backward_steps``).
+    A projector carries what a fit reads: ``design``, RMS-standardized
+    monomial columns (non-intercept columns centered, so the ridge never
+    biases the mean), ``inverse``, ``inv(gram) / S`` of the normal matrix with
+    the ridge on the slope columns only, and ``degree``.  If that matrix is
+    numerically singular the degree is lowered (ultimately to the plain mean,
+    whose Gram matrix is exactly [[1.0]]) with one warning per lowered degree.
+    ``fit`` projects any number of targets with three matmuls and no solve.
+    It is the one-step case of the adjoint solvers' block set-up.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, degree: int = 2, ridge: float = 1e-8):
-        self.design, self.gram, self.inverse, self.degree = _set_up(
-            x[:, None], y[:, None], degree, ridge)[0]
+        self.design, self.inverse, self.degree = _set_up(x[:, None], y[:, None], degree, ridge)[0]
 
     @classmethod
-    def _of(cls, design, gram, inverse, degree) -> "Projector":
+    def _of(cls, design, inverse, degree) -> "Projector":
         proj = cls.__new__(cls)
-        proj.design, proj.gram, proj.inverse, proj.degree = design, gram, inverse, degree
+        proj.design, proj.inverse, proj.degree = design, inverse, degree
         return proj
 
     def fit(self, target: np.ndarray) -> np.ndarray:

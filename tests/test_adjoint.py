@@ -79,8 +79,8 @@ def _reference_setup(x, y, degree, ridge):
         scale[scale == 0.0] = 1.0
         design = centered / scale
         gram = design.T @ design / design.shape[0]
-        gram[np.diag_indices_from(gram)] += ridge
-        gram[0, 0] -= ridge
+        slopes = np.arange(1, gram.shape[0])
+        gram[slopes, slopes] += ridge
         if not np.isfinite(gram).all():
             continue
         if deg > 0 and np.linalg.cond(gram) > CONDITION_LIMIT:
@@ -194,7 +194,6 @@ class TestBlockSetUp:
             assert proj.degree == deg
             assert proj.design.flags.c_contiguous
             assert np.array_equal(proj.design, design)
-            assert np.array_equal(proj.gram, gram)
             assert np.array_equal(proj.inverse, np.linalg.inv(gram) / scenarios)
 
     def test_projector_is_the_one_step_case(self):
@@ -203,7 +202,7 @@ class TestBlockSetUp:
             proj = Projector(x[:, k], y[:, k])
             design, gram, deg = _reference_setup(x[:, k], y[:, k], 2, 1e-8)
             assert proj.degree == deg
-            assert np.array_equal(proj.design, design) and np.array_equal(proj.gram, gram)
+            assert np.array_equal(proj.design, design)
             assert np.array_equal(proj.inverse, np.linalg.inv(gram) / 300)
 
     def test_singular_step_inside_a_block_falls_back(self):
@@ -219,8 +218,27 @@ class TestBlockSetUp:
         for k, proj in enumerate(projectors):
             design, gram, _ = _reference_setup(x[:, k], y[:, k], 2, 0.0)
             assert np.array_equal(proj.design, design)
-            assert np.array_equal(proj.gram, gram)
             assert np.array_equal(proj.inverse, np.linalg.inv(gram) / 200)
+
+    @pytest.mark.parametrize("ridge", [1e-8, 1e17])
+    def test_degree_zero_inverse_is_exactly_one_over_s(self, ridge):
+        # the ridge goes on the slope columns only, so the intercept's Gram
+        # matrix is exactly [[1.0]] at any ridge
+        x, y = _state_paths(256, 1, "C")
+        proj = Projector(x[:, 1], y[:, 1], degree=0, ridge=ridge)
+        assert proj.degree == 0
+        assert np.array_equal(proj.inverse, [[1.0 / 256]])
+
+    def test_huge_ridge_falls_back_to_the_mean(self):
+        # a ridge far above the data makes degrees 2 and 1 ill-conditioned:
+        # one warning each, then the plain mean, and nothing raises
+        x, y = _state_paths(256, 1, "C")
+        with pytest.warns(RuntimeWarning, match="falling back") as record:
+            proj = Projector(x[:, 1], y[:, 1], degree=2, ridge=1e17)
+        assert len(record) == 2 and proj.degree == 0
+        assert np.array_equal(proj.inverse, [[1.0 / 256]])
+        target = np.random.default_rng(2).normal(size=(256, 2))
+        assert np.allclose(proj.fit(target), target.mean(axis=0), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_state_inside_a_block_falls_back(self, bad):
@@ -512,12 +530,12 @@ class TestLayoutContract:
         target = np.random.default_rng(width).normal(size=(300, width))
         target = np.asfortranarray(target) if order == "F" else target
         fitted = proj.fit(target)
-        design, gram = proj.design, proj.gram
+        design, inverse = proj.design, proj.inverse
         assert fitted.flags.f_contiguous
-        assert np.array_equal(fitted, design @ ((np.linalg.inv(gram) / 300) @ (design.T @ target)))
+        assert np.array_equal(fitted, design @ (inverse @ (design.T @ target)))
         one = proj.fit(target[:, 1])
         assert one.shape == (300,)
-        assert np.array_equal(one, design @ ((np.linalg.inv(gram) / 300) @ (design.T @ target[:, 1])))
+        assert np.array_equal(one, design @ (inverse @ (design.T @ target[:, 1])))
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_phi_forward_pass_is_the_product_of_step_factors(self, dim):

@@ -5,10 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import rscontrol as rc
 from rscontrol.cli import (
     _SCHEMA,
@@ -714,6 +718,30 @@ class TestOptimize:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numeric error: ")
         assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_huge_ridge_falls_back_without_a_traceback(self, tmp_path, capsys):
+        # a ridge of 1e17 swamps every slope column: the regression falls
+        # back to the mean with warnings, and the run still completes
+        cfg = example_bond_config()
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["scenarios"] = 100
+        cfg["optimizer"].update(max_iter=2, ridge=1e17)
+        with pytest.warns(RuntimeWarning, match="falling back to degree 0"):
+            assert main(["optimize", "--config", _write(tmp_path / "c.json", cfg),
+                         "--no-timestamp"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    @given(ridge=st.one_of(st.just(0.0), st.floats(0.0, 1e300)),
+           degree=st.sampled_from([0, 1, 2]))
+    @settings(max_examples=25, deadline=None)
+    def test_every_accepted_ridge_and_degree_runs(self, ridge, degree):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = _toy_config(Path(tmp) / "out", steps=4, scenarios=20, max_iter=1)
+            cfg["optimizer"].update(adjoint_degree=degree, ridge=ridge)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert main(["optimize", "--config", _write(Path(tmp) / "c.json", cfg),
+                             "--no-timestamp"]) == 0
 
     def test_max_iter_zero_reports_initial_state(self, tmp_path):
         out = tmp_path / "out"
