@@ -49,13 +49,14 @@ SETUP_BUDGET = 16384   # scenario-steps per block of projector set-ups and slope
 def _set_up(x: np.ndarray, y: np.ndarray, degree: int, ridge: float) -> list:
     """Regression set-up of the samples in the columns of ``x``, ``y`` (S, m).
 
-    Returns one (design, inverse, degree) per column, bit for bit those of a
-    C-ordered (S, k) basis of each column on its own: the monomial basis is
-    held as (S, m, k), so numpy sums its S rows in sequence for the means,
-    as it does for one (S, k) basis (a scenario-contiguous layout would be
-    summed pairwise, which changes bits).  The designs are C-ordered (S, k),
-    the Gram matrices one stacked matmul with the ridge on the slope columns
-    only, and ``np.linalg.cond`` runs once on the finite ones.  The columns
+    Returns one (design, inverse, degree) per column, bit for bit those of an
+    F-ordered (S, k) basis of each column on its own.  The basis is held
+    scenario-contiguous, (m, k, S), its slope rows centered and scaled in
+    place with pairwise sums; each design is the F-ordered (S, k) view
+    ``basis.transpose(0, 2, 1)[j]``, the Gram matrices one stacked matmul with
+    the ridge r on the slope columns only.  Their eigenvalues then lie in {1}
+    and [r, k - 1 + r], so ``np.linalg.cond`` runs only where the bound
+    max(1, k - 1 + r) / min(1, r) exceeds ``CONDITION_LIMIT``.  The columns
     that keep the degree take ``inverse``, ``inv(gram) / S``, from one stacked
     ``np.linalg.inv``.  A column whose Gram matrix is non-finite or ill-
     conditioned is set up again one degree lower, with one warning per
@@ -65,26 +66,25 @@ def _set_up(x: np.ndarray, y: np.ndarray, degree: int, ridge: float) -> list:
         raise ValueError("regression basis supports total degree 0 to 2")
     scen, m = x.shape
     k = (1, 3, 6)[degree]
-    basis = np.empty((scen, m, k))
-    basis[:, :, 0] = 1.0
+    basis = np.empty((m, k, scen))
+    basis[:, 0] = 1.0
     if degree >= 1:
-        basis[:, :, 1], basis[:, :, 2] = x, y
+        basis[:, 1], basis[:, 2] = x.T, y.T
     if degree >= 2:
-        np.multiply(x, x, out=basis[:, :, 3])
-        np.multiply(x, y, out=basis[:, :, 4])
-        np.multiply(y, y, out=basis[:, :, 5])
-    shift = basis.sum(axis=0) / scen
-    shift[:, 0] = 0.0
-    centered = np.subtract(basis, shift, out=basis)
-    scale = np.sqrt((centered * centered).sum(axis=0) / scen)
+        np.multiply(basis[:, 1:3], basis[:, 1:2], out=basis[:, 3:5])   # x * x, y * x
+        np.multiply(basis[:, 2], basis[:, 2], out=basis[:, 5])
+    slopes = basis[:, 1:]
+    slopes -= slopes.sum(axis=2, keepdims=True) / scen
+    scale = np.sqrt(np.square(slopes).sum(axis=2, keepdims=True) / scen)
     scale[scale == 0.0] = 1.0
-    design = np.divide(centered.transpose(1, 0, 2), scale[:, None], out=np.empty((m, scen, k)))
-    gram = design.transpose(0, 2, 1) @ design / scen
+    slopes /= scale
+    design = basis.transpose(0, 2, 1)
+    gram = basis @ design / scen
     diag = np.arange(1, k)
     gram[:, diag, diag] += ridge
     finite = np.isfinite(gram).all(axis=(1, 2))
     ok = finite.copy()
-    if degree > 0 and finite.any():
+    if degree > 0 and finite.any() and max(1, k - 1 + ridge) > CONDITION_LIMIT * min(1, ridge):
         ok[finite] = ~(np.linalg.cond(gram[finite]) > CONDITION_LIMIT)
     # the whole block when every column keeps the degree (a boolean-indexed copy
     # costs what the inverse saves), scaled in place (a temporary raised peak RSS)
@@ -112,8 +112,9 @@ class Projector:
     the ridge on the slope columns only, and ``degree``.  If that matrix is
     numerically singular the degree is lowered (ultimately to the plain mean,
     whose Gram matrix is exactly [[1.0]]) with one warning per lowered degree.
-    ``fit`` projects any number of targets with three matmuls and no solve.
-    It is the one-step case of the adjoint solvers' block set-up.
+    ``design`` is an F-ordered view into the set-up's basis.  ``fit``
+    projects any number of targets with three matmuls and no solve.  It is
+    the one-step case of the adjoint solvers' block set-up.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, degree: int = 2, ridge: float = 1e-8):
@@ -126,15 +127,10 @@ class Projector:
         return proj
 
     def fit(self, target: np.ndarray) -> np.ndarray:
-        """E[target | x, y] on the sample; ``target`` is (scenarios,) or
-        (scenarios, r), and the result has the same shape.  A 2-D fit is
-        F-ordered (each target's fit contiguous), bit for bit ``design @ coef``."""
-        t = np.asarray(target, dtype=float)
-        if self.degree == 0:
-            # numpy sums a one-column design against the target in the
-            # target's memory order; gemm (wider designs) does not depend on it
-            t = np.ascontiguousarray(t)
-        coef = self.inverse @ (self.design.T @ t)
+        """E[target | x, y] on the sample; ``target`` is (scenarios,) or (scenarios, r), read
+        F-ordered (gemm on the F-ordered design depends on the target's layout from 6 columns),
+        and the result has the same shape: a 2-D fit F-ordered, bit for bit ``design @ coef``."""
+        coef = self.inverse @ (self.design.T @ np.asfortranarray(target, dtype=float))
         if coef.ndim == 1:
             return self.design @ coef
         return (coef.T @ self.design.T).T

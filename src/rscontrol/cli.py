@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import functools
 import json
 import math
 import reprlib
@@ -530,8 +531,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)   # main's parser, built on its first call, not at import
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:   # overflow is reported by exit code 3 or as null, not by numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)

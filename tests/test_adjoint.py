@@ -68,10 +68,12 @@ def _stream_projectors(x, y, degree, ridge):
 
 
 def _reference_setup(x, y, degree, ridge):
-    """One step's set-up on a C-ordered (S, k) basis, lowering the degree
-    while the normal matrix is non-finite or ill-conditioned."""
+    """One step's set-up on an F-ordered (S, k) basis (so its column sums are
+    pairwise), lowering the degree while the normal matrix is non-finite or
+    ill-conditioned."""
     for deg in range(degree, -1, -1):
-        basis = np.column_stack([np.ones_like(x), x, y, x * x, x * y, y * y][:(1, 3, 6)[deg]])
+        basis = np.asfortranarray(
+            np.column_stack([np.ones_like(x), x, y, x * x, x * y, y * y][:(1, 3, 6)[deg]]))
         shift = basis.mean(axis=0)
         shift[0] = 0.0
         centered = basis - shift
@@ -91,6 +93,7 @@ def _reference_setup(x, y, degree, ridge):
 
 def _reference_fit(setup, target):
     design, gram, _ = setup
+    target = np.asfortranarray(target)
     return design @ ((np.linalg.inv(gram) / design.shape[0]) @ (design.T @ target))
 
 
@@ -181,6 +184,10 @@ def _state_paths(scenarios, steps, order, seed=0):
     return (np.asfortranarray(x), np.asfortranarray(y)) if order == "F" else (x, y)
 
 
+def _refuse_cond(*args, **kwargs):
+    raise AssertionError("np.linalg.cond called")
+
+
 class TestBlockSetUp:
     @pytest.mark.parametrize("order", ["F", "C"])
     @pytest.mark.parametrize("scenarios", [1, 7, 200, 1000, SETUP_BUDGET + 1])
@@ -192,7 +199,7 @@ class TestBlockSetUp:
         for k, proj in zip(range(steps - 1, -1, -1), projectors):
             design, gram, deg = _reference_setup(x[:, k], y[:, k], 2, 1e-8)
             assert proj.degree == deg
-            assert proj.design.flags.c_contiguous
+            assert proj.design.flags.f_contiguous
             assert np.array_equal(proj.design, design)
             assert np.array_equal(proj.inverse, np.linalg.inv(gram) / scenarios)
 
@@ -256,6 +263,59 @@ class TestBlockSetUp:
         for k in (8, 10):
             _, gram, _ = _reference_setup(x[:, k], y[:, k], 2, 1e-8)
             assert np.array_equal(projectors[k].inverse, np.linalg.inv(gram) / 200)
+
+    def test_default_ridge_never_runs_the_conditioning_check(self, monkeypatch):
+        # with the intercept unpenalized the Gram eigenvalues lie in {1} and
+        # [r, 5 + r], so at r = 1e-8 the condition number is at most 5e8 and
+        # a 16-step block, the constant common start included, keeps degree 2
+        # without an SVD
+        monkeypatch.setattr(np.linalg, "cond", _refuse_cond)
+        x, y = _state_paths(1000, 16, "F")
+        assert [p.degree for p in _stream_projectors(x, y, 2, 1e-8)] == [2] * 16
+
+    @pytest.mark.parametrize("ridge", [0.0, 1e17])
+    def test_unbounded_ridges_run_the_conditioning_check(self, monkeypatch, ridge):
+        # without the ridge (constant states at steps 0 and 9) and far above
+        # the data, the check runs and lowers the reference's degrees, with one
+        # warning per lowered degree
+        calls, cond = [], np.linalg.cond
+
+        def counted_cond(a):
+            calls.append(a.shape)
+            return cond(a)
+
+        monkeypatch.setattr(np.linalg, "cond", counted_cond)
+        x, y = _state_paths(1000, 16, "F")
+        x[:, 9], y[:, 9] = 2.0, 3.0
+        with pytest.warns(RuntimeWarning, match="falling back") as record:
+            projectors = _stream_projectors(x, y, 2, ridge)[::-1]
+        degrees = [_reference_setup(x[:, k], y[:, k], 2, ridge)[2] for k in range(16)]
+        assert calls and calls[0] == (16, 6, 6)
+        assert [p.degree for p in projectors] == degrees
+        assert degrees == ([0] + [2] * 8 + [0] + [2] * 6 if ridge == 0.0 else [0] * 16)
+        assert len(record) == 2 * degrees.count(0)
+
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf])
+    def test_non_finite_ridge_ends_at_the_mean(self, monkeypatch, ridge):
+        # a non-finite ridge makes every Gram matrix above degree 0 non-finite:
+        # no conditioning check, no warning, the plain mean
+        monkeypatch.setattr(np.linalg, "cond", _refuse_cond)
+        x, y = _state_paths(1000, 16, "F")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            projectors = _stream_projectors(x, y, 2, ridge)
+        assert all(p.degree == 0 and np.array_equal(p.inverse, [[1.0 / 1000]]) for p in projectors)
+
+    def test_set_up_peak_per_scenario_step(self):
+        # the (m, k, S) basis (48 bytes per scenario-step, kept as the designs)
+        # and one temporary of the squared slope rows (40 bytes)
+        x, y = (a[:, :16] for a in _state_paths(1024, 16, "F"))
+        tracemalloc.start()
+        setups = adjoint._set_up(x, y, 2, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert len(setups) == 16
+        assert peak <= 96 * 16 * 1024, peak / (16 * 1024)
 
 
 class TestFitConditional:
@@ -532,10 +592,24 @@ class TestLayoutContract:
         fitted = proj.fit(target)
         design, inverse = proj.design, proj.inverse
         assert fitted.flags.f_contiguous
-        assert np.array_equal(fitted, design @ (inverse @ (design.T @ target)))
+        assert np.array_equal(fitted, design @ (inverse @ (design.T @ np.asfortranarray(target))))
         one = proj.fit(target[:, 1])
         assert one.shape == (300,)
         assert np.array_equal(one, design @ (inverse @ (design.T @ target[:, 1])))
+
+    @pytest.mark.parametrize("scenarios", [7, 150, 1000])
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_projector_fit_is_layout_free(self, degree, scenarios):
+        # gemm on an F-ordered design reads a C-ordered target differently from
+        # 6 columns on; the fit takes every target F-ordered, so a target's C
+        # and F copies give the same bits at every width
+        x, y = _state_paths(scenarios, 1, "C", seed=4)
+        proj = Projector(x[:, 1], y[:, 1], degree=degree)
+        assert proj.degree == degree
+        rng = np.random.default_rng(scenarios)
+        for width in (1, 2, 3, 4, 6, 8, 12):
+            target = rng.normal(size=(scenarios, width))
+            assert np.array_equal(proj.fit(target), proj.fit(np.asfortranarray(target))), width
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_phi_forward_pass_is_the_product_of_step_factors(self, dim):

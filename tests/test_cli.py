@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import rscontrol as rc
+import rscontrol.cli as cli
 from rscontrol.cli import (
     _SCHEMA,
     _build_problem,
@@ -952,3 +953,26 @@ class TestReproducibility:
         first = _read_tree(out)
         assert main(["optimize", "--config", path, "--no-timestamp"]) == 0
         assert _read_tree(out) == first
+
+    def test_one_parser_per_process(self, tmp_path):
+        # main parses with one parser, built on its first call and not at
+        # import; a verify and a seed override between two identical optimize
+        # calls leave no state in it, and build_parser stays a fresh factory
+        env = {**os.environ, "PYTHONPATH": str(Path(rc.__file__).resolve().parents[1])}
+        probe = subprocess.run([sys.executable, "-c", "import rscontrol.cli as c; "
+                                "print(c._parser.cache_info().currsize)"],
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert probe.stdout.strip() == "0", probe.stderr
+        cli._parser.cache_clear()
+        out = tmp_path / "out"
+        path = _write(tmp_path / "c.json", _toy_config(out, scenarios=60, max_iter=3))
+        assert main(["optimize", "--config", path, "--no-timestamp"]) == 0
+        first = _read_tree(out)
+        assert main(["verify", "--config", path, "--controls", str(out / "controls.json"),
+                     "--out", str(tmp_path / "ver"), "--no-timestamp"]) in (0, 1)
+        assert main(["optimize", "--config", path, "--seed", "4", "--out", str(tmp_path / "s4"),
+                     "--no-timestamp"]) == 0
+        assert main(["optimize", "--config", path, "--no-timestamp"]) == 0
+        assert _read_tree(out) == first
+        assert cli._parser.cache_info().misses == 1
+        assert cli.build_parser() is not cli.build_parser()
