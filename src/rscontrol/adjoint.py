@@ -229,7 +229,7 @@ def _gradient_paths(field, mu, bundle, running):
     """Measure-integrated running-cost gradients along the paths,
     (S, 2, steps) step-major, with component 0 for x and 1 for y, integrated
     in ``_running_rows``' blocks of ``max(1, SWEEP_BUDGET // (S * count))``
-    steps, like every running-cost table; a ``None`` gradient is +0.0."""
+    steps, whose (m, S|1) rows broadcast over the scenarios; a ``None`` gradient is +0.0."""
     h = np.zeros((bundle.scenarios, 2, bundle.tg.steps), order="F")
     for c, grad in enumerate((running.dx, running.dy)):
         if grad is not None:

@@ -43,9 +43,9 @@ class MarketModel:
     def __post_init__(self):
         if self.volatility not in ("ho-lee", "hull-white"):
             raise ValueError(f"unknown volatility model {self.volatility!r}")
-        for name in ("sigma", "mean_reversion", "clamp_quantile"):   # None reads as 0
-            _check_number(getattr(self, name) or 0.0, name)
-        clamp = self.clamp_quantile or 0.0
+        clamp = 0.0 if self.clamp_quantile is None else self.clamp_quantile
+        for name in ("sigma", "mean_reversion", "clamp_quantile"):   # only clamp_quantile may be None
+            _check_number(clamp if name == "clamp_quantile" else getattr(self, name), name)
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
         if self.volatility == "hull-white" and not self.mean_reversion > 0:

@@ -55,17 +55,14 @@ def _sweep_steps(scenarios: int, count: int) -> int:
 
 def _running_rows(fn, bundle, points, weights):
     """Yield (start, rows): ``fn``'s table on each block of ``_sweep_steps`` steps
-    integrated against its rows of ``weights``, (m, S); the one block rule of the
-    cost, the gradients and the first variation.  A one-row table is repeated over
-    the scenarios first: BLAS sums a row in an order set by its place in the matrix."""
+    integrated against its rows of ``weights``, (m, S|1) as the table is wide; the
+    one block rule of the cost, the gradients and the first variation."""
     times, n = bundle.tg.times(), bundle.tg.steps
     steps = _sweep_steps(bundle.scenarios, len(points))
     for start in range(0, n, steps):
         stop = min(start + steps, n)
         table = _running_table(fn, times[start:stop], bundle.x[:, start:stop],
                                bundle.y[:, start:stop], points)
-        if table.shape[1] < bundle.scenarios:
-            table = np.repeat(table, bundle.scenarios, axis=1)
         yield start, _integrate(table, weights[start:stop])
 
 

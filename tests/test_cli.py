@@ -462,6 +462,22 @@ class TestValidation:
         assert key in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value, market", [
+        ("mean_reversion", None, {"short_rate": {"kind": "ou", "r0": 0.03, "level": 0.03}}),
+        ("mean_reversion", None, {"volatility": "hull-white"}),
+        ("mean_reversion", False, {"volatility": "hull-white"}),
+        ("sigma", None, {}), ("sigma", False, {}),
+    ])
+    def test_null_market_number(self, tmp_path, capsys, key, value, market):
+        # only clamp_quantile may be null; the others are numbers, never booleans
+        cfg = {**example_bond_config(), "scenarios": 20, "output_dir": str(tmp_path / "out")}
+        cfg["problem"]["market"].update(market, **{key: value})
+        assert main(["simulate", "--config", _write(tmp_path / "c.json", cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert key in err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_grid(self, tmp_path):
         cfg = _toy_config(tmp_path / "out")
         cfg["problem"]["action_grid"]["points"] = [1.0, 1.0]
@@ -727,9 +743,12 @@ class TestOptimize:
         cfg["output_dir"] = str(tmp_path / "out")
         cfg["scenarios"] = 100
         cfg["optimizer"].update(max_iter=2, ridge=1e17)
-        with pytest.warns(RuntimeWarning, match="falling back to degree 0"):
+        with pytest.warns(RuntimeWarning) as record:
             assert main(["optimize", "--config", _write(tmp_path / "c.json", cfg),
                          "--no-timestamp"]) == 0
+        fallbacks = [f"singular regression design; falling back to degree {d}" for d in (0, 1)]
+        messages = {str(warning.message) for warning in record}
+        assert messages <= set(fallbacks) and fallbacks[0] in messages, messages
         assert "Traceback" not in capsys.readouterr().err
 
     @given(ridge=st.one_of(st.just(0.0), st.floats(0.0, 1e300)),

@@ -471,20 +471,6 @@ class TestBlockInvariance:
             for a, b in zip(outputs[0], other):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
-    def test_one_row_table_integrates_as_its_full_table(self):
-        # BLAS sums a row of a matrix in an order that depends on the row's
-        # place in it, so a one-row table must be integrated as the full table
-        bond = _bond_problem(self.STEPS)
-        field = bond.sample_field(self.SCENARIOS, 5)
-        bundle, _ = _random_paths(field, np.random.default_rng(12))
-        full = rc.RunningCost(value=lambda t, x, y, pts: np.repeat(
-            bond.running.value(t, x, y, pts), max(len(x), len(y)), axis=1), dx=None, dy=None)
-        assert bond.running.value(np.zeros(2), bundle.x[:, :2], bundle.y[:, :2],
-                                  field.grid.points).shape == (2, 1, field.grid.count)
-        costs = [evaluate_cost(bundle, running, bond.k_path, bond.terminal, fieldref=field).samples
-                 for running in (bond.running, full)]
-        assert costs[0].tobytes() == costs[1].tobytes()
-
     @pytest.mark.parametrize("running", [rc.zero_running(), _bond_problem(4).running])
     def test_zero_gradient_is_exact_positive_zero(self, running):
         field = coefficient_fields(np.random.default_rng(8), scenarios=6, steps=4)[0][1]
@@ -496,6 +482,33 @@ class TestBlockInvariance:
                                      rc.RunningCost(value=running.value, dx=zeros, dy=zeros))
         assert np.all(h == 0.0) and not np.signbit(h).any()
         assert h.tobytes() == integrated.tobytes()
+
+
+class TestOneRowTable:
+    """A one-row (m, 1, count) table is integrated as one row, (m, 1), and
+    broadcast over the scenarios by its consumer: no (m, S, count) copy."""
+
+    def test_one_row_table_is_integrated_without_a_scenario_copy(self):
+        bond = _bond_problem(50)
+        field = bond.sample_field(2000, 5)
+        bundle, _ = _random_paths(field, np.random.default_rng(12))
+        assert bond.running.value(np.zeros(2), bundle.x[:, :2], bundle.y[:, :2],
+                                  field.grid.points).shape == (2, 1, field.grid.count)
+        tracemalloc.start()
+        evaluate_cost(bundle, bond.running, bond.k_path, bond.terminal, fieldref=field)
+        cost_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # the rich toy's affine gradients are (m, 1, count) tables
+        problem = rich_toy(steps=60)
+        noise = problem.noise(1000, 5)
+        field = problem.sample_field(1000, 5, noise)
+        bundle = problem.simulate(field, *problem.default_controls(), noise)
+        tracemalloc.start()
+        _gradient_paths(field, bundle.mu, bundle, problem.running)
+        gradient_peak = tracemalloc.get_traced_memory()[1] - 8 * 1000 * 2 * 60
+        tracemalloc.stop()
+        # an (m, S, count) copy of a block takes about 0.5 MB and 0.7 MB here
+        assert cost_peak <= 0.15e6 and gradient_peak <= 0.1e6, (cost_peak, gradient_peak)
 
 
 class TestRunningBlockShape:
