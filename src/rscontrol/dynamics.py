@@ -44,6 +44,7 @@ from .measures import integrate_against  # noqa: F401  (perfbench wraps this mod
 
 NOISE_BLOCK = 256   # scenarios per generator call in ``brownian_increments``
 FACTOR_BUDGET = 65536   # scenario-steps of step factors set up at once in ``simulate_forward``
+THREAD_MIN_SCENARIOS = 3584   # scenarios per forward thread at least; fewer lose to one thread
 # the tables of a canonical coefficient model, ``dense_field``'s keyword inputs
 COEFFICIENT_TABLES = ("drift_level", "drift_slope", "vol_level", "vol_slope",
                       "jump_gain_x", "jump_gain_y")
@@ -353,23 +354,20 @@ class TrajectoryBundle:
         return self.noise.shape[2]
 
 
-def _product_order(dim: int) -> str:
-    """Memory order of a product summed over its last axis of length ``dim``:
-    step-major, so that numpy adds whole columns instead of looping over
-    short rows; from 8 columns on numpy's C-order sum pairs terms, so C
-    order is kept there."""
-    return "F" if dim < 8 else "C"
-
-
 def _dot_last(a, b, out=None, product=None) -> np.ndarray:
-    """``(a * b).sum(axis=-1)`` bit for bit, over a product in
-    ``_product_order``; written into ``out``, through the buffer ``product``
-    (in that order), when given."""
-    if product is None:
-        product = np.multiply(a, b, order=_product_order(max(np.shape(a)[-1], np.shape(b)[-1])))
-    else:
-        np.multiply(a, b, out=product)
-    return product.sum(axis=-1, out=out)
+    """``(a * b).sum(axis=-1)``, into ``out`` when given.  Below 8 axes
+    numpy's C-order sum adds the terms in order, and so does this, one
+    product per axis (through the buffer ``product``, of ``out``'s shape)
+    over all leading entries at once; only a sum of negative zeros differs,
+    as -0.0.  From 8 axes on numpy pairs terms: the C-order product (in
+    ``product``, of the operands' shape) is summed."""
+    if a.shape[-1] >= 8:
+        product = np.multiply(a, b, order="C", out=product)
+        return product.sum(axis=-1, out=out)
+    out = np.multiply(a[..., 0], b[..., 0], out=out)
+    for j in range(1, a.shape[-1]):
+        out += np.multiply(a[..., j], b[..., j], out=product)
+    return out
 
 
 def _check_finite(x, y, start: int, stop: int, first: int) -> None:
@@ -392,9 +390,9 @@ def _simulate_block(integrals, stock, tg, noise, x, y, first, jump_x, jump_y, bu
     slope dt) + vol_slope . dW`` and y's ``(1 + drift dt) + vol . dW``, and
     x's offset is ``(level dt + vol_level . dW) + jump``.  They are set up in
     the block's rows of the factor ``buffers`` (multipliers, offsets, Brownian
-    sums, Brownian products; y's multipliers in the sums once x's factors are
-    done), as many steps at a time as they hold; the paths are checked once
-    per such block of steps."""
+    sums, ``_dot_last``'s products; y's multipliers in the sums once x's
+    factors are done), as many steps at a time as they hold; the paths are
+    checked once per such block of steps."""
     dt, size = tg.dt, buffers[0].shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, tg.steps, size):
@@ -438,8 +436,10 @@ def _forward_inputs(field, mu, xi, stock, tg, noise):
 def _euler_paths(integrals, jumps, x0, y0, stock, tg, noise, threads=1):
     """The Euler paths x, y (S, steps + 1) of the per-step x coefficients
     ``integrals`` (S|1, steps[, dim]), the linear ``stock`` and the per-step
-    ``jumps`` of x and y, run on up to ``threads`` scenario chunks.  Raises
-    the NonFiniteStateError that a serial pass meets first.  With zero levels
+    ``jumps`` of x and y, on ``min(threads, S // THREAD_MIN_SCENARIOS)``
+    scenario chunks, at least one: a smaller chunk's thread hands the
+    interpreter lock over for longer than it saves.  Raises the
+    NonFiniteStateError that a serial pass meets first.  With zero levels
     and jumps each offset ``(0 dt + 0 . dW) + 0`` is a zero: each step is ``state * a``."""
     scenarios = noise.shape[0]
     x = np.empty((scenarios, tg.steps + 1), order="F")
@@ -448,9 +448,10 @@ def _euler_paths(integrals, jumps, x0, y0, stock, tg, noise, threads=1):
     # ``_simulate_block``'s buffers for one block of steps; allocated here, not
     # in the threads, so that they never grow a thread's allocation arena
     shape = (scenarios, min(tg.steps, max(1, FACTOR_BUDGET // max(1, scenarios))))
+    wide = noise.shape[2] >= 8   # ``_dot_last`` then forms the whole C-order product
     buffers = (*(np.empty(shape, order="F") for _ in range(3)),
-               np.empty(shape + noise.shape[2:], order=_product_order(noise.shape[2])))
-    chunks = 1 if threads <= 1 or scenarios < 2 * threads else threads
+               np.empty(shape + noise.shape[2:]) if wide else np.empty(shape, order="F"))
+    chunks = max(1, min(threads, scenarios // THREAD_MIN_SCENARIOS))
     bounds = np.linspace(0, scenarios, chunks + 1).astype(int).tolist()
 
     def run(i):
@@ -503,9 +504,10 @@ def simulate_forward(
         ``ControlProblem.noise`` draws.  Passing the noise that sampled the
         field keeps coefficients and paths on one filtration.
     threads : int
-        Scenario-chunk parallelism.  The coefficients are integrated against
-        ``mu`` once over all scenarios before chunking, so every thread count
-        gives bit-identical paths.
+        Scenario-chunk parallelism: at most this many chunks of at least
+        ``THREAD_MIN_SCENARIOS`` scenarios.  The coefficients are integrated
+        against ``mu`` once over all scenarios before chunking, so every
+        thread count gives bit-identical paths.
 
     Raises
     ------

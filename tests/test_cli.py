@@ -672,6 +672,32 @@ class TestSimulate:
 
 
 class TestOptimize:
+    def test_thread_count_changes_no_output_byte(self, tmp_path, thread_pools):
+        # README: the thread count never changes a bit of any output.  With
+        # the floor lowered to 16 scenarios, --threads 2 runs every forward
+        # simulation of optimize and verify on two chunks
+        pools = thread_pools(floor=16)
+        path = _write(tmp_path / "c.json", _toy_config(tmp_path / "out", scenarios=60,
+                                                       max_iter=3))
+        trees, codes = [], []
+        for threads in ("1", "2"):
+            run = tmp_path / f"threads{threads}"
+            flags = ["--config", path, "--threads", threads, "--no-timestamp"]
+            codes.append((main(["optimize", *flags, "--out", str(run / "opt")]),
+                          main(["verify", *flags, "--controls", str(run / "opt" / "controls.json"),
+                                "--out", str(run / "verify")])))
+            tree = _read_tree(run)
+            for name in ("opt/manifest.json", "verify/manifest.json"):
+                manifest = json.loads(tree[name])
+                assert manifest["threads"] == int(threads)
+                assert manifest["config"].pop("output_dir") == str(run / name.split("/")[0])
+                del manifest["threads"]
+                tree[name] = manifest
+            trees.append(tree)
+        assert pools.workers and set(pools.workers) == {2}
+        assert codes[0] == codes[1] and codes[0][0] == 0
+        assert trees[0] == trees[1]
+
     def test_toy_converges(self, tmp_path):
         out = tmp_path / "out"
         cfg = _toy_config(out, scenarios=300, max_iter=30)
