@@ -1,5 +1,5 @@
-"""Serial against two-thread forward simulation across sample sizes: the
-measurement behind ``rscontrol.dynamics.THREAD_MIN_SCENARIOS``.
+"""Serial against two-thread forward simulation across sample sizes: where
+two scenario chunks start to beat one.
 
     python3 experiments/thread_floor.py --out thread_floor.json
 
@@ -10,9 +10,8 @@ at 200 steps serially and on two scenario chunks: one call per side per
 round, the side that goes first alternating between rounds, after one
 warm-up call each.  It writes the medians and their ratio (two threads over
 serial, so below 1 the threads pay) as one JSON object and prints them as a
-table.  The floor is lowered to one scenario for the run, so that two threads
-always split the sample; the shipped floor is recorded beside the rows.  At
-most two threads run.
+table.  Two threads split every sample of 4 scenarios or more.  At most two
+threads run.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import rscontrol  # noqa: E402
-import rscontrol.dynamics as dynamics  # noqa: E402
 from perfbench.workloads import rich_problem  # noqa: E402
 
 SCENARIOS = (1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000, 10_000, 20_000, 50_000)
@@ -71,8 +69,6 @@ def main(argv=None) -> int:
     parser.add_argument("--scenarios", type=int, nargs="+", default=SCENARIOS)
     args = parser.parse_args(argv)
 
-    floor = dynamics.THREAD_MIN_SCENARIOS
-    dynamics.THREAD_MIN_SCENARIOS = 1
     rows = []
     print(f"{'scenarios':>10} {'serial ms':>10} {'2 threads ms':>13} {'ratio':>6}")
     for scenarios in args.scenarios:
@@ -84,7 +80,6 @@ def main(argv=None) -> int:
         "problem": "perfbench rich_problem, 5 points, dimension 2, uniform control",
         "steps": STEPS,
         "rounds": args.rounds,
-        "shipped_floor": floor,
         "host": {"cpus": len(os.sched_getaffinity(0)), "machine": platform.machine(),
                  "python": platform.python_version(), "numpy": np.__version__,
                  "rscontrol": rscontrol.__version__},

@@ -31,7 +31,6 @@ from . import __version__
 from .adjoint import solve_adjoint_regression
 from .dynamics import (
     COEFFICIENT_TABLES,
-    THREAD_MIN_SCENARIOS,
     NonFiniteStateError,
     TimeGrid,
     inert_stock,
@@ -508,8 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="scenario config JSON")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="scenario-chunk worker cap, "
-                       f"at least {THREAD_MIN_SCENARIOS} scenarios per worker")
+        p.add_argument("--threads", type=int, default=1, help="scenario-chunk worker cap")
         p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the manifest timestamp for byte-stable outputs")

@@ -44,7 +44,6 @@ from .measures import integrate_against  # noqa: F401  (perfbench wraps this mod
 
 NOISE_BLOCK = 256   # scenarios per generator call in ``brownian_increments``
 FACTOR_BUDGET = 65536   # scenario-steps of step factors set up at once in ``simulate_forward``
-THREAD_MIN_SCENARIOS = 3584   # scenarios per forward thread at least; fewer lose to one thread
 # the tables of a canonical coefficient model, ``dense_field``'s keyword inputs
 COEFFICIENT_TABLES = ("drift_level", "drift_slope", "vol_level", "vol_slope",
                       "jump_gain_x", "jump_gain_y")
@@ -354,19 +353,24 @@ class TrajectoryBundle:
         return self.noise.shape[2]
 
 
+PAIRWISE_AXES = 8   # from this many terms on, numpy's C-order sum over the last axis pairs them
+
+
 def _dot_last(a, b, out=None, product=None) -> np.ndarray:
-    """``(a * b).sum(axis=-1)``, into ``out`` when given.  Below 8 axes
-    numpy's C-order sum adds the terms in order, and so does this, one
-    product per axis (through the buffer ``product``, of ``out``'s shape)
-    over all leading entries at once; only a sum of negative zeros differs,
-    as -0.0.  From 8 axes on numpy pairs terms: the C-order product (in
-    ``product``, of the operands' shape) is summed."""
-    if a.shape[-1] >= 8:
+    """``(a * b).sum(axis=-1)`` bit for bit, into ``out`` when given.  Below
+    ``PAIRWISE_AXES`` terms numpy adds them in order to 0.0, and so does
+    this, one product per axis (in the buffer ``product``, of ``out``'s
+    shape) over all leading entries at once; the closing ``+ 0.0`` turns a
+    sum of negative zeros into numpy's 0.0 and changes no other value.  From
+    ``PAIRWISE_AXES`` on the C-order product (in ``product``, C-ordered, of
+    the operands' shape) is summed."""
+    if a.shape[-1] >= PAIRWISE_AXES:
         product = np.multiply(a, b, order="C", out=product)
         return product.sum(axis=-1, out=out)
     out = np.multiply(a[..., 0], b[..., 0], out=out)
     for j in range(1, a.shape[-1]):
         out += np.multiply(a[..., j], b[..., j], out=product)
+    out += 0.0
     return out
 
 
@@ -436,10 +440,8 @@ def _forward_inputs(field, mu, xi, stock, tg, noise):
 def _euler_paths(integrals, jumps, x0, y0, stock, tg, noise, threads=1):
     """The Euler paths x, y (S, steps + 1) of the per-step x coefficients
     ``integrals`` (S|1, steps[, dim]), the linear ``stock`` and the per-step
-    ``jumps`` of x and y, on ``min(threads, S // THREAD_MIN_SCENARIOS)``
-    scenario chunks, at least one: a smaller chunk's thread hands the
-    interpreter lock over for longer than it saves.  Raises the
-    NonFiniteStateError that a serial pass meets first.  With zero levels
+    ``jumps`` of x and y, run on up to ``threads`` scenario chunks.  Raises
+    the NonFiniteStateError that a serial pass meets first.  With zero levels
     and jumps each offset ``(0 dt + 0 . dW) + 0`` is a zero: each step is ``state * a``."""
     scenarios = noise.shape[0]
     x = np.empty((scenarios, tg.steps + 1), order="F")
@@ -448,10 +450,10 @@ def _euler_paths(integrals, jumps, x0, y0, stock, tg, noise, threads=1):
     # ``_simulate_block``'s buffers for one block of steps; allocated here, not
     # in the threads, so that they never grow a thread's allocation arena
     shape = (scenarios, min(tg.steps, max(1, FACTOR_BUDGET // max(1, scenarios))))
-    wide = noise.shape[2] >= 8   # ``_dot_last`` then forms the whole C-order product
+    wide = noise.shape[2] >= PAIRWISE_AXES   # ``_dot_last`` then forms the C-order product
     buffers = (*(np.empty(shape, order="F") for _ in range(3)),
                np.empty(shape + noise.shape[2:]) if wide else np.empty(shape, order="F"))
-    chunks = max(1, min(threads, scenarios // THREAD_MIN_SCENARIOS))
+    chunks = 1 if threads <= 1 or scenarios < 2 * threads else threads
     bounds = np.linspace(0, scenarios, chunks + 1).astype(int).tolist()
 
     def run(i):
@@ -504,10 +506,9 @@ def simulate_forward(
         ``ControlProblem.noise`` draws.  Passing the noise that sampled the
         field keeps coefficients and paths on one filtration.
     threads : int
-        Scenario-chunk parallelism: at most this many chunks of at least
-        ``THREAD_MIN_SCENARIOS`` scenarios.  The coefficients are integrated
-        against ``mu`` once over all scenarios before chunking, so every
-        thread count gives bit-identical paths.
+        Scenario-chunk parallelism.  The coefficients are integrated against
+        ``mu`` once over all scenarios before chunking, so every thread count
+        gives bit-identical paths.
 
     Raises
     ------

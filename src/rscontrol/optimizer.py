@@ -229,7 +229,7 @@ def frank_wolfe_iterate(
     Armijo halving on the fixed-noise cost.  Returns (state, record); the
     state's ``reason`` is set when the loop should stop (gap within
     ``gap_tolerance``, which also sets ``converged``, or no halving produces
-    descent).  Each Armijo trial re-simulates on up to ``threads`` scenario chunks.
+    descent).  Each Armijo trial re-simulates over ``threads`` scenario chunks.
     """
     opts = options or OptimizerOptions()
     adj = solve_adjoint_regression(

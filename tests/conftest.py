@@ -6,46 +6,25 @@ import concurrent.futures
 
 import pytest
 
-import rscontrol.dynamics
-
-
-class _SerialPool:
-    """A pool that maps in the calling thread."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
 
 class PoolSpy:
     """Stands in for ``ThreadPoolExecutor`` and records the ``max_workers``
-    of every pool the forward simulation builds.  Its pools run on real
-    threads, or with ``serial`` in the calling thread, starting none."""
+    of every pool the forward simulation builds; its pools run on real
+    threads."""
 
-    def __init__(self, pool, serial: bool):
+    def __init__(self, pool):
         self.workers = []
         self._pool = pool
-        self._serial = serial
 
     def __call__(self, max_workers):
         self.workers.append(max_workers)
-        return _SerialPool() if self._serial else self._pool(max_workers=max_workers)
+        return self._pool(max_workers=max_workers)
 
 
 @pytest.fixture
 def thread_pools(monkeypatch):
-    """``spy(floor=None, serial=False)``: sets ``THREAD_MIN_SCENARIOS`` to
-    ``floor`` when given, so that small samples split into thread chunks, and
-    returns a :class:`PoolSpy` in place of ``ThreadPoolExecutor``."""
-    def spy(floor=None, serial=False):
-        if floor is not None:
-            monkeypatch.setattr(rscontrol.dynamics, "THREAD_MIN_SCENARIOS", floor)
-        pools = PoolSpy(concurrent.futures.ThreadPoolExecutor, serial)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pools)
-        return pools
-    return spy
+    """A :class:`PoolSpy` in place of ``ThreadPoolExecutor``, so that a test
+    can assert that its simulations split into thread chunks."""
+    pools = PoolSpy(concurrent.futures.ThreadPoolExecutor)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pools)
+    return pools

@@ -673,10 +673,9 @@ class TestSimulate:
 
 class TestOptimize:
     def test_thread_count_changes_no_output_byte(self, tmp_path, thread_pools):
-        # README: the thread count never changes a bit of any output.  With
-        # the floor lowered to 16 scenarios, --threads 2 runs every forward
-        # simulation of optimize and verify on two chunks
-        pools = thread_pools(floor=16)
+        # README: the thread count never changes a bit of any output;
+        # --threads 2 runs every forward simulation of optimize and verify
+        # on two chunks
         path = _write(tmp_path / "c.json", _toy_config(tmp_path / "out", scenarios=60,
                                                        max_iter=3))
         trees, codes = [], []
@@ -694,7 +693,7 @@ class TestOptimize:
                 del manifest["threads"]
                 tree[name] = manifest
             trees.append(tree)
-        assert pools.workers and set(pools.workers) == {2}
+        assert thread_pools.workers and set(thread_pools.workers) == {2}
         assert codes[0] == codes[1] and codes[0][0] == 0
         assert trees[0] == trees[1]
 

@@ -88,6 +88,25 @@ class TestStepMajorSums:
             ref = (np.ascontiguousarray(a) * np.ascontiguousarray(b)).sum(axis=-1)
             for a_, b_ in ((a, b), (np.ascontiguousarray(a), np.ascontiguousarray(b))):
                 assert np.array_equal(rc.dynamics._dot_last(a_, b_), ref)
+                # into preallocated outputs, as the forward pass calls it
+                for order in "CF":
+                    out = np.empty(ref.shape, order=order)
+                    product = (np.empty(ref.shape + (d,)) if d >= rc.dynamics.PAIRWISE_AXES
+                               else np.empty(ref.shape, order=order))
+                    assert rc.dynamics._dot_last(a_, b_, out, product) is out
+                    assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_sum_of_negative_zeros_is_zero(self, d):
+        # numpy's sum of negative zeros is 0.0, and ``_dot_last``'s too
+        a = np.full((5, 3, d), -0.0, order="F")
+        b = np.asfortranarray(np.random.default_rng(d).uniform(0.5, 1.0, size=(5, 3, d)))
+        ref = (np.ascontiguousarray(a) * np.ascontiguousarray(b)).sum(axis=-1)
+        assert not np.signbit(ref).any()
+        out = np.empty((5, 3), order="F")
+        product = np.empty((5, 3, d)) if d >= rc.dynamics.PAIRWISE_AXES else np.empty_like(out)
+        for got in (rc.dynamics._dot_last(a, b), rc.dynamics._dot_last(a, b, out, product)):
+            assert np.array_equal(got, ref) and not np.signbit(got).any()
 
 
 class TestSimulateForward:
@@ -227,7 +246,6 @@ class TestSimulateForward:
         # factors, 4 arrays of at most FACTOR_BUDGET values below 8 Brownian
         # axes, and one step's temporaries, allowed 8 * (1 + dim) scenario
         # columns; no array spans the horizon (that would be 16 MB here at 100 steps)
-        pools = thread_pools(floor=1000)
         scenarios, d = 4000, 2
         bound = 8 * (4 * FACTOR_BUDGET + 8 * (1 + d) * scenarios)
         pts = np.linspace(-1.0, 1.0, 5)
@@ -249,7 +267,7 @@ class TestSimulateForward:
                 finally:
                     tracemalloc.stop()
                 assert peak - bundle.x.nbytes - bundle.y.nbytes < bound
-        assert pools.workers == [2, 2]
+        assert thread_pools.workers == [2, 2]
 
     def _strict_case(self, monkeypatch):
         tg = rc.TimeGrid(1.0, 10)
@@ -359,7 +377,6 @@ class TestSimulateForward:
         assert np.allclose(b.x - accumulated[None, :], 1.0, atol=1e-14)
 
     def test_threads_match_serial(self, thread_pools):
-        pools = thread_pools(floor=16)
         tg = rc.TimeGrid(1.0, 20)
         grid = _grid()
         field = rc.dense_field(tg, grid, scenarios=64, dim=2, drift_slope=0.2,
@@ -369,14 +386,13 @@ class TestSimulateForward:
         noise = rc.brownian_increments(11, 64, 20, 2, tg.dt)
         serial = rc.simulate_forward(field, mu, xi, 1.0, 1.0, stock, tg, noise=noise)
         threaded = rc.simulate_forward(field, mu, xi, 1.0, 1.0, stock, tg, noise=noise, threads=4)
-        assert pools.workers == [4]
+        assert thread_pools.workers == [4]
         assert np.array_equal(serial.x, threaded.x)
         assert np.array_equal(serial.y, threaded.y)
 
     @pytest.mark.parametrize("scenarios,threads", [(101, 1), (101, 2), (101, 3)])
     def test_threads_match_serial_on_uneven_chunks(self, scenarios, threads, thread_pools):
         # 101 scenarios split into chunks of unequal size; every step slice contiguous
-        pools = thread_pools(floor=16)
         tg = rc.TimeGrid(1.0, 20)
         rng = np.random.default_rng(4)
         field = rc.dense_field(tg, _grid(), scenarios=scenarios, dim=2,
@@ -389,13 +405,12 @@ class TestSimulateForward:
         serial = rc.simulate_forward(field, mu, xi, 1.0, 1.0, stock, tg, noise=noise)
         threaded = rc.simulate_forward(field, mu, xi, 1.0, 1.0, stock, tg, noise=noise,
                                        threads=threads)
-        assert pools.workers == ([] if threads == 1 else [threads])
+        assert thread_pools.workers == ([] if threads == 1 else [threads])
         assert np.array_equal(serial.x, threaded.x)
         assert np.array_equal(serial.y, threaded.y)
         assert threaded.x[:, 7].flags.c_contiguous and threaded.y[:, 7].flags.c_contiguous
 
     def test_c_ordered_noise_gives_same_paths(self, thread_pools):
-        pools = thread_pools(floor=8)
         tg = rc.TimeGrid(1.0, 12)
         field = rc.dense_field(tg, _grid(), scenarios=30, dim=2, drift_slope=0.3,
                                vol_level=[0.2, 0.1], vol_slope=[0.1, 0.2])
@@ -405,7 +420,7 @@ class TestSimulateForward:
         step_major = rc.simulate_forward(field, mu, xi, 1.0, 1.0, stock, tg, noise=noise)
         c_order = rc.simulate_forward(field, mu, xi, 1.0, 1.0, stock, tg,
                                       noise=np.ascontiguousarray(noise), threads=2)
-        assert pools.workers == [2]
+        assert thread_pools.workers == [2]
         assert np.array_equal(step_major.x, c_order.x)
         assert np.array_equal(step_major.y, c_order.y)
 
@@ -413,7 +428,6 @@ class TestSimulateForward:
     def test_threads_match_serial_on_bond_field(self, scenarios, threads, thread_pools):
         # per-scenario drift slopes under a random measure: a thread chunk
         # must see the same integrated coefficients as the whole sample
-        pools = thread_pools(floor=3)
         market = MarketModel.from_dict(example_bond_config()["problem"]["market"])
         tg = rc.TimeGrid(1.0, 50)
         problem = build_portfolio_problem(market, PortfolioParams(), tg).problem
@@ -424,12 +438,11 @@ class TestSimulateForward:
         xi = SingularControl(rng.uniform(0.0, 0.004, size=(tg.steps, 2)))
         serial = problem.simulate(field, mu, xi, noise)
         threaded = problem.simulate(field, mu, xi, noise, threads=threads)
-        assert pools.workers == [threads]
+        assert thread_pools.workers == [threads]
         assert np.array_equal(serial.x, threaded.x)
         assert np.array_equal(serial.y, threaded.y)
 
     def test_non_finite_diagnostic(self, thread_pools):
-        pools = thread_pools(floor=16)
         tg = rc.TimeGrid(1.0, 40)
         grid = _grid()
         field = rc.dense_field(tg, grid, scenarios=2, dim=1, drift_level=1e308)
@@ -450,13 +463,12 @@ class TestSimulateForward:
                                     threads=threads)
             assert exc.value.scenario == 40
             assert "scenario 40" in str(exc.value)
-        assert pools.workers == [2, 3, 4]
+        assert thread_pools.workers == [2, 3, 4]
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 4])
     def test_earliest_overflow_at_every_thread_count(self, threads, thread_pools):
         # scenario 10 overflows from step 15 and scenario 70 from step 3; the
         # later scenario's earlier step is the error a serial pass meets
-        pools = thread_pools(floor=16)
         tg = rc.TimeGrid(1.0, 40)
         slope = np.zeros((100, 40, 4))
         slope[10, 15:] = 1e308
@@ -501,44 +513,7 @@ class TestSimulateForward:
                                     threads=threads)
             found = [(e.value.component, e.value.step, e.value.scenario) for e in (strict, exc)]
             assert found == [expected, expected]
-        assert pools.workers == ([] if threads == 1 else [threads] * (1 + len(cases)))
-
-
-class TestThreadFloor:
-    # a forward simulation runs on min(threads, S // THREAD_MIN_SCENARIOS)
-    # scenario chunks, at least one; the spied pools map in the calling
-    # thread, so these tests start no thread
-    def _simulate(self, scenarios, threads):
-        tg = rc.TimeGrid(1.0, 3)
-        field = rc.dense_field(tg, _grid(), scenarios=scenarios, dim=2, drift_slope=0.2,
-                               vol_level=[0.2, 0.1], vol_slope=[0.1, 0.0])
-        mu, xi = _zero_controls(3, 4, 2)
-        return rc.simulate_forward(field, mu, xi, 1.0, 1.0, rc.linear_stock(0.05, 0.2, 2), tg,
-                                   noise=rc.brownian_increments(5, scenarios, 3, 2, tg.dt),
-                                   threads=threads)
-
-    def test_below_the_floor_no_pool(self, thread_pools):
-        pools = thread_pools(serial=True)
-        floor = rc.dynamics.THREAD_MIN_SCENARIOS
-        for scenarios in (1, floor - 1, 2 * floor - 1):
-            self._simulate(scenarios, 4)
-        assert pools.workers == []
-
-    @pytest.mark.parametrize("threads", [1, 2, 4])
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_one_worker_per_floor(self, thread_pools, k, threads):
-        pools = thread_pools(serial=True)
-        scenarios = k * rc.dynamics.THREAD_MIN_SCENARIOS
-        chunked = self._simulate(scenarios, threads)
-        workers = min(threads, k)
-        assert pools.workers == ([] if workers == 1 else [workers])
-        serial = self._simulate(scenarios, 1)
-        assert np.array_equal(serial.x, chunked.x) and np.array_equal(serial.y, chunked.y)
-
-    def test_thread_count_above_the_chunks(self, thread_pools):
-        pools = thread_pools(serial=True)
-        self._simulate(2 * rc.dynamics.THREAD_MIN_SCENARIOS, 10**6)
-        assert pools.workers == [2]
+        assert thread_pools.workers == ([] if threads == 1 else [threads] * (1 + len(cases)))
 
 
 class TestSampleCoefficients:
