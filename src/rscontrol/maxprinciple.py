@@ -54,16 +54,17 @@ class HamiltonianSlice:
 
 
 def _hamiltonian_block(fieldref, start, stop, x, y, p, P, running, weights, times):
-    """Per-point values (m, S, count) and measure values (m, S) of H at the
-    m = stop - start steps start..stop-1, each step bit for bit as if alone.
+    """Point-major per-point values (m, count, S) and measure values (m, S) of
+    H at the m = stop - start steps start..stop-1, each step bit for bit as if alone.
 
     H(u) = -p * (level(u) + slope(u) x) - P . (vol_level(u) + vol_slope(u) x)
            - h(t, x, y, u);  the measure value integrates these against the
     step's measure row.
 
-    Each feature (p, p x, P, P x) times a term's scenario factor is a row of
-    an (m, f, S) feature stack, multiplied step by step by the terms' (m, f,
-    count) point-table rows in one stacked matrix product.  ``x, y, p`` are
+    Each feature (p, p x, P, P x) times a term's scenario factor is a
+    contiguous scenario row of an (m, f, S) feature stack; the terms' (m, f,
+    count) point-table rows, transposed, multiply it step by step in one
+    stacked matrix product, C-ordered (m, count, S).  ``x, y, p`` are
     (S|1, m), ``P`` is (S|1, m, dim), ``weights`` holds the m measure rows and
     ``times`` the m step times.
     """
@@ -87,10 +88,10 @@ def _hamiltonian_block(fieldref, start, stop, x, y, p, P, running, weights, time
     for col in cols:
         features[:, i:i + col.shape[1]] = col
         i += col.shape[1]
-    values = np.matmul(features.transpose(0, 2, 1), rows)
+    values = np.matmul(rows.transpose(0, 2, 1), features)
     np.negative(values, out=values)
-    if values.shape[1] < max(len(x), len(y)):   # scalar costates: only the running cost spans S
-        values = np.repeat(values, max(len(x), len(y)), axis=1)
+    if values.shape[2] < max(len(x), len(y)):   # scalar costates: only the running cost spans S
+        values = np.repeat(values, max(len(x), len(y)), axis=2)
     values -= _running_table(running.value, times, x, y, fieldref.grid.points)
     return values, _integrate(values, weights)
 
@@ -107,7 +108,8 @@ def hamiltonian_slice(
     t: float,
 ) -> HamiltonianSlice:
     """Evaluate H per grid point at step k for given states and costates: the
-    one-step case of the block evaluator.
+    one-step case of the block evaluator, its values C-ordered (scenarios, count)
+    or (count,).
 
     ``x, y, p`` may be scalars or (scenarios,); ``P`` is (dim,) or
     (scenarios, dim).
@@ -117,9 +119,9 @@ def hamiltonian_slice(
     Pv = (Pv[None] if Pv.ndim == 1 else Pv)[:, None]
     values, at_mu = _hamiltonian_block(fieldref, k, k + 1, xv, yv, pv, Pv, running,
                                        np.asarray(mu_row, dtype=float)[None], np.array([t], float))
-    if np.ndim(x) == 0 and values.shape[1] == 1:
-        return HamiltonianSlice(values=values[0, 0], at_mu=at_mu[0].reshape(()))
-    return HamiltonianSlice(values=values[0], at_mu=at_mu[0])
+    if np.ndim(x) == 0 and values.shape[2] == 1:
+        return HamiltonianSlice(values=values[0, :, 0], at_mu=at_mu[0].reshape(()))
+    return HamiltonianSlice(values=np.ascontiguousarray(values[0].T), at_mu=at_mu[0])
 
 
 def _shortfall(fieldref, bundle, adj, running, compared) -> np.ndarray:
@@ -127,7 +129,7 @@ def _shortfall(fieldref, bundle, adj, running, compared) -> np.ndarray:
 
     Sweeps the paths ``_sweep_steps`` steps at a time;
     ``compared(start, values)`` reads a block's (m, S) compared values off its
-    (m, S, count) per-point values.  The sum runs in step order.
+    point-major (m, count, S) per-point values.  The sum runs in step order.
     """
     times = bundle.tg.times()
     dt = bundle.tg.dt
@@ -149,10 +151,10 @@ def _shortfall(fieldref, bundle, adj, running, compared) -> np.ndarray:
 
 def _grid_max(start, values) -> np.ndarray:
     """The verifier's compared values: the pointwise grid maximum, a running
-    ``np.maximum`` over the point columns (exact, like ``max``)."""
-    top = values[..., 0].copy()
-    for c in range(1, values.shape[-1]):
-        np.maximum(top, values[..., c], out=top)
+    ``np.maximum`` over the points' contiguous scenario rows (exact, like ``max``)."""
+    top = values[:, 0].copy()
+    for c in range(1, values.shape[1]):
+        np.maximum(top, values[:, c], out=top)
     return top
 
 
@@ -176,12 +178,13 @@ def _mean_argmax(q_rows: np.ndarray):
 
 
 def _scenario_mean(values: np.ndarray) -> np.ndarray:
-    """``values.mean(axis=1)`` of an (m, S, count) block, bit for bit when
-    count > 1: the scenario-major copy adds the same rows in the same order,
-    in inner loops m * count long instead of count long.  (At count 1 numpy
-    sums the contiguous scenarios pairwise; the argmax is 0 either way.)"""
-    m, scen, count = values.shape
-    rows = np.ascontiguousarray(values.transpose(1, 0, 2)).reshape(scen, m * count)
+    """The (m, count) scenario means of an (m, count, S) block, bit for bit
+    ``values.transpose(0, 2, 1).copy().mean(axis=1)`` when count > 1: the
+    scenario-major copy adds the scenarios one by one in their order, in inner
+    loops m * count long, where numpy's mean over the contiguous scenario rows
+    would sum them pairwise.  (At count 1 the argmax is 0 either way.)"""
+    m, count, scen = values.shape
+    rows = np.ascontiguousarray(values.transpose(2, 0, 1)).reshape(scen, m * count)
     return (rows.sum(axis=0) / scen).reshape(m, count)
 
 

@@ -209,9 +209,10 @@ def integrate_against(values, weights, axis: int = 0):
 
 
 def _integrate(values, weights) -> np.ndarray:
-    """Each step's (S, count) values integrated against its measure row, (m, S): one
-    stacked matrix-vector product, step by step the same as ``values[j] @ weights[j]``."""
-    return np.matmul(values, weights[:, :, None])[..., 0]
+    """Each step's point-major (count, S|1) values integrated against its measure
+    row, (m, S|1): one stacked vector-matrix product over contiguous scenario rows,
+    step by step the same as ``weights[j] @ values[j]``."""
+    return np.matmul(weights[:, None, :], values)[:, 0]
 
 
 def convex_combine(mu: RelaxedControl, q: RelaxedControl, theta: float) -> RelaxedControl:

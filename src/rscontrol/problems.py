@@ -19,7 +19,7 @@ from .dynamics import (
 )
 
 # values per block array: sweeps and running-cost integrals take ``_sweep_steps``
-# steps at a time, so one (steps, S, count) block of H or running costs is 0.5 MB
+# steps at a time, so one (steps, count, S) block of H or running costs is 0.5 MB
 SWEEP_BUDGET = 65536
 
 
@@ -29,8 +29,9 @@ class RunningCost:
 
     ``value``, ``dx``, ``dy`` map a block of m steps (t, x, y, points), with t
     (m,), x and y (S|1, m) column slices of the step-major paths and points
-    (count, action_dim), to a C-ordered (m, S|1, count) table; one scenario
-    row holds for all.  An identically zero ``dx`` or ``dy`` is ``None``.
+    (count, action_dim), to a point-major, C-ordered (m, count, S|1) table:
+    one contiguous scenario row per (step, point), and a width-1 row holds
+    for all scenarios.  An identically zero ``dx`` or ``dy`` is ``None``.
     """
 
     value: callable
@@ -39,12 +40,13 @@ class RunningCost:
 
 
 def _running_table(fn, t, x, y, points) -> np.ndarray:
-    """``fn(t, x, y, points)``, checked to be an (m, S, count) or (m, 1, count) table."""
+    """``fn(t, x, y, points)``, checked to be an (m, count, S) or (m, count, 1) table.
+    At S == count the shape cannot tell an (m, S, count) table from it."""
     table = fn(t, x, y, points)
     m, scen, count = len(t), max(len(x), len(y)), len(points)
-    if np.shape(table) not in ((m, scen, count), (m, 1, count)):
-        raise ValueError(f"running cost block must have shape {(m, scen, count)} or "
-                         f"{(m, 1, count)}, got {np.shape(table)}")
+    if np.shape(table) not in ((m, count, scen), (m, count, 1)):
+        raise ValueError(f"running cost block must have shape {(m, count, scen)} or "
+                         f"{(m, count, 1)}, got {np.shape(table)}")
     return table
 
 
@@ -76,7 +78,7 @@ class TerminalCost:
 
 
 def zero_running() -> RunningCost:
-    return RunningCost(value=lambda t, x, y, pts: np.zeros((len(t), 1, len(pts))), dx=None, dy=None)
+    return RunningCost(value=lambda t, x, y, pts: np.zeros((len(t), len(pts), 1)), dx=None, dy=None)
 
 
 def affine_quadratic_running(cx=0.0, cy=0.0, quad=0.0, lin=None) -> RunningCost:
@@ -93,16 +95,16 @@ def affine_quadratic_running(cx=0.0, cy=0.0, quad=0.0, lin=None) -> RunningCost:
 
     def value(t, x, y, pts):
         state = (cx * x + cy * y).T   # (m, S), C-ordered for the step-major paths
-        table = np.empty(state.shape + (len(pts),))
-        for j, part in enumerate(_u_part(pts).tolist()):   # one column per point
-            np.add(state, part, out=table[:, :, j])
+        table = np.empty((len(state), len(pts), state.shape[1]))
+        for j, part in enumerate(_u_part(pts).tolist()):   # one (m, S) slab of rows per point
+            np.add(state, part, out=table[:, j])
         return table
 
     def dx(t, x, y, pts):
-        return np.full((len(t), 1, len(pts)), cx)
+        return np.full((len(t), len(pts), 1), cx)
 
     def dy(t, x, y, pts):
-        return np.full((len(t), 1, len(pts)), cy)
+        return np.full((len(t), len(pts), 1), cy)
 
     return RunningCost(value=value, dx=dx, dy=dy)
 
@@ -128,7 +130,7 @@ def discounted_utility_running(
         raise ValueError(f"unknown utility {utility!r}")
 
     def value(t, x, y, pts):
-        return (sign * np.exp(-beta * t))[:, None, None] * f(pts[:, component])
+        return (sign * np.exp(-beta * t))[:, None, None] * f(pts[:, component])[:, None]
 
     return RunningCost(value=value, dx=None, dy=None)
 

@@ -681,7 +681,7 @@ class TestMethodAgreement:
             drift_diff = (lev_q - lev) + (slo_q - slo) * xk
             vol_diff = (vlev_q - vlev) + (vslo_q - vslo) * xk[:, None]
             dx = problem.running.dx(times[k:k + 1], xk[:, None], yk[:, None], pts)[0]
-            hx = rc.integrate_against(dx, w, axis=-1)
+            hx = rc.integrate_against(dx, w, axis=0)
             rhs += (adj.px[:, k] * drift_diff
                     + (adj.Px[:, k] * vol_diff).sum(-1)
                     - hx * fv.beta[:, k]) * dt

@@ -304,8 +304,8 @@ class TestDiscountedUtility:
         pts = product_grid([1.0, 2.0], [0.0, 0.05, 0.2]).points
         t = np.array([0.0, 0.5, 0.9])
         table = running.value(t, np.zeros((4, 3)), np.zeros((4, 3)), pts)
-        assert table.shape == (3, 1, 6)
-        assert np.array_equal(table, -np.exp(-0.05 * t)[:, None, None] * f(pts[:, 1]))
+        assert table.shape == (3, 6, 1)
+        assert np.array_equal(table, -np.exp(-0.05 * t)[:, None, None] * f(pts[:, 1])[:, None])
         assert running.dx is None and running.dy is None
 
     def test_unknown_utility_is_named(self):

@@ -13,6 +13,7 @@ from rscontrol.dynamics import coefficient_integrals
 from rscontrol.maxprinciple import (
     _against,
     _grid_max,
+    _hamiltonian_block,
     _mean_argmax,
     _scenario_mean,
     _shortfall,
@@ -134,7 +135,7 @@ class TestHamiltonianSlice:
                 vol = field.vol_level_at(k) + field.vol_slope_at(k) * x[:, None, None]
                 want = (-p[:, None] * drift - (vol * P[:, None, :]).sum(axis=-1)
                         - running.value(np.array([0.3]), x[:, None], y[:, None],
-                                        field.grid.points)[0])
+                                        field.grid.points)[0].T)
                 np.testing.assert_allclose(h1.values, want, rtol=1e-12, err_msg=name)
 
 
@@ -337,7 +338,8 @@ class TestBlockSweep:
             ref_max += (slc.at_mu - slc.values.max(axis=-1)) * dt
             ref_rows[k, np.argmax(slc.values.mean(axis=0))] = 1.0
             ref_vertex += (slc.at_mu - slc.values @ ref_rows[k]) * dt
-            ref_q += (slc.at_mu - slc.values @ q.weights[k]) * dt
+            # integrated as the sweep does: the measure row against point-major rows
+            ref_q += (slc.at_mu - q.weights[k] @ np.ascontiguousarray(slc.values.T)) * dt
 
         rows = np.zeros_like(bundle.mu.weights)
         sweep = lambda compared: _shortfall(field, bundle, adj, self.RUNNING, compared)
@@ -349,8 +351,10 @@ class TestBlockSweep:
 
     @pytest.mark.parametrize("shape", [(13, 1000, 5), (16, 200, 20), (1, 7, 3), (5, 1, 4)])
     def test_scenario_mean_is_numpys_mean_bitwise(self, shape):
+        # ``shape`` is (m, S, count): numpy's mean of the scenario-major block,
+        # against the scenario mean of its point-major (m, count, S) copy
         values = np.random.default_rng(6).normal(size=shape)
-        mean = _scenario_mean(values)
+        mean = _scenario_mean(np.ascontiguousarray(values.transpose(0, 2, 1)))
         assert mean.shape == shape[::2]
         assert mean.tobytes() == values.mean(axis=1).tobytes()
 
@@ -477,7 +481,7 @@ class TestBlockInvariance:
         bundle, _ = _random_paths(field, np.random.default_rng(9))
         assert running.dx is None and running.dy is None
         h = _gradient_paths(field, bundle.mu, bundle, running)
-        zeros = lambda t, x, y, pts: np.zeros((len(t), 1, len(pts)))
+        zeros = lambda t, x, y, pts: np.zeros((len(t), len(pts), 1))
         integrated = _gradient_paths(field, bundle.mu, bundle,
                                      rc.RunningCost(value=running.value, dx=zeros, dy=zeros))
         assert np.all(h == 0.0) and not np.signbit(h).any()
@@ -485,20 +489,20 @@ class TestBlockInvariance:
 
 
 class TestOneRowTable:
-    """A one-row (m, 1, count) table is integrated as one row, (m, 1), and
-    broadcast over the scenarios by its consumer: no (m, S, count) copy."""
+    """A one-row (m, count, 1) table is integrated as one row, (m, 1), and
+    broadcast over the scenarios by its consumer: no (m, count, S) copy."""
 
     def test_one_row_table_is_integrated_without_a_scenario_copy(self):
         bond = _bond_problem(50)
         field = bond.sample_field(2000, 5)
         bundle, _ = _random_paths(field, np.random.default_rng(12))
         assert bond.running.value(np.zeros(2), bundle.x[:, :2], bundle.y[:, :2],
-                                  field.grid.points).shape == (2, 1, field.grid.count)
+                                  field.grid.points).shape == (2, field.grid.count, 1)
         tracemalloc.start()
         evaluate_cost(bundle, bond.running, bond.k_path, bond.terminal, fieldref=field)
         cost_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        # the rich toy's affine gradients are (m, 1, count) tables
+        # the rich toy's affine gradients are (m, count, 1) tables
         problem = rich_toy(steps=60)
         noise = problem.noise(1000, 5)
         field = problem.sample_field(1000, 5, noise)
@@ -507,21 +511,74 @@ class TestOneRowTable:
         _gradient_paths(field, bundle.mu, bundle, problem.running)
         gradient_peak = tracemalloc.get_traced_memory()[1] - 8 * 1000 * 2 * 60
         tracemalloc.stop()
-        # an (m, S, count) copy of a block takes about 0.5 MB and 0.7 MB here
+        # an (m, count, S) copy of a block takes about 0.5 MB and 0.7 MB here
         assert cost_peak <= 0.15e6 and gradient_peak <= 0.1e6, (cost_peak, gradient_peak)
 
 
-class TestRunningBlockShape:
-    """A running-cost table that is not (m, S, count) or (m, 1, count) is
-    rejected in every block loop.  With S == m, a per-step (S, count) table
-    would broadcast against the block and give wrong numbers silently."""
+def _feature_major_values(fieldref, start, stop, x, y, p, P, running, times):
+    """H's per-point values at steps start..stop-1 as a scenario-major (m, S,
+    count) block: the feature stack transposed times the terms' point-table
+    rows, the orientation the point-major product is checked against."""
+    m = stop - start
+    PT = P.transpose(1, 2, 0)
+    factors = ((fieldref.drift_level, p.T[:, None]), (fieldref.drift_slope, (p * x).T[:, None]),
+               (fieldref.vol_level, PT), (fieldref.vol_slope, PT * x.T[:, None]))
+    cols, rows = [], []
+    for coeff, g in factors:
+        for A, B in coeff.terms:
+            row = B[start:stop].reshape(m, B.shape[1], -1).transpose(0, 2, 1)
+            cols.append(g if len(A) == 1 else g * A[:, start:stop].T[:, None])
+            rows.append(A[0, start:stop, None, None] * row if len(A) == 1 else row)
+    rows = np.concatenate(rows, axis=1)
+    features = np.concatenate([np.broadcast_to(col, col.shape[:2] + (x.shape[0],))
+                               for col in cols], axis=1)
+    values = -np.matmul(features.transpose(0, 2, 1), rows)
+    table = running.value(times, x, y, fieldref.grid.points)
+    return values - table.transpose(0, 2, 1)
 
-    @pytest.mark.parametrize("loop", ["cost", "gradient", "sweep", "first variation"])
-    def test_per_step_table_is_rejected(self, loop):
+
+class TestPointMajorBlock:
+    """``_hamiltonian_block``'s per-point values are a C-ordered, point-major
+    (m, count, S) block, bit for bit the transpose of the scenario-major
+    product's, on the bond field and on the rich problem's."""
+
+    def _cases(self):
+        bond = _bond_problem(10)
+        rich = rich_toy(steps=12)
+        return [("bond problem", bond.sample_field(200, 5), bond.running),
+                ("rich problem", rich.sample_field(1000, 5), rich.running)]
+
+    @pytest.mark.parametrize("index", range(2))
+    def test_values_are_the_feature_major_product_transposed_bitwise(self, index):
+        name, field, running = self._cases()[index]
+        bundle, adj = _random_paths(field, np.random.default_rng(13 + index))
+        n, count, scen = field.steps, field.grid.count, field.scenarios
+        times = bundle.tg.times()
+        for start, stop in ((0, n), (3, 4), (4, 9)):
+            args = (bundle.x[:, start:stop], bundle.y[:, start:stop], adj.px[:, start:stop],
+                    adj.Px[:, start:stop], running)
+            values, at_mu = _hamiltonian_block(field, start, stop, *args,
+                                               bundle.mu.weights[start:stop], times[start:stop])
+            assert values.shape == (stop - start, count, scen), name
+            assert values.flags.c_contiguous, name
+            reference = _feature_major_values(field, start, stop, *args, times[start:stop])
+            assert values.tobytes() == np.ascontiguousarray(reference.transpose(0, 2, 1)).tobytes()
+            assert at_mu.shape == (stop - start, scen), name
+
+
+class TestRunningBlockShape:
+    """A running-cost table that is not (m, count, S) or (m, count, 1) is
+    rejected in every block loop.  With S == m, a per-step (S, count) table
+    would broadcast against the block and give wrong numbers silently; a
+    scenario-major (m, S, count) table is rejected while S != count (at
+    S == count no shape check can tell it from a point-major one)."""
+
+    LOOPS = ["cost", "gradient", "sweep", "first variation"]
+
+    def _call(self, loop, table):
         field = coefficient_fields(np.random.default_rng(2), scenarios=10, steps=10)[0][1]
         bundle, adj = _random_paths(field, np.random.default_rng(3))
-        per_step = lambda t, x, y, pts: np.ones((x.shape[0], len(pts)))
-        running = rc.RunningCost(value=per_step, dx=per_step, dy=None)
+        running = rc.RunningCost(value=table, dx=table, dy=None)
         terminal, k_path = rc.linear_quadratic_terminal(gx1=0.5), np.zeros((10, 2))
         fv = FirstVariation(*(np.zeros((10, 11), order="F") for _ in range(3)))
         calls = {
@@ -529,9 +586,24 @@ class TestRunningBlockShape:
             "gradient": lambda: _gradient_paths(field, bundle.mu, bundle, running),
             "sweep": lambda: _shortfall(field, bundle, adj, running, _grid_max),
             "first variation": lambda: first_variation_derivative(
-                field, bundle, fv, rc.RunningCost(per_step, None, None), terminal, k_path,
+                field, bundle, fv, rc.RunningCost(table, None, None), terminal, k_path,
                 (bundle.mu, bundle.xi)),
         }
-        message = "running cost block must have shape (10, 10, 4) or (10, 1, 4), got (10, 4)"
+        return calls[loop]()
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_per_step_table_is_rejected(self, loop):
+        per_step = lambda t, x, y, pts: np.ones((x.shape[0], len(pts)))
+        message = "running cost block must have shape (10, 4, 10) or (10, 4, 1), got (10, 4)"
         with pytest.raises(ValueError, match=re.escape(message)):
-            calls[loop]()
+            self._call(loop, per_step)
+
+    @pytest.mark.parametrize("rows", ["scenario", "one"])
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_scenario_major_table_is_rejected(self, loop, rows):
+        width = (lambda x: x.shape[0]) if rows == "scenario" else (lambda x: 1)
+        old = lambda t, x, y, pts: np.ones((len(t), width(x), len(pts)))
+        message = (f"running cost block must have shape (10, 4, 10) or (10, 4, 1), "
+                   f"got (10, {10 if rows == 'scenario' else 1}, 4)")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self._call(loop, old)

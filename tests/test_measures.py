@@ -9,6 +9,7 @@ from rscontrol.measures import (
     ActionGrid,
     RelaxedControl,
     SingularControl,
+    _integrate,
     combine_singular,
     controls_from_json,
     controls_to_json,
@@ -88,6 +89,37 @@ class TestIntegrateAgainst:
         lhs = integrate_against(a * f + b * g, w)
         rhs = a * integrate_against(f, w) + b * integrate_against(g, w)
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+class TestStackedIntegral:
+    """``_integrate`` takes point-major (m, count, S|1) tables against (m, count)
+    measure rows and returns (m, S|1)."""
+
+    @pytest.mark.parametrize("scenarios", [1, 7, 1000])
+    def test_one_hot_rows_gather_bitwise(self, scenarios):
+        # one scenario is the one-row (m, count, 1) table
+        rng = np.random.default_rng(scenarios)
+        m, count = 6, 5
+        values = rng.normal(size=(m, count, scenarios))
+        index = rng.integers(0, count, m)
+        rows = np.zeros((m, count))
+        rows[np.arange(m), index] = 1.0
+        out = _integrate(values, rows)
+        assert out.shape == (m, scenarios)
+        assert out.tobytes() == values[np.arange(m), index].tobytes()
+
+    @pytest.mark.parametrize("scenarios", [1, 7, 1000])
+    def test_each_step_is_its_own_product(self, scenarios):
+        rng = np.random.default_rng(scenarios)
+        m, count = 6, 5
+        values = rng.normal(size=(m, count, scenarios))
+        weights = rng.dirichlet(np.ones(count), size=m)
+        out = _integrate(values, weights)
+        for j in range(m):
+            assert out[j].tobytes() == (weights[j] @ values[j]).tobytes()
+            assert out[j].tobytes() == _integrate(values[j:j + 1], weights[j:j + 1])[0].tobytes()
+        np.testing.assert_allclose(out, np.einsum("mc,mcs->ms", weights, values),
+                                   rtol=1e-14, atol=1e-15)
 
 
 class TestDirac:

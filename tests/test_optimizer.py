@@ -92,9 +92,9 @@ class TestEvaluateCost:
         problem = drift_control_toy(steps=37)
         field, noise, bundle = _setup(problem, 10, 2)
         unit = rc.RunningCost(
-            value=lambda t, x, y, pts: np.ones((len(t), x.shape[0], pts.shape[0])),
-            dx=lambda t, x, y, pts: np.zeros((len(t), x.shape[0], pts.shape[0])),
-            dy=lambda t, x, y, pts: np.zeros((len(t), x.shape[0], pts.shape[0])),
+            value=lambda t, x, y, pts: np.ones((len(t), pts.shape[0], x.shape[0])),
+            dx=lambda t, x, y, pts: np.zeros((len(t), pts.shape[0], x.shape[0])),
+            dy=lambda t, x, y, pts: np.zeros((len(t), pts.shape[0], x.shape[0])),
         )
         zero_g = rc.TerminalCost(value=lambda x, y: np.zeros_like(x),
                                  dx=lambda x, y: np.zeros_like(x),
@@ -139,10 +139,10 @@ class TestEvaluateCost:
 
 
 class TestAffineRunningTable:
-    """``affine_quadratic_running.value`` fills its block table one column per
-    point; it equals the broadcast expression bitwise and is a step-major,
-    C-ordered (m, S, count) table, the operand ``evaluate_cost`` and the
-    Hamiltonian integrate."""
+    """``affine_quadratic_running.value`` fills its block table one (m, S) slab
+    of scenario rows per point; it equals the broadcast expression bitwise and
+    is a point-major, C-ordered (m, count, S) table, the operand
+    ``evaluate_cost`` and the Hamiltonian integrate."""
 
     @pytest.mark.parametrize("count", [5, 9])
     @pytest.mark.parametrize("lin", [None, [0.3, -1.7]])
@@ -159,8 +159,8 @@ class TestAffineRunningTable:
         parts = 0.5 * quad * (pts * pts).sum(axis=1)
         if lin is not None:
             parts = parts + pts @ np.asarray(lin, float)
-        assert np.array_equal(table, (cx * x + cy * y).T[:, :, None] + parts[None, None, :])
-        assert table.shape == (m, scenarios, count) and table.flags.c_contiguous
+        assert np.array_equal(table, (cx * x + cy * y).T[:, None, :] + parts[None, :, None])
+        assert table.shape == (m, count, scenarios) and table.flags.c_contiguous
 
 
 class TestFirstVariation:
